@@ -391,13 +391,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return add(mul(normed, matmul(constant(np.ones((n, 1))), gain)), bias)
 
 
-def broadcast_rows(col: Tensor, width: int) -> Tensor:
-    """Expand an (n, 1) column across `width` columns."""
-    if col.data.ndim != 2 or col.shape[1] != 1:
-        raise _shape_error("broadcast_rows", col.shape)
-    return matmul(col, constant(np.ones((1, width))))
-
-
 # ---------------------------------------------------------------------------
 # reverse pass
 # ---------------------------------------------------------------------------

@@ -20,25 +20,15 @@ class PowerError(ValueError):
 
 @dataclass(frozen=True)
 class PowerParams:
-    """Normalized power constants; defaults are the fitted benchmark values.
-
-    p_tx_dbm, eta, rf_chains and carriers are stored for traceability but do
-    not enter the normalized computation.
-    """
+    """Normalized power constants; defaults are the fitted benchmark values."""
 
     p0: float = 0.22
     p_bb: float = 0.16
     p_tran: float = 0.09408
     p_pa: float = 0.24382
-    p_tx_dbm: float = 43.0
-    eta: float = 0.4
     max_prb: int = 160
-    rf_chains: int = 64
-    carriers: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise PowerError(f"eta must be in (0,1], got {self.eta}")
         if self.max_prb < 1:
             raise PowerError(f"max_prb must be positive, got {self.max_prb}")
         if not self.static_power < 1.0:

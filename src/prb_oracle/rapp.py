@@ -38,13 +38,16 @@ class PipelineError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One end-to-end experiment: trace source, models, policies, power model."""
+    """One end-to-end experiment: trace source, PRB capacity, models, policies.
+
+    `max_prb` is the only capacity: traces are bounded by it, allocations are
+    clamped to it and power savings are measured against it.
+    """
 
     trace: TraceConfig | str = field(default_factory=TraceConfig)
     max_prb: int = 160
     train_fraction: float = 0.8
     percentiles: tuple[float, ...] = DEFAULT_PERCENTILES
-    power: PowerParams = field(default_factory=PowerParams)
     models: dict[str, ForecasterConfig] = field(default_factory=dict)
     output_dir: str = "out"
     seed: int = 0
@@ -87,7 +90,6 @@ class ExperimentConfig:
             "max_prb": self.max_prb,
             "train_fraction": self.train_fraction,
             "percentiles": list(self.percentiles),
-            "power": vars(self.power),
             "models": {k: m.to_dict() for k, m in self.models.items()},
             "output_dir": self.output_dir,
             "seed": self.seed,
@@ -106,10 +108,6 @@ class ExperimentConfig:
                 kwargs["trace"] = tr["path"]
             else:
                 raise PipelineError(f"unknown trace kind {kind!r}")
-        if "power" in doc:
-            pw = dict(doc.pop("power"))
-            pw.setdefault("max_prb", doc.get("max_prb", 160))
-            kwargs["power"] = PowerParams(**pw)
         if "models" in doc:
             models = {}
             for kind, m in doc.pop("models").items():
@@ -125,16 +123,6 @@ class ExperimentConfig:
         if doc:
             raise PipelineError(f"unknown config keys {sorted(doc)}")
         return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise PipelineError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise PipelineError(f"config {path} is not valid JSON: {exc}") from None
-        return cls.from_dict(doc)
 
 
 @dataclass
@@ -192,6 +180,13 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
     n_windows = len(test) // horizon
     n_train = len(train)
     truth = test.values[: n_windows * horizon].copy()
+    zero = np.flatnonzero(truth == 0.0)
+    if zero.size:
+        idx = n_train + int(zero[0])
+        raise PipelineError(
+            f"test hour {idx} ({series.timestamp(idx).isoformat()}) has zero PRB load, "
+            "which makes MAPE undefined"
+        )
 
     trained = {}
     for kind, model_cfg in config.models.items():
@@ -207,9 +202,20 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
             rng = np.random.default_rng([config.seed, MODEL_SEED_OFFSETS[kind], k])
             results[kind].append(predict(model, ctx, start=start, rng=rng, origin=t0))
 
+    power = PowerParams(max_prb=config.max_prb)
     # Ground-truth baseline: provision exactly the demand, rounded up.
     true_alloc = np.clip(np.ceil(truth), 0, config.max_prb).astype(np.int64)
-    _, true_saving = power_saving(true_alloc, config.power)
+    true_hourly, true_saving = power_saving(true_alloc, power)
+
+    # The hourly table shows the last test window: slices of the pooled arrays.
+    sl = slice((n_windows - 1) * horizon, n_windows * horizon)
+    last = {
+        "t0_index": n_train + (n_windows - 1) * horizon,
+        "truth": truth[sl],
+        "true_alloc": true_alloc[sl],
+        "true_saving": true_hourly[sl],
+        "models": {},
+    }
 
     models = {}
     for kind, window_results in results.items():
@@ -218,6 +224,16 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
         report = MetricsReport(
             mse=mse, mae=mae, mape_percent=mape, nd=normalized_deviation(truth, median)
         )
+        final = window_results[-1]
+        last_entry = {
+            "median": median[sl],
+            "band_low": forecast_quantile(final, BAND_LOW),
+            "band_high": forecast_quantile(final, BAND_HIGH),
+            "alloc": {},
+            "saving": {},
+        }
+        if final.point is not None:
+            last_entry["point"] = final.point
         saving_map, quant_map, alloc_map = {}, {}, {}
         for p in config.percentiles:
             qpred = np.concatenate([forecast_quantile(r, p) for r in window_results])
@@ -230,9 +246,12 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
             over, under = provisioning(truth, alloc)
             report.over_percent[p] = over
             report.under_percent[p] = under
-            _, saving_map[p] = power_saving(alloc, config.power)
+            hourly, saving_map[p] = power_saving(alloc, power)
             quant_map[p] = qpred
             alloc_map[p] = alloc
+            last_entry["alloc"][p] = alloc[sl]
+            last_entry["saving"][p] = hourly[sl]
+        last["models"][kind] = last_entry
         models[kind] = ModelReport(
             kind=kind,
             metrics=report,
@@ -252,8 +271,6 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
             "under_percent": models["lstm"].metrics.under_percent[mid],
         }
 
-    last = _last_window_table(config, truth, true_alloc, results, n_windows)
-
     # The echo describes the experiment, not the emission destination, so
     # identical (config, seed) runs serialize byte-identically anywhere.
     config_echo = {k: v for k, v in config.to_dict().items() if k != "output_dir"}
@@ -271,37 +288,6 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
         models=models,
         last_window=last,
     )
-
-
-def _last_window_table(config, truth, true_alloc, results, n_windows) -> dict:
-    horizon = config.horizon
-    sl = slice((n_windows - 1) * horizon, n_windows * horizon)
-    per_hour_true_saving, _ = power_saving(true_alloc[sl], config.power)
-    table = {
-        "t0_index": results[next(iter(results))][-1].origin,
-        "truth": truth[sl],
-        "true_alloc": true_alloc[sl],
-        "true_saving": per_hour_true_saving,
-        "models": {},
-    }
-    for kind, window_results in results.items():
-        last = window_results[-1]
-        entry = {
-            "median": forecast_quantile(last, 0.5),
-            "band_low": forecast_quantile(last, BAND_LOW),
-            "band_high": forecast_quantile(last, BAND_HIGH),
-            "alloc": {},
-            "saving": {},
-        }
-        if last.point is not None:
-            entry["point"] = last.point
-        for p in config.percentiles:
-            alloc = allocate(last, AllocationPolicy(p), config.max_prb, kind).prbs
-            per_hour, _ = power_saving(alloc, config.power)
-            entry["alloc"][p] = alloc
-            entry["saving"][p] = per_hour
-        table["models"][kind] = entry
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -376,61 +362,67 @@ def emit_report(report: SustainabilityReport, out_dir: str | Path) -> list[Path]
     path.write_text(json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n")
     written.append(path)
 
-    written.append(_write_table1(report, out / "table1.csv"))
-    written.append(_write_table2(report, out / "table2.csv"))
-    written.append(_write_hourly(report, out / "hourly.csv"))
-    written.append(_write_provisioning(report, out / "provisioning.csv"))
+    tables = {
+        "table1.csv": _table1_rows,
+        "table2.csv": _table2_rows,
+        "hourly.csv": _hourly_rows,
+        "provisioning.csv": _provisioning_rows,
+    }
+    for name, rows in tables.items():
+        written.append(_write_csv(out / name, rows(report)))
     return written
+
+
+def _write_csv(path: Path, rows: list[list]) -> Path:
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
 
 
 def _percentile_header(report) -> list[str]:
     return [_plabel(p) for p in report.percentiles]
 
 
-def _write_table1(report: SustainabilityReport, path: Path) -> Path:
+def _table1_rows(report: SustainabilityReport) -> list[list]:
     ordered = [k for k in MODEL_KINDS if k in report.models]
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "model", "overall", *_percentile_header(report)])
-        blanks = [""] * len(report.percentiles)
-        for metric in ("mse", "mae", "mape_percent"):
-            for kind in ordered:
-                w.writerow([metric, kind, getattr(report.models[kind].metrics, metric), *blanks])
+    rows = [["metric", "model", "overall", *_percentile_header(report)]]
+    blanks = [""] * len(report.percentiles)
+    for metric in ("mse", "mae", "mape_percent"):
+        for kind in ordered:
+            rows.append([metric, kind, getattr(report.models[kind].metrics, metric), *blanks])
+    for kind in ordered:
+        if kind in PROBABILISTIC_KINDS:
+            rows.append(["nd", kind, report.models[kind].metrics.nd, *blanks])
+    for metric in ("quantile_loss", "coverage"):
         for kind in ordered:
             if kind in PROBABILISTIC_KINDS:
-                w.writerow(["nd", kind, report.models[kind].metrics.nd, *blanks])
-        for metric in ("quantile_loss", "coverage"):
-            for kind in ordered:
-                if kind in PROBABILISTIC_KINDS:
-                    vals = getattr(report.models[kind].metrics, metric)
-                    w.writerow([metric, kind, "", *[vals[p] for p in report.percentiles]])
-    return path
+                vals = getattr(report.models[kind].metrics, metric)
+                rows.append([metric, kind, "", *[vals[p] for p in report.percentiles]])
+    return rows
 
 
-def _write_table2(report: SustainabilityReport, path: Path) -> Path:
+def _table2_rows(report: SustainabilityReport) -> list[list]:
     ordered = [k for k in MODEL_KINDS if k in report.models]
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["model", "statistic", "overall", *_percentile_header(report)])
-        blanks = [""] * len(report.percentiles)
-        w.writerow(["true_data", "power_saving_percent", report.true_data_saving_percent, *blanks])
-        for stat, value in report.lstm_baseline.items():
-            w.writerow(["lstm", stat, value, *blanks])
-        for kind in ordered:
-            if kind not in PROBABILISTIC_KINDS:
-                continue
-            m = report.models[kind]
-            w.writerow(["", "", "", *blanks])  # visual separator, matches grid layout
-            w.writerow([kind, "power_saving_percent", "",
-                        *[m.power_saving_percent[p] for p in report.percentiles]])
-            w.writerow([kind, "over_percent", "",
-                        *[m.metrics.over_percent[p] for p in report.percentiles]])
-            w.writerow([kind, "under_percent", "",
-                        *[m.metrics.under_percent[p] for p in report.percentiles]])
-    return path
+    rows = [["model", "statistic", "overall", *_percentile_header(report)]]
+    blanks = [""] * len(report.percentiles)
+    rows.append(["true_data", "power_saving_percent", report.true_data_saving_percent, *blanks])
+    for stat, value in report.lstm_baseline.items():
+        rows.append(["lstm", stat, value, *blanks])
+    for kind in ordered:
+        if kind not in PROBABILISTIC_KINDS:
+            continue
+        m = report.models[kind]
+        rows.append(["", "", "", *blanks])  # visual separator, matches grid layout
+        rows.append([kind, "power_saving_percent", "",
+                     *[m.power_saving_percent[p] for p in report.percentiles]])
+        rows.append([kind, "over_percent", "",
+                     *[m.metrics.over_percent[p] for p in report.percentiles]])
+        rows.append([kind, "under_percent", "",
+                     *[m.metrics.under_percent[p] for p in report.percentiles]])
+    return rows
 
 
-def _write_hourly(report: SustainabilityReport, path: Path) -> Path:
+def _hourly_rows(report: SustainabilityReport) -> list[list]:
     last = report.last_window
     ordered = [k for k in MODEL_KINDS if k in last["models"]]
     header = ["hour", "truth", "true_alloc", "true_saving"]
@@ -440,30 +432,26 @@ def _write_hourly(report: SustainabilityReport, path: Path) -> Path:
             header.append(f"{kind}_point")
         for p in report.percentiles:
             header += [f"{kind}_alloc_{_plabel(p)}", f"{kind}_saving_{_plabel(p)}"]
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for h in range(report.horizon):
-            row = [h, last["truth"][h], last["true_alloc"][h], last["true_saving"][h]]
-            for kind in ordered:
-                entry = last["models"][kind]
-                row += [entry["median"][h], entry["band_low"][h], entry["band_high"][h]]
-                if "point" in entry:
-                    row.append(entry["point"][h])
-                for p in report.percentiles:
-                    row += [entry["alloc"][p][h], entry["saving"][p][h]]
-            w.writerow(row)
-    return path
-
-
-def _write_provisioning(report: SustainabilityReport, path: Path) -> Path:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["model", "percentile", "over_percent", "under_percent"])
-        for kind in MODEL_KINDS:
-            if kind not in report.models or kind not in PROBABILISTIC_KINDS:
-                continue
-            m = report.models[kind]
+    rows = [header]
+    for h in range(report.horizon):
+        row = [h, last["truth"][h], last["true_alloc"][h], last["true_saving"][h]]
+        for kind in ordered:
+            entry = last["models"][kind]
+            row += [entry["median"][h], entry["band_low"][h], entry["band_high"][h]]
+            if "point" in entry:
+                row.append(entry["point"][h])
             for p in report.percentiles:
-                w.writerow([kind, p, m.metrics.over_percent[p], m.metrics.under_percent[p]])
-    return path
+                row += [entry["alloc"][p][h], entry["saving"][p][h]]
+        rows.append(row)
+    return rows
+
+
+def _provisioning_rows(report: SustainabilityReport) -> list[list]:
+    rows = [["model", "percentile", "over_percent", "under_percent"]]
+    for kind in MODEL_KINDS:
+        if kind not in report.models or kind not in PROBABILISTIC_KINDS:
+            continue
+        m = report.models[kind]
+        for p in report.percentiles:
+            rows.append([kind, p, m.metrics.over_percent[p], m.metrics.under_percent[p]])
+    return rows

@@ -11,6 +11,7 @@ from prb_oracle.cli import (
     dispatch,
     write_default_config,
 )
+from prb_oracle.rapp import ExperimentConfig
 from prb_oracle.traces import load_csv
 
 TINY_CONFIG = {
@@ -39,10 +40,11 @@ def _run_args(**kw):
 
 def test_bundled_default_config_is_valid():
     doc = json.loads(default_config_path().read_text())
+    ExperimentConfig.from_dict(doc)
     assert doc["train_fraction"] == 0.8
     assert doc["max_prb"] == 160
     assert doc["trace"]["weeks"] == 10
-    assert doc["power"]["p0"] == 0.22
+    assert "power" not in doc
     assert sorted(doc["models"]) == ["deepar", "lstm", "sff", "transformer"]
     for m in doc["models"].values():
         assert m["epochs"] == 5

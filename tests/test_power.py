@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prb_oracle.power import PowerError, PowerParams, load_ratio, p_out, power_saving, total_power
 
@@ -83,8 +85,27 @@ def test_power_saving_pointwise_dominance():
 
 def test_params_validation():
     with pytest.raises(PowerError):
-        PowerParams(eta=0.0)
-    with pytest.raises(PowerError):
         PowerParams(p0=0.5, p_bb=0.3, p_tran=0.2, p_pa=0.1)
     with pytest.raises(PowerError):
         PowerParams(max_prb=0)
+
+
+@st.composite
+def static_splits(draw):
+    """Four static terms that sum to less than 1 (the unit full-load total)."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    total = draw(st.floats(0.0, 0.999))
+    norm = sum(weights) or 1.0
+    return [total * w / norm for w in weights]
+
+
+@settings(max_examples=200, deadline=None)
+@given(static=static_splits(), data=st.data())
+def test_power_saving_is_the_unused_capacity_share(static, data):
+    # Every static term cancels: the saving depends on alloc/capacity alone.
+    capacity = data.draw(st.integers(1, 10_000), label="capacity")
+    alloc = np.array(data.draw(
+        st.lists(st.floats(0.0, float(capacity)), min_size=1, max_size=48), label="alloc"))
+    params = PowerParams(*static, max_prb=capacity)
+    per_hour, _ = power_saving(alloc, params)
+    assert np.allclose(per_hour, 100.0 * (1.0 - alloc / capacity), rtol=0.0, atol=1e-12)

@@ -1,10 +1,12 @@
 """Pipeline orchestration: config handling, report content, determinism, emission."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from prb_oracle import rapp
 from prb_oracle.forecasters import ForecasterConfig
 from prb_oracle.metrics import point_errors
 from prb_oracle.power import PowerParams, power_saving
@@ -15,7 +17,7 @@ from prb_oracle.rapp import (
     report_to_dict,
     run_pipeline,
 )
-from prb_oracle.traces import TraceConfig
+from prb_oracle.traces import PrbSeries, TraceConfig, generate_synthetic, save_csv
 
 PCTS = (0.1, 0.5, 0.9)
 
@@ -65,6 +67,8 @@ def test_config_rejects_mixed_window_geometry():
 def test_config_rejects_unknown_keys_and_kinds():
     with pytest.raises(PipelineError, match="unknown config keys"):
         ExperimentConfig.from_dict({"sede": 1})
+    with pytest.raises(PipelineError, match=re.escape("unknown config keys ['power']")):
+        ExperimentConfig.from_dict({"max_prb": 120, "power": {"max_prb": 160}})
     with pytest.raises(PipelineError, match="unknown model kind"):
         ExperimentConfig(models={"gru": ForecasterConfig(kind="sff")})
 
@@ -85,6 +89,22 @@ def test_config_csv_trace_round_trip():
 def test_pipeline_rejects_short_test_segment():
     with pytest.raises(PipelineError, match="shorter than context\\+horizon"):
         run_pipeline(small_config(trace=TraceConfig(weeks=1), train_fraction=0.8))
+
+
+def test_pipeline_rejects_zero_load_test_hour_before_training(tmp_path, monkeypatch):
+    series = generate_synthetic(TraceConfig(weeks=2, seed=11))
+    values = series.values.copy()
+    values[[300, 310]] = 0.0  # 268 train hours; both fall in the scored test hours
+    path = tmp_path / "trace.csv"
+    save_csv(PrbSeries(series.start_time, values, series.max_prb), path)
+
+    def fit_must_not_run(*args, **kwargs):
+        raise AssertionError("fit called before the trace was validated")
+
+    monkeypatch.setattr(rapp, "fit", fit_must_not_run)
+    expected = f"test hour 300 ({series.timestamp(300).isoformat()}) has zero PRB load"
+    with pytest.raises(PipelineError, match=re.escape(expected)):
+        run_pipeline(small_config(trace=str(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +128,13 @@ def test_true_data_saving_formula(small_report):
     expected = 100.0 * (1.0 - np.mean(rep.true_data_alloc) / rep.max_prb)
     assert rep.true_data_saving_percent == pytest.approx(expected, abs=1e-9)
     assert np.array_equal(rep.true_data_alloc, np.ceil(rep.truth_pooled))
+
+
+def test_savings_are_measured_against_the_experiment_capacity():
+    cfg = small_config(max_prb=120, models={"lstm": ForecasterConfig(kind="lstm", epochs=1)})
+    rep = run_pipeline(cfg)
+    expected = 100.0 * (1.0 - np.mean(rep.true_data_alloc) / 120)
+    assert rep.true_data_saving_percent == pytest.approx(expected, abs=1e-9)
 
 
 def test_provisioning_always_sums_to_100(small_report):
