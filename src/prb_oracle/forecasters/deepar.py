@@ -3,7 +3,7 @@
 Training runs teacher-forced over context + horizon and sums the Gaussian
 negative log-likelihood over the prediction range; forecasting draws
 independent ancestral roll-outs where each sampled value feeds the next
-step's input.
+step's input. The roll-outs advance together, one row per sample.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nncore as nn
-from ..likelihoods import gaussian_nll_graph, softplus
+from ..likelihoods import gaussian_nll_graph, project_gaussian, sample
 from ..nncore import ParameterSet
 
 N_FEATURES = 3  # previous value, hour-of-day, day-of-week
@@ -63,8 +63,10 @@ def _step(params, config, x: nn.Tensor, state):
     return inp, new_state
 
 
-def _input_at(value: float, cov_row: np.ndarray) -> nn.Tensor:
-    return nn.constant(np.array([[value, cov_row[0], cov_row[1]]]))
+def _input_at(value, cov_row: np.ndarray) -> nn.Tensor:
+    """Input rows [value, hour, day-of-week], one per entry of `value`."""
+    value = np.atleast_1d(value)
+    return nn.constant(np.column_stack([value, np.broadcast_to(cov_row, (value.size, 2))]))
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
@@ -86,22 +88,19 @@ def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
     cov_ctx, cov_tgt = feats["ctx"], feats["tgt"]
-    # Warm the recurrent state on the observed context once; every sample
-    # path then rolls forward from a copy of it.
-    warm = _zero_state(config)
+    # Warm the recurrent state on the observed context once, then tile it:
+    # every sample path rolls forward from a copy of it, as one row.
+    state = _zero_state(config)
     for t in range(1, config.context_len):
-        _, warm = _step(params, config, _input_at(ctx_scaled[t - 1], cov_ctx[t]), warm)
-    warm_data = [(h.data.copy(), c.data.copy()) for h, c in warm]
+        _, state = _step(params, config, _input_at(ctx_scaled[t - 1], cov_ctx[t]), state)
+    n = config.num_samples
+    state = [(nn.constant(np.repeat(h.data, n, axis=0)), nn.constant(np.repeat(c.data, n, axis=0)))
+             for h, c in state]
 
-    out = np.empty((config.num_samples, config.horizon))
-    for s in range(config.num_samples):
-        state = [(nn.constant(h), nn.constant(c)) for h, c in warm_data]
-        prev = float(ctx_scaled[-1])
-        for t in range(config.horizon):
-            cov_row = cov_tgt[t]
-            top, state = _step(params, config, _input_at(prev, cov_row), state)
-            raw = nn.add(nn.matmul(top, params["w_head"]), params["b_head"]).data[0]
-            mu, sigma = raw[0], float(softplus(raw[1]))
-            prev = mu + sigma * rng.standard_normal()
-            out[s, t] = prev
+    out = np.empty((n, config.horizon))
+    prev = np.full(n, float(ctx_scaled[-1]))
+    for t in range(config.horizon):
+        top, state = _step(params, config, _input_at(prev, cov_tgt[t]), state)
+        raw = nn.add(nn.matmul(top, params["w_head"]), params["b_head"])
+        prev = out[:, t] = sample(project_gaussian(raw.data), rng, 1)[0]
     return out

@@ -44,17 +44,13 @@ def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
     return studentt_nll_graph(raw_mu, raw_sigma, raw_nu, tgt_scaled, nu_floor=NU_FLOOR)
 
 
-def step_params(params, config, ctx_scaled) -> list[StudentTParams]:
-    """Projected per-step distributions in scaled units."""
+def step_params(params, config, ctx_scaled) -> StudentTParams:
+    """Projected distributions of all horizon steps, as (horizon,) arrays, in scaled units."""
     raw_mu, raw_sigma, raw_nu = _forward(params, config, ctx_scaled)
     raws = np.hstack([raw_mu.data, raw_sigma.data, raw_nu.data])
-    return [project_studentt(raws[t], nu_floor=NU_FLOOR) for t in range(config.horizon)]
+    return project_studentt(raws, nu_floor=NU_FLOOR)
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
-    """num_samples independent draws per step from the projected Student-t."""
-    dists = step_params(params, config, ctx_scaled)
-    out = np.empty((config.num_samples, config.horizon))
-    for t, dist in enumerate(dists):
-        out[:, t] = sample(dist, rng, config.num_samples)
-    return out
+    """num_samples independent draws per step, one row per sample, in one call."""
+    return sample(step_params(params, config, ctx_scaled), rng, config.num_samples)

@@ -4,7 +4,8 @@ Student-t head.
 The encoder ingests the embedded context; the decoder applies masked
 self-attention, attention over the encoder output, and a position-wise
 feed-forward layer. Training is teacher-forced; forecasting samples
-autoregressively.
+autoregressively, all samples as rows of one batch, with the decoder's
+self-attention keys and values cached per sample.
 """
 
 from __future__ import annotations
@@ -68,22 +69,32 @@ def positional_encoding(length: int, d: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def multi_head_attention(params, prefix, x_q, x_kv, heads, mask=None) -> nn.Tensor:
-    d = x_q.shape[1]
+def project_kv(params, prefix, x_kv) -> tuple[nn.Tensor, nn.Tensor]:
+    """Attention keys and values of `x_kv` (2-D rows or a leading batch axis)."""
+    return nn.matmul(x_kv, params[f"{prefix}_wk"]), nn.matmul(x_kv, params[f"{prefix}_wv"])
+
+
+def multi_head_attention(params, prefix, x_q, k, v, heads, mask=None) -> nn.Tensor:
+    """Attention of the projected queries of `x_q` over keys `k` and values
+    `v` (from `project_kv`). Heads split and join on the last axis, so 2-D
+    rows and batched 3-D inputs go through the same code."""
     q = nn.matmul(x_q, params[f"{prefix}_wq"])
-    k = nn.matmul(x_kv, params[f"{prefix}_wk"])
-    v = nn.matmul(x_kv, params[f"{prefix}_wv"])
-    head_dim = d // heads
+    axis = q.data.ndim - 1
+    head_dim = q.shape[axis] // heads
     outs = [
         nn.attention(
-            nn.narrow(q, 1, h * head_dim, head_dim),
-            nn.narrow(k, 1, h * head_dim, head_dim),
-            nn.narrow(v, 1, h * head_dim, head_dim),
+            nn.narrow(q, axis, h * head_dim, head_dim),
+            nn.narrow(k, axis, h * head_dim, head_dim),
+            nn.narrow(v, axis, h * head_dim, head_dim),
             mask,
         )
         for h in range(heads)
     ]
-    return nn.matmul(nn.concat(outs, axis=1), params[f"{prefix}_wo"])
+    return nn.matmul(nn.concat(outs, axis=axis), params[f"{prefix}_wo"])
+
+
+def _self_attention(params, prefix, x, heads, mask=None) -> nn.Tensor:
+    return multi_head_attention(params, prefix, x, *project_kv(params, prefix, x), heads, mask)
 
 
 def _feed_forward(params, prefix, x) -> nn.Tensor:
@@ -95,18 +106,34 @@ def _sublayer(params, ln_prefix, x, out) -> nn.Tensor:
     return nn.layer_norm(nn.add(x, out), params[f"{ln_prefix}_g"], params[f"{ln_prefix}_b"])
 
 
-def encode(params, config, ctx_scaled: np.ndarray, cov_ctx: np.ndarray) -> nn.Tensor:
-    inp = np.column_stack([ctx_scaled, cov_ctx])
-    x = nn.add(nn.matmul(nn.constant(inp), params["enc_embed"]), params["enc_embed_b"])
+def _embed(params, config, side: str, inp: np.ndarray, positions: np.ndarray) -> nn.Tensor:
+    """Embed input rows; `positions` is their positional table, or one
+    (1, d) row shared by every input row."""
+    x = nn.add(nn.matmul(nn.constant(inp), params[f"{side}_embed"]), params[f"{side}_embed_b"])
     # sqrt(d) embedding gain keeps the value signal from drowning in the
     # positional table.
     x = nn.scale(x, math.sqrt(config.model_dim))
-    x = nn.add(x, nn.constant(positional_encoding(config.context_len, config.model_dim)))
+    return nn.add(x, nn.constant(positions))
+
+
+def encode(params, config, ctx_scaled: np.ndarray, cov_ctx: np.ndarray) -> nn.Tensor:
+    inp = np.column_stack([ctx_scaled, cov_ctx])
+    x = _embed(params, config, "enc", inp, positional_encoding(config.context_len, config.model_dim))
     for i in range(config.blocks):
-        a = multi_head_attention(params, f"enc{i}_attn", x, x, config.heads)
+        a = _self_attention(params, f"enc{i}_attn", x, config.heads)
         x = _sublayer(params, f"enc{i}_ln1", x, a)
         x = _sublayer(params, f"enc{i}_ln2", x, _feed_forward(params, f"enc{i}", x))
     return x
+
+
+def _decoder_tail(params, config, y, self_attn, cross_kv) -> nn.Tensor:
+    """Everything after the decoder's self-attention, row by row, through
+    the head: raw outputs (rows, 3)."""
+    y = _sublayer(params, "dec_ln1", y, self_attn)
+    a2 = multi_head_attention(params, "dec_cross", y, *cross_kv, config.heads)
+    y = _sublayer(params, "dec_ln2", y, a2)
+    y = _sublayer(params, "dec_ln3", y, _feed_forward(params, "dec", y))
+    return nn.add(nn.matmul(y, params["head"]), params["head_b"])
 
 
 def decode(params, config, dec_inp: np.ndarray, first_pos: int, enc_out: nn.Tensor) -> nn.Tensor:
@@ -114,15 +141,29 @@ def decode(params, config, dec_inp: np.ndarray, first_pos: int, enc_out: nn.Tens
     [previous value, hour, day-of-week]."""
     m = dec_inp.shape[0]
     table = positional_encoding(first_pos + m, config.model_dim)[first_pos:]
-    y = nn.add(nn.matmul(nn.constant(dec_inp), params["dec_embed"]), params["dec_embed_b"])
-    y = nn.scale(y, math.sqrt(config.model_dim))
-    y = nn.add(y, nn.constant(table))
-    a = multi_head_attention(params, "dec_self", y, y, config.heads, nn.causal_mask(m))
-    y = _sublayer(params, "dec_ln1", y, a)
-    a2 = multi_head_attention(params, "dec_cross", y, enc_out, config.heads)
-    y = _sublayer(params, "dec_ln2", y, a2)
-    y = _sublayer(params, "dec_ln3", y, _feed_forward(params, "dec", y))
-    return nn.add(nn.matmul(y, params["head"]), params["head_b"])
+    y = _embed(params, config, "dec", dec_inp, table)
+    a = _self_attention(params, "dec_self", y, config.heads, nn.causal_mask(m))
+    return _decoder_tail(params, config, y, a, project_kv(params, "dec_cross", enc_out))
+
+
+def decode_step(params, config, inp: np.ndarray, position: np.ndarray, cache, cross_kv):
+    """Decode the next position of every sample at once.
+
+    inp is (S, 3), one [previous value, hour, day-of-week] row per sample, at
+    the (1, d) positional row `position`. `cache` holds each sample's
+    self-attention keys and values of the earlier positions, (S, t, d) each,
+    or is None at the first position; cross_kv is `project_kv` of the shared
+    encoder output. Returns the raw head outputs (S, 3) and the cache
+    extended to (S, t+1, d). Row s equals the last row of `decode` on sample
+    s's own prefix, as causal masking keeps earlier rows fixed.
+    """
+    y = _embed(params, config, "dec", inp, position)
+    y_seq = nn.reshape(y, (inp.shape[0], 1, config.model_dim))  # one query per sample
+    k, v = project_kv(params, "dec_self", y_seq)
+    if cache is not None:
+        k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
+    a = multi_head_attention(params, "dec_self", y_seq, k, v, config.heads)
+    return _decoder_tail(params, config, y, nn.reshape(a, y.shape), cross_kv), (k, v)
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
@@ -140,16 +181,18 @@ def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
+    """Ancestral roll-outs of all samples at once, one row per sample: the
+    context is encoded once, then each step decodes one new row per sample."""
     enc_out = encode(params, config, ctx_scaled, feats["ctx"])
-    cov_tgt = feats["tgt"]
-    out = np.empty((config.num_samples, config.horizon))
-    for s in range(config.num_samples):
-        prev = [float(ctx_scaled[-1])]
-        for t in range(config.horizon):
-            dec_inp = np.column_stack([prev, cov_tgt[: t + 1]])
-            raw = decode(params, config, dec_inp, config.context_len, enc_out)
-            dist = project_studentt(raw.data[-1], nu_floor=NU_FLOOR)
-            value = float(sample(dist, rng, 1)[0])
-            out[s, t] = value
-            prev.append(value)
+    cross_kv = project_kv(params, "dec_cross", enc_out)
+    table = positional_encoding(config.context_len + config.horizon, config.model_dim)
+    n = config.num_samples
+    out = np.empty((n, config.horizon))
+    prev = np.full(n, float(ctx_scaled[-1]))
+    cache = None
+    for t in range(config.horizon):
+        inp = np.column_stack([prev, np.broadcast_to(feats["tgt"][t], (n, 2))])
+        pos = config.context_len + t
+        raw, cache = decode_step(params, config, inp, table[pos:pos + 1], cache, cross_kv)
+        prev = out[:, t] = sample(project_studentt(raw.data, nu_floor=NU_FLOOR), rng, 1)[0]
     return out

@@ -35,29 +35,50 @@ class LikelihoodError(ValueError):
     """Invalid distribution parameters or mismatched lengths."""
 
 
+def _shape(dist) -> tuple[int, ...]:
+    """Broadcast shape of a distribution's fields; () for scalar parameters."""
+    return np.broadcast_shapes(*(np.shape(v) for v in vars(dist).values()))
+
+
+def _check_params(dist, positive: tuple[str, ...]) -> None:
+    """Every element of each named field must be > 0; all fields must broadcast."""
+    for name in positive:
+        value = np.asarray(getattr(dist, name))
+        bad = np.flatnonzero(~(value > 0.0))
+        if bad.size:
+            at = "" if value.ndim == 0 else f" at element {int(bad[0])}"
+            raise LikelihoodError(f"{name} must be > 0, got {value.flat[bad[0]]}{at}")
+    try:
+        _shape(dist)
+    except ValueError:
+        raise LikelihoodError(
+            f"parameter shapes {[np.shape(v) for v in vars(dist).values()]} do not broadcast"
+        ) from None
+
+
 @dataclass(frozen=True)
 class StudentTParams:
-    """Location-scale Student-t: location mu, scale sigma > 0, dof nu > 0."""
+    """Location-scale Student-t: location mu, scale sigma > 0, dof nu > 0.
 
-    mu: float
-    sigma: float
-    nu: float
+    Fields are floats, or arrays that broadcast together: one distribution
+    per element.
+    """
+
+    mu: float | np.ndarray
+    sigma: float | np.ndarray
+    nu: float | np.ndarray
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise LikelihoodError(f"sigma must be > 0, got {self.sigma}")
-        if not self.nu > 0.0:
-            raise LikelihoodError(f"nu must be > 0, got {self.nu}")
+        _check_params(self, ("sigma", "nu"))
 
 
 @dataclass(frozen=True)
 class GaussianParams:
-    mu: float
-    sigma: float
+    mu: float | np.ndarray
+    sigma: float | np.ndarray
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise LikelihoodError(f"sigma must be > 0, got {self.sigma}")
+        _check_params(self, ("sigma",))
 
 
 def log_gamma(x):
@@ -89,19 +110,31 @@ def softplus(x):
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
+def _project(raw, n: int) -> list:
+    """mu and the softplus of the other raw head outputs, split off the last axis.
+
+    One raw tuple gives floats; a (..., n) array gives arrays of shape (...).
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.shape[-1:] != (n,):
+        raise LikelihoodError(f"expected raw head outputs ending in {n} values, got shape {raw.shape}")
+    cols = [raw[..., 0]] + [softplus(raw[..., i]) for i in range(1, n)]
+    return [float(c) for c in cols] if raw.ndim == 1 else cols
+
+
 def project_studentt(raw, nu_floor: float = 0.0) -> StudentTParams:
-    """Map a raw network triple to valid Student-t parameters.
+    """Map raw network triples (last axis) to valid Student-t parameters.
 
     mu passes through; sigma and nu go through softplus. Training heads pass
     nu_floor=2.0 so the distribution always has finite variance.
     """
-    r0, r1, r2 = (float(v) for v in raw)
-    return StudentTParams(mu=r0, sigma=float(softplus(r1)), nu=nu_floor + float(softplus(r2)))
+    mu, sigma, nu = _project(raw, 3)
+    return StudentTParams(mu=mu, sigma=sigma, nu=nu_floor + nu)
 
 
 def project_gaussian(raw) -> GaussianParams:
-    r0, r1 = (float(v) for v in raw)
-    return GaussianParams(mu=r0, sigma=float(softplus(r1)))
+    mu, sigma = _project(raw, 2)
+    return GaussianParams(mu=mu, sigma=sigma)
 
 
 def studentt_logpdf(y, p: StudentTParams):
@@ -126,16 +159,22 @@ def gaussian_logpdf(y, p: GaussianParams):
 
 
 def sample(dist, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n values; deterministic per rng state, location-scale equivariant."""
+    """Draw n values per distribution: shape (n,) + the parameters' shape.
+
+    Deterministic per rng state and location-scale equivariant element by
+    element. Draws fill the output in C order, so scalar parameters consume
+    the stream exactly as n scalar draws do.
+    """
     if n < 1:
         raise LikelihoodError(f"n must be >= 1, got {n}")
+    if not isinstance(dist, (GaussianParams, StudentTParams)):
+        raise LikelihoodError(f"unsupported distribution {type(dist).__name__}")
+    shape = (n, *_shape(dist))
     if isinstance(dist, GaussianParams):
-        return dist.mu + dist.sigma * rng.standard_normal(n)
-    if isinstance(dist, StudentTParams):
-        z = rng.standard_normal(n)
-        v = rng.chisquare(dist.nu, n)
-        return dist.mu + dist.sigma * (z / np.sqrt(v / dist.nu))
-    raise LikelihoodError(f"unsupported distribution {type(dist).__name__}")
+        return dist.mu + dist.sigma * rng.standard_normal(shape)
+    z = rng.standard_normal(shape)
+    v = rng.chisquare(dist.nu, shape)
+    return dist.mu + dist.sigma * (z / np.sqrt(v / dist.nu))
 
 
 def nll_loss(targets, params) -> float:

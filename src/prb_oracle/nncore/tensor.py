@@ -107,13 +107,23 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Product over the last two axes; a may carry a leading batch axis.
+
+    (S, m, k) @ (k, n) applies one shared right operand to every batch entry;
+    (S, m, k) @ (S, k, n) multiplies entry by entry.
+    """
+    nd_a, nd_b = a.data.ndim, b.data.ndim
+    if not (2 <= nd_a <= 3 and (nd_b == 2 or (nd_b == 3 and nd_a == 3 and a.shape[0] == b.shape[0]))
+            and a.shape[-1] == b.shape[-2]):
         raise _shape_error("matmul", a.shape, b.shape)
     out_data = a.data @ b.data
 
     def backprop(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ _swap_last(b.data))
+        if nd_a > nd_b:  # one right operand shared by every batch entry
+            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        else:
+            _accumulate(b, _swap_last(a.data) @ g)
 
     return _node(out_data, "matmul", (a, b), backprop)
 
@@ -227,12 +237,13 @@ def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
+    """Swap the last two axes of a 2-D or batched 3-D tensor."""
+    if a.data.ndim not in (2, 3):
         raise _shape_error("transpose", a.shape)
-    out_data = a.data.T.copy()
+    out_data = _swap_last(a.data).copy()
 
     def backprop(g):
-        _accumulate(a, g.T)
+        _accumulate(a, _swap_last(g))
 
     return _node(out_data, "transpose", (a,), backprop)
 
@@ -334,8 +345,8 @@ def square(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis of a 2-D tensor."""
-    if a.data.ndim != 2:
+    """Softmax over the last axis of a 2-D or batched 3-D tensor."""
+    if a.data.ndim not in (2, 3):
         raise _shape_error("softmax", a.shape)
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -346,6 +357,11 @@ def softmax(a: Tensor) -> Tensor:
         _accumulate(a, out_data * (g - inner))
 
     return _node(out_data, "softmax", (a,), backprop)
+
+
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    """View with the last two axes swapped; `.T` is the cheap 2-D case."""
+    return x.T if x.ndim == 2 else x.swapaxes(-1, -2)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -362,11 +378,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention softmax(q k^T / sqrt(d) + mask) v."""
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2 \
-            or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+    """Scaled dot-product attention softmax(q k^T / sqrt(d) + mask) v.
+
+    q, k and v are 2-D, or 3-D with one shared leading batch axis; the
+    additive mask has the shape of the scores.
+    """
+    nd = q.data.ndim
+    if nd not in (2, 3) or k.data.ndim != nd or v.data.ndim != nd \
+            or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] \
+            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
         raise _shape_error("attention", q.shape, k.shape, v.shape)
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
         scores = add(scores, constant(mask))
     return matmul(softmax(scores), v)

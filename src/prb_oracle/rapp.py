@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+import os
+import shutil
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,19 +102,26 @@ class ExperimentConfig:
         doc = dict(doc)
         kwargs = {}
         if "trace" in doc:
-            tr = dict(doc.pop("trace"))
+            tr = _block("trace", doc.pop("trace"))
             kind = tr.pop("kind", "synthetic")
             if kind == "synthetic":
+                _check_keys("trace", tr, _field_names(TraceConfig))
                 kwargs["trace"] = TraceConfig(**tr)
             elif kind == "csv":
+                _check_keys("trace", tr, {"path"})
+                if "path" not in tr:
+                    raise PipelineError("csv trace block needs a 'path' key")
                 kwargs["trace"] = tr["path"]
             else:
                 raise PipelineError(f"unknown trace kind {kind!r}")
         if "models" in doc:
             models = {}
-            for kind, m in doc.pop("models").items():
-                m = dict(m)
-                m["kind"] = kind
+            for kind, m in _block("models", doc.pop("models")).items():
+                name = f"models.{kind}"
+                m = _block(name, m)
+                _check_keys(name, m, _field_names(ForecasterConfig))
+                if m.setdefault("kind", kind) != kind:
+                    raise PipelineError(f"{name} block has kind {m['kind']!r}")
                 models[kind] = ForecasterConfig.from_dict(m)
             kwargs["models"] = models
         if "percentiles" in doc:
@@ -123,6 +132,22 @@ class ExperimentConfig:
         if doc:
             raise PipelineError(f"unknown config keys {sorted(doc)}")
         return cls(**kwargs)
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _block(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise PipelineError(f"{name} block must be an object, got {type(value).__name__}")
+    return dict(value)
+
+
+def _check_keys(name: str, block: dict, allowed: set[str]) -> None:
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise PipelineError(f"unknown keys {unknown} in {name} block")
 
 
 @dataclass
@@ -350,33 +375,43 @@ def report_to_dict(report: SustainabilityReport) -> dict:
 
 
 def emit_report(report: SustainabilityReport, out_dir: str | Path) -> list[Path]:
-    """Write report.json plus the table/plot CSVs; returns the written paths."""
+    """Write report.json plus the table/plot CSVs; returns the written paths.
+
+    The files are written into a temporary directory next to `out_dir` and
+    renamed into place only once all of them are complete, so a failure
+    partway leaves no partial report behind. A new `out_dir` appears whole;
+    into an existing one the files move one by one, report.json last.
+    """
     out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise PipelineError(f"cannot create output directory {out}: it is a file")
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        tmp = out.parent / f".{out.name}.{os.urandom(8).hex()}.tmp"
+        tmp.mkdir()  # default permissions, which the renamed directory keeps
     except OSError as exc:
         raise PipelineError(f"cannot create output directory {out}: {exc}") from None
-    written = []
-
-    path = out / "report.json"
-    path.write_text(json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n")
-    written.append(path)
-
     tables = {
         "table1.csv": _table1_rows,
         "table2.csv": _table2_rows,
         "hourly.csv": _hourly_rows,
         "provisioning.csv": _provisioning_rows,
     }
-    for name, rows in tables.items():
-        written.append(_write_csv(out / name, rows(report)))
-    return written
-
-
-def _write_csv(path: Path, rows: list[list]) -> Path:
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    return path
+    try:
+        (tmp / "report.json").write_text(
+            json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+        )
+        for name, rows in tables.items():
+            with (tmp / name).open("w", newline="") as fh:
+                csv.writer(fh).writerows(rows(report))
+        if out.exists():  # replace our files, leave any others
+            for name in [*tables, "report.json"]:
+                os.replace(tmp / name, out / name)
+        else:
+            tmp.rename(out)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return [out / name for name in ("report.json", *tables)]
 
 
 def _percentile_header(report) -> list[str]:

@@ -105,6 +105,16 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
          [mat(3, 4), mat(3, 4), mat(3, 2)]),
         ("layer_norm", lambda t: nn.layer_norm(t[0], t[1], t[2]),
          [mat(3, 4), mat(1, 4), mat(1, 4)]),
+        # Leading batch axis (the batched Monte Carlo decoder's shapes).
+        ("matmul_batched", lambda t: nn.matmul(t[0], t[1]), [mat(2, 3, 4), mat(2, 4, 2)]),
+        ("matmul_batched_shared", lambda t: nn.matmul(t[0], t[1]), [mat(2, 3, 4), mat(4, 2)]),
+        ("transpose_batched", lambda t: nn.transpose(t[0]), [mat(2, 3, 4)]),
+        ("softmax_batched", lambda t: nn.softmax(t[0]), [mat(2, 3, 4)]),
+        ("attention_batched", lambda t: nn.attention(t[0], t[1], t[2]),
+         [mat(2, 3, 4), mat(2, 5, 4), mat(2, 5, 2)]),
+        ("attention_batched_masked",
+         lambda t: nn.attention(t[0], t[1], t[2], np.broadcast_to(mask, (2, 3, 3))),
+         [mat(2, 3, 4), mat(2, 3, 4), mat(2, 3, 2)]),
     ]
 
 

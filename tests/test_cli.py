@@ -131,6 +131,22 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"trace": {"wekes": 2}}, "unknown keys ['wekes'] in trace block"),
+    ({"models": {"sff": {"epoch": 1}}}, "unknown keys ['epoch'] in models.sff block"),
+    ({"trace": {"kind": "csv"}}, "csv trace block needs a 'path' key"),
+    ({"trace": {"kind": "csv", "path": "t.csv", "weeks": 2}}, "unknown keys ['weeks'] in trace block"),
+    ({"models": {"sff": {"kind": "lstm"}}}, "models.sff block has kind 'lstm'"),
+])
+def test_bad_config_block_is_an_error_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_model_subset_rejected(tiny_config_file, capsys):
     assert dispatch(["run", "--config", str(tiny_config_file), "--models", "deepar"]) == 1
     assert "not in config" in capsys.readouterr().err

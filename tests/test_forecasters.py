@@ -19,7 +19,7 @@ from prb_oracle.forecasters import (
     save_model,
 )
 from prb_oracle.forecasters import deepar, lstm, sff, transformer
-from prb_oracle.likelihoods import nll_loss, project_gaussian
+from prb_oracle.likelihoods import nll_loss, project_gaussian, project_studentt
 from prb_oracle.traces import PrbSeries, TraceConfig, generate_synthetic
 
 MODULES = {"sff": sff, "deepar": deepar, "transformer": transformer, "lstm": lstm}
@@ -225,8 +225,8 @@ def test_sff_head_layout_matches_step_params():
     ctx = np.linspace(0.5, 1.5, 6)
     with nn.no_grad():
         dists = sff.step_params(params, cfg, ctx)
-    assert len(dists) == 3
-    assert all(d.sigma > 0 and d.nu > 2.0 for d in dists)
+    assert dists.mu.shape == dists.sigma.shape == dists.nu.shape == (3,)
+    assert np.all(dists.sigma > 0) and np.all(dists.nu > 2.0)
 
 
 def test_transformer_decoder_causality():
@@ -245,6 +245,102 @@ def test_transformer_decoder_causality():
         raw_b = transformer.decode(params, cfg, bumped, 6, enc).data
     assert np.allclose(raw_a[:2], raw_b[:2])
     assert not np.allclose(raw_a[2], raw_b[2])
+
+
+class NoiseTable:
+    """Stands in for `sample` in a model module: at step t, sample s draws
+    mu + sigma * noise[s, t]. Records the distributions it was handed."""
+
+    def __init__(self, noise):
+        self.noise, self.t, self.dists = noise, 0, []
+
+    def __call__(self, dist, rng, n):
+        assert n == 1
+        self.dists.append(dist)
+        draw = dist.mu + dist.sigma * self.noise[:, self.t]
+        self.t += 1
+        return draw[None, :]
+
+
+def _deepar_one_by_one(params, cfg, ctx, feats, noise):
+    """Sample by sample, step by step, from one warmed state: the roll-outs
+    batching replaced, fed the same draws. Returns the paths and each step's
+    (mu, sigma)."""
+    warm = deepar._zero_state(cfg)
+    for t in range(1, cfg.context_len):
+        _, warm = deepar._step(params, cfg, deepar._input_at(ctx[t - 1], feats["ctx"][t]), warm)
+    out, moments = np.empty(noise.shape), np.empty(noise.shape + (2,))
+    for s in range(noise.shape[0]):
+        state, prev = warm, float(ctx[-1])
+        for t in range(cfg.horizon):
+            top, state = deepar._step(params, cfg, deepar._input_at(prev, feats["tgt"][t]), state)
+            dist = project_gaussian(nn.add(nn.matmul(top, params["w_head"]), params["b_head"]).data[0])
+            prev = out[s, t] = dist.mu + dist.sigma * noise[s, t]
+            moments[s, t] = dist.mu, dist.sigma
+    return out, moments
+
+
+def _transformer_one_by_one(params, cfg, ctx, feats, noise):
+    """Each step of each sample is the last row of a full-prefix `decode` of
+    that sample's own inputs, as before batching, fed the same draws."""
+    enc = transformer.encode(params, cfg, ctx, feats["ctx"])
+    out, moments = np.empty(noise.shape), np.empty(noise.shape + (2,))
+    for s in range(noise.shape[0]):
+        prev = [float(ctx[-1])]
+        for t in range(cfg.horizon):
+            dec_inp = np.column_stack([prev, feats["tgt"][: t + 1]])
+            raw = transformer.decode(params, cfg, dec_inp, cfg.context_len, enc).data[-1]
+            dist = project_studentt(raw, nu_floor=transformer.NU_FLOOR)
+            out[s, t] = dist.mu + dist.sigma * noise[s, t]
+            moments[s, t] = dist.mu, dist.sigma
+            prev.append(out[s, t])
+    return out, moments
+
+
+ONE_BY_ONE = {"deepar": _deepar_one_by_one, "transformer": _transformer_one_by_one}
+
+
+def _batched_rollouts(kind, params, cfg, ctx, feats, noise, monkeypatch):
+    table = NoiseTable(noise)
+    monkeypatch.setattr(MODULES[kind], "sample", table)
+    out = MODULES[kind].paths(params, cfg, ctx, feats, rng=None)
+    moments = np.stack([np.stack([d.mu, d.sigma], axis=-1) for d in table.dists], axis=1)
+    return out, moments
+
+
+def _rollout_inputs(kind):
+    cfg = tiny_config(kind, num_samples=5, horizon=4)
+    feats = {
+        "ctx": calendar_features(datetime(2024, 1, 1), np.arange(-6, 0)),
+        "tgt": calendar_features(datetime(2024, 1, 1), np.arange(4)),
+    }
+    noise = np.random.default_rng(21).standard_normal((5, 4))
+    return cfg, MODULES[kind].build(cfg), np.linspace(0.8, 1.2, 6), feats, noise
+
+
+@pytest.mark.parametrize("kind", ["deepar", "transformer"])
+def test_batched_rollouts_equal_one_by_one_rollouts(kind, monkeypatch):
+    cfg, params, ctx, feats, noise = _rollout_inputs(kind)
+    with nn.no_grad():
+        want, want_moments = ONE_BY_ONE[kind](params, cfg, ctx, feats, noise)
+        got, got_moments = _batched_rollouts(kind, params, cfg, ctx, feats, noise, monkeypatch)
+    assert got.shape == (5, 4)
+    assert np.max(np.abs(got_moments - want_moments)) <= 1e-12
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["deepar", "transformer"])
+def test_batched_rollouts_keep_samples_apart(kind, monkeypatch):
+    cfg, params, ctx, feats, noise = _rollout_inputs(kind)
+    bumped = noise.copy()
+    bumped[2, 1] += 3.0
+    with nn.no_grad():
+        base, _ = _batched_rollouts(kind, params, cfg, ctx, feats, noise, monkeypatch)
+        moved, _ = _batched_rollouts(kind, params, cfg, ctx, feats, bumped, monkeypatch)
+    others = [0, 1, 3, 4]
+    assert np.array_equal(moved[others], base[others])
+    assert np.array_equal(moved[2, :1], base[2, :1])
+    assert np.all(moved[2, 1:] != base[2, 1:])
 
 
 def test_positional_encoding_shape_and_range():

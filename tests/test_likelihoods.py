@@ -228,6 +228,71 @@ def test_sample_rejects_bad_count():
         sample(GaussianParams(0.0, 1.0), np.random.default_rng(0), 0)
 
 
+def test_sample_array_params_shape():
+    rng = np.random.default_rng(4)
+    g = sample(GaussianParams(np.array([0.0, 5.0, -2.0]), np.array([1.0, 2.0, 0.5])), rng, 4)
+    assert g.shape == (4, 3)
+    # Fields broadcast against each other: one distribution per element.
+    t = sample(StudentTParams(np.zeros((2, 3)), 1.0, np.full(3, 4.0)), rng, 5)
+    assert t.shape == (5, 2, 3)
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(t))
+
+
+def test_sample_array_params_location_scale_equivariance():
+    mu = np.array([-3.0, 0.0, 5.0, 12.5])
+    sigma = np.array([0.5, 1.0, 3.0, 7.0])
+    nu = np.array([2.5, 4.0, 6.0, 30.0])
+    zeros, ones = np.zeros(4), np.ones(4)
+    for base, shifted in (
+        (GaussianParams(zeros, ones), GaussianParams(mu, sigma)),
+        (StudentTParams(zeros, ones, nu), StudentTParams(mu, sigma, nu)),
+    ):
+        unit = sample(base, np.random.default_rng(7), 300)
+        moved = sample(shifted, np.random.default_rng(7), 300)
+        assert moved.shape == (300, 4)
+        assert np.array_equal(moved, mu + sigma * unit)
+
+
+def test_sample_scalar_params_draw_the_scalar_stream():
+    # The scalar sampler, written out: vectorising must not move a single draw.
+    for dist in (GaussianParams(3.0, 2.0), StudentTParams(3.0, 2.0, 4.0)):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = sample(dist, rng, 50)
+        if isinstance(dist, GaussianParams):
+            want = dist.mu + dist.sigma * ref.standard_normal(50)
+        else:
+            z = ref.standard_normal(50)
+            v = ref.chisquare(dist.nu, 50)
+            want = dist.mu + dist.sigma * (z / np.sqrt(v / dist.nu))
+        assert got.shape == (50,)
+        assert np.array_equal(got, want)
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_array_params_validate_every_element():
+    with pytest.raises(LikelihoodError, match="sigma must be > 0, got 0.0 at element 1"):
+        StudentTParams(np.zeros(3), np.array([1.0, 0.0, 2.0]), 3.0)
+    with pytest.raises(LikelihoodError, match="nu"):
+        StudentTParams(0.0, 1.0, np.array([3.0, np.nan]))
+    with pytest.raises(LikelihoodError, match="sigma"):
+        GaussianParams(np.zeros(2), np.array([1.0, -1e-300]))
+    with pytest.raises(LikelihoodError, match="broadcast"):
+        GaussianParams(np.zeros(3), np.ones(2))
+
+
+def test_projections_accept_stacked_raw_rows():
+    raw = np.random.default_rng(12).normal(scale=3.0, size=(5, 3))
+    stacked_t = project_studentt(raw, nu_floor=2.0)
+    stacked_g = project_gaussian(raw[:, :2])
+    for i, row in enumerate(raw):
+        one_t = project_studentt(row, nu_floor=2.0)
+        one_g = project_gaussian(row[:2])
+        assert (stacked_t.mu[i], stacked_t.sigma[i], stacked_t.nu[i]) == (one_t.mu, one_t.sigma, one_t.nu)
+        assert (stacked_g.mu[i], stacked_g.sigma[i]) == (one_g.mu, one_g.sigma)
+    with pytest.raises(LikelihoodError, match="3 values"):
+        project_studentt(np.zeros((4, 2)))
+
+
 # ---------------------------------------------------------------------------
 # negative log-likelihood
 # ---------------------------------------------------------------------------

@@ -74,6 +74,32 @@ def test_causal_mask_hides_future():
     assert np.allclose(masked.data[0], v[0])
 
 
+def test_batched_attention_matches_each_entry():
+    rng = np.random.default_rng(8)
+    q, k, v = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 2))
+    mask = np.triu(np.full((2, 5), -1e9), k=4)  # the first query may not see the last key
+    batched = nn.attention(nn.constant(q), nn.constant(k), nn.constant(v),
+                           np.broadcast_to(mask, (3, 2, 5))).data
+    assert batched.shape == (3, 2, 2)
+    for s in range(3):
+        single = nn.attention(nn.constant(q[s]), nn.constant(k[s]), nn.constant(v[s]), mask)
+        assert np.allclose(batched[s], single.data, rtol=0, atol=1e-14)
+
+
+def test_batch_axis_shape_errors():
+    def ones(*shape):
+        return nn.constant(np.ones(shape))
+
+    with pytest.raises(ShapeMismatch, match="matmul"):
+        nn.matmul(ones(2, 3, 4), ones(3, 4, 2))  # batch sizes differ
+    with pytest.raises(ShapeMismatch, match="matmul"):
+        nn.matmul(ones(3, 4), ones(2, 4, 2))  # only the left operand is batched alone
+    with pytest.raises(ShapeMismatch, match="attention"):
+        nn.attention(ones(2, 1, 4), ones(3, 5, 4), ones(3, 5, 2))
+    with pytest.raises(ShapeMismatch, match="softmax"):
+        nn.softmax(ones(2, 2, 2, 2))
+
+
 def test_layer_norm_rows_standardized():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(5, 8), loc=3.0, scale=2.0)

@@ -244,3 +244,33 @@ def test_re_emission_is_identical(tmp_path, small_report):
     emit_report(small_report, second)
     for name in ("report.json", "table1.csv", "table2.csv", "hourly.csv", "provisioning.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_emission_failure_leaves_no_partial_report(tmp_path, small_report, monkeypatch):
+    def broken(report):
+        raise OSError("disk full")
+
+    kept = tmp_path / "kept"
+    emit_report(small_report, kept)
+    before = {p.name: p.read_bytes() for p in kept.iterdir()}
+
+    monkeypatch.setattr(rapp, "_hourly_rows", broken)  # fails after report.json is written
+    fresh = tmp_path / "fresh"
+    with pytest.raises(OSError, match="disk full"):
+        emit_report(small_report, fresh)
+    assert not fresh.exists()
+    with pytest.raises(OSError, match="disk full"):
+        emit_report(small_report, kept)
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]  # no temporary directory left
+
+
+def test_emission_into_existing_directory_keeps_other_files(tmp_path, small_report):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine")
+    (out / "report.json").write_text("stale")
+    written = emit_report(small_report, out)
+    assert (out / "notes.txt").read_text() == "mine"
+    assert json.loads((out / "report.json").read_text())["n_windows"] == small_report.n_windows
+    assert sorted(p.name for p in out.iterdir()) == sorted(["notes.txt", *(p.name for p in written)])
