@@ -34,13 +34,14 @@ class AllocationPlan:
         object.__setattr__(self, "prbs", np.asarray(self.prbs, dtype=np.int64))
 
 
+def ceil_clamp(demand, max_prb: int) -> np.ndarray:
+    """Integer PRBs per hour: ceil keeps them at or above the demand, clamping
+    to [0, max_prb] enforces the physical range (forecast tails may stray)."""
+    return np.clip(np.ceil(demand), 0, max_prb).astype(np.int64)
+
+
 def allocate(result: ForecastResult, policy: AllocationPolicy, max_prb: int,
              model_kind: str = "") -> AllocationPlan:
-    """PRBs per hour: ceil of the policy quantile, clamped to [0, max_prb].
-
-    Ceiling keeps the integral allocation at or above the chosen quantile;
-    clamping enforces the physical range (forecast tails may stray outside).
-    """
+    """PRBs per hour: `ceil_clamp` of the policy quantile."""
     q = forecast_quantile(result, policy.percentile)
-    prbs = np.clip(np.ceil(q), 0, max_prb).astype(np.int64)
-    return AllocationPlan(prbs=prbs, policy=policy, model_kind=model_kind)
+    return AllocationPlan(prbs=ceil_clamp(q, max_prb), policy=policy, model_kind=model_kind)

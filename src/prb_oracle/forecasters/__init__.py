@@ -1,6 +1,7 @@
 """The four PRB-load estimators behind one fit/predict contract."""
 
 from .base import (
+    MODEL_KEYS,
     MODEL_KINDS,
     PROBABILISTIC_KINDS,
     ForecastError,
@@ -17,6 +18,7 @@ from .base import (
 )
 
 __all__ = [
+    "MODEL_KEYS",
     "MODEL_KINDS",
     "PROBABILISTIC_KINDS",
     "ForecastError",

@@ -16,6 +16,15 @@ from ..traces import PrbSeries, make_windows
 MODEL_KINDS = ("sff", "deepar", "transformer", "lstm")
 PROBABILISTIC_KINDS = ("sff", "deepar", "transformer")
 
+# The hyperparameters each kind reads: the only keys its config block holds.
+_COMMON_KEYS = ("context_len", "horizon", "epochs", "lr")
+MODEL_KEYS = {
+    "sff": (*_COMMON_KEYS, "num_samples", "hidden"),
+    "deepar": (*_COMMON_KEYS, "num_samples", "rnn_layers", "rnn_cells"),
+    "transformer": (*_COMMON_KEYS, "num_samples", "model_dim", "ff_scale", "heads", "blocks"),
+    "lstm": (*_COMMON_KEYS, "rnn_cells"),
+}
+
 
 class ForecastError(ValueError):
     """Invalid forecaster configuration or inputs."""
@@ -33,7 +42,6 @@ class ForecasterConfig:
     context_len: int = 24
     horizon: int = 24
     epochs: int = 5
-    batch_size: int = 1
     num_samples: int = 100
     hidden: tuple[int, ...] = (40, 40)  # sff
     rnn_layers: int = 2                 # deepar
@@ -46,6 +54,7 @@ class ForecasterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if self.kind not in MODEL_KINDS:
             raise ForecastError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
         sizes = (self.context_len, self.horizon, self.num_samples, self.rnn_layers,
@@ -55,23 +64,20 @@ class ForecasterConfig:
             raise ForecastError("all size hyperparameters must be positive")
         if self.epochs < 0:
             raise ForecastError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size != 1:
-            raise ForecastError("only batch_size=1 is supported")
-        if self.model_dim % self.heads != 0:
+        if self.kind == "transformer" and self.model_dim % self.heads != 0:
             raise ForecastError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}"
             )
 
+    def settings(self) -> dict:
+        """The hyperparameters this kind reads, keyed as in its config block."""
+        return {key: getattr(self, key) for key in MODEL_KEYS[self.kind]}
+
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["hidden"] = list(self.hidden)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ForecasterConfig":
-        d = dict(d)
-        if "hidden" in d:
-            d["hidden"] = tuple(d["hidden"])
         return cls(**d)
 
 

@@ -16,12 +16,8 @@ NU_FLOOR = 2.0
 
 
 def build(config) -> ParameterSet:
-    params = ParameterSet(seed=[config.seed, 0])
-    sizes = [config.context_len, *config.hidden, 3 * config.horizon]
-    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        params.weight(f"w{i}", n_in, n_out)
-        params.bias(f"b{i}", n_out)
-    return params
+    return nn.init_params([config.context_len, *config.hidden, 3 * config.horizon],
+                          seed=[config.seed, 0])
 
 
 def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray):

@@ -145,8 +145,8 @@ def studentt_logpdf(y, p: StudentTParams):
     out = (
         log_gamma(half_nup1)
         - log_gamma(0.5 * p.nu)
-        - math.log(p.sigma)
-        - 0.5 * math.log(p.nu * math.pi)
+        - np.log(p.sigma)
+        - 0.5 * np.log(p.nu * math.pi)
         - half_nup1 * np.log1p(z2 / p.nu)
     )
     return float(out) if out.ndim == 0 else out
@@ -154,7 +154,7 @@ def studentt_logpdf(y, p: StudentTParams):
 
 def gaussian_logpdf(y, p: GaussianParams):
     y = np.asarray(y, dtype=np.float64)
-    out = -0.5 * LOG_2PI - math.log(p.sigma) - (y - p.mu) ** 2 / (2.0 * p.sigma**2)
+    out = -0.5 * LOG_2PI - np.log(p.sigma) - (y - p.mu) ** 2 / (2.0 * p.sigma**2)
     return float(out) if out.ndim == 0 else out
 
 

@@ -65,7 +65,7 @@ class ParameterSet:
         return clone
 
 
-def init_params(layer_sizes: Sequence[int], seed: int) -> ParameterSet:
+def init_params(layer_sizes: Sequence[int], seed: int | Sequence[int]) -> ParameterSet:
     """Dense-stack parameters for consecutive layer sizes.
 
     For sizes [n0, n1, ..., nk] creates Glorot weights w0..w{k-1} of shape

@@ -8,18 +8,18 @@ import csv
 import json
 import os
 import shutil
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .decision import AllocationPolicy, allocate
+from .decision import ceil_clamp
 from .forecasters import (
+    MODEL_KEYS,
     MODEL_KINDS,
     PROBABILISTIC_KINDS,
     ForecasterConfig,
     fit,
-    forecast_quantile,
     predict,
 )
 from .metrics import MetricsReport, coverage, normalized_deviation, point_errors, quantile_loss, provisioning
@@ -61,13 +61,17 @@ class ExperimentConfig:
             raise PipelineError(
                 f"percentiles must be strictly increasing within (0,1), got {ps}"
             )
-        if not self.models:
-            object.__setattr__(
-                self, "models", {kind: ForecasterConfig(kind=kind) for kind in MODEL_KINDS}
-            )
-        for kind in self.models:
+        models = self.models or {kind: ForecasterConfig(kind=kind) for kind in MODEL_KINDS}
+        for kind, m in models.items():
             if kind not in MODEL_KINDS:
                 raise PipelineError(f"unknown model kind {kind!r}")
+            if m.kind != kind:
+                raise PipelineError(f"models.{kind} block has kind {m.kind!r}")
+        # Keep only what each model reads; its seed follows the top-level one.
+        object.__setattr__(self, "models", {
+            kind: ForecasterConfig(kind, **m.settings(), seed=self.seed * 100 + MODEL_SEED_OFFSETS[kind])
+            for kind, m in models.items()
+        })
         geometries = {(m.context_len, m.horizon) for m in self.models.values()}
         if len(geometries) != 1:
             raise PipelineError(
@@ -92,7 +96,7 @@ class ExperimentConfig:
             "max_prb": self.max_prb,
             "train_fraction": self.train_fraction,
             "percentiles": list(self.percentiles),
-            "models": {k: m.to_dict() for k, m in self.models.items()},
+            "models": {k: m.settings() for k, m in self.models.items()},
             "output_dir": self.output_dir,
             "seed": self.seed,
         }
@@ -105,7 +109,7 @@ class ExperimentConfig:
             tr = _block("trace", doc.pop("trace"))
             kind = tr.pop("kind", "synthetic")
             if kind == "synthetic":
-                _check_keys("trace", tr, _field_names(TraceConfig))
+                _check_keys("trace", tr, {f.name for f in fields(TraceConfig)})
                 kwargs["trace"] = TraceConfig(**tr)
             elif kind == "csv":
                 _check_keys("trace", tr, {"path"})
@@ -117,12 +121,12 @@ class ExperimentConfig:
         if "models" in doc:
             models = {}
             for kind, m in _block("models", doc.pop("models")).items():
+                if kind not in MODEL_KEYS:
+                    raise PipelineError(f"unknown model kind {kind!r}")
                 name = f"models.{kind}"
                 m = _block(name, m)
-                _check_keys(name, m, _field_names(ForecasterConfig))
-                if m.setdefault("kind", kind) != kind:
-                    raise PipelineError(f"{name} block has kind {m['kind']!r}")
-                models[kind] = ForecasterConfig.from_dict(m)
+                _check_keys(name, m, {"kind", *MODEL_KEYS[kind]})
+                models[kind] = ForecasterConfig.from_dict({"kind": kind, **m})
             kwargs["models"] = models
         if "percentiles" in doc:
             kwargs["percentiles"] = tuple(doc.pop("percentiles"))
@@ -132,10 +136,6 @@ class ExperimentConfig:
         if doc:
             raise PipelineError(f"unknown config keys {sorted(doc)}")
         return cls(**kwargs)
-
-
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
 
 
 def _block(name: str, value) -> dict:
@@ -213,10 +213,7 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
             "which makes MAPE undefined"
         )
 
-    trained = {}
-    for kind, model_cfg in config.models.items():
-        seeded = replace(model_cfg, seed=config.seed * 100 + MODEL_SEED_OFFSETS[kind])
-        trained[kind] = fit(seeded, train)
+    trained = {kind: fit(model_cfg, train) for kind, model_cfg in config.models.items()}
 
     results = {kind: [] for kind in trained}
     for k in range(n_windows):
@@ -229,7 +226,7 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
 
     power = PowerParams(max_prb=config.max_prb)
     # Ground-truth baseline: provision exactly the demand, rounded up.
-    true_alloc = np.clip(np.ceil(truth), 0, config.max_prb).astype(np.int64)
+    true_alloc = ceil_clamp(truth, config.max_prb)
     true_hourly, true_saving = power_saving(true_alloc, power)
 
     # The hourly table shows the last test window: slices of the pooled arrays.
@@ -242,9 +239,13 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
         "models": {},
     }
 
+    levels = sorted({BAND_LOW, 0.5, BAND_HIGH, *config.percentiles})
     models = {}
     for kind, window_results in results.items():
-        median = np.concatenate([forecast_quantile(r, 0.5) for r in window_results])
+        # Every quantile in one pass over the pooled (num_samples, n_windows*horizon) paths.
+        pooled = np.hstack([r.samples for r in window_results])
+        quantiles = dict(zip(levels, np.quantile(pooled, levels, axis=0)))
+        median = quantiles[0.5]
         mse, mae, mape = point_errors(truth, median)
         report = MetricsReport(
             mse=mse, mae=mae, mape_percent=mape, nd=normalized_deviation(truth, median)
@@ -252,8 +253,8 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
         final = window_results[-1]
         last_entry = {
             "median": median[sl],
-            "band_low": forecast_quantile(final, BAND_LOW),
-            "band_high": forecast_quantile(final, BAND_HIGH),
+            "band_low": quantiles[BAND_LOW][sl],
+            "band_high": quantiles[BAND_HIGH][sl],
             "alloc": {},
             "saving": {},
         }
@@ -261,11 +262,8 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
             last_entry["point"] = final.point
         saving_map, quant_map, alloc_map = {}, {}, {}
         for p in config.percentiles:
-            qpred = np.concatenate([forecast_quantile(r, p) for r in window_results])
-            alloc = np.concatenate(
-                [allocate(r, AllocationPolicy(p), config.max_prb, kind).prbs
-                 for r in window_results]
-            )
+            qpred = quantiles[p]
+            alloc = ceil_clamp(qpred, config.max_prb)
             report.quantile_loss[p] = quantile_loss(truth, qpred, p)
             report.coverage[p] = coverage(truth, qpred)
             over, under = provisioning(truth, alloc)

@@ -5,6 +5,7 @@ from argparse import Namespace
 
 import pytest
 
+from prb_oracle import rapp
 from prb_oracle.cli import (
     _resolve_run_config,
     default_config_path,
@@ -48,7 +49,7 @@ def test_bundled_default_config_is_valid():
     assert sorted(doc["models"]) == ["deepar", "lstm", "sff", "transformer"]
     for m in doc["models"].values():
         assert m["epochs"] == 5
-        assert m["batch_size"] == 1
+        assert "batch_size" not in m
     assert doc["percentiles"] == [0.05, 0.25, 0.5, 0.75, 0.9, 0.99]
 
 
@@ -137,8 +138,14 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     ({"trace": {"kind": "csv"}}, "csv trace block needs a 'path' key"),
     ({"trace": {"kind": "csv", "path": "t.csv", "weeks": 2}}, "unknown keys ['weeks'] in trace block"),
     ({"models": {"sff": {"kind": "lstm"}}}, "models.sff block has kind 'lstm'"),
+    ({"models": {"sff": {"seed": 12345}}}, "unknown keys ['seed'] in models.sff block"),
+    ({"models": {"deepar": {"batch_size": 1}}}, "unknown keys ['batch_size'] in models.deepar block"),
+    ({"models": {"lstm": {"epochs": 1, "heads": 4}}}, "unknown keys ['heads'] in models.lstm block"),
+    ({"models": {"lstm": {"num_samples": 10}}}, "unknown keys ['num_samples'] in models.lstm block"),
+    ({"models": {"transformer": {"hidden": [8]}}}, "unknown keys ['hidden'] in models.transformer block"),
 ])
-def test_bad_config_block_is_an_error_line(tmp_path, capsys, doc, message):
+def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, message):
+    monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert dispatch(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prb_oracle.decision import AllocationPolicy, DecisionError, allocate
 from prb_oracle.forecasters import ForecastResult
@@ -57,3 +60,22 @@ def test_plan_within_physical_range():
         plan = allocate(result, AllocationPolicy(q), 160)
         assert plan.prbs.min() >= 0
         assert plan.prbs.max() <= 160
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 12)),
+                   elements=st.floats(-500.0, 500.0)),
+    max_prb=st.integers(1, 400),
+    levels=st.lists(st.floats(0.001, 0.999), min_size=2, max_size=2, unique=True).map(sorted),
+)
+def test_allocation_properties(samples, max_prb, levels):
+    result = ForecastResult(samples=samples, origin=0)
+    low, high = (allocate(result, AllocationPolicy(p), max_prb).prbs for p in levels)
+    for prbs in (low, high):
+        assert prbs.dtype == np.int64
+        assert prbs.min() >= 0 and prbs.max() <= max_prb
+    assert np.all(low <= high)
+    q = np.quantile(samples, levels[1], axis=0)
+    within = q <= max_prb
+    assert np.all(high[within] >= q[within])

@@ -7,6 +7,7 @@ import pytest
 
 from prb_oracle import nncore as nn
 from prb_oracle.forecasters import (
+    MODEL_KEYS,
     MODEL_KINDS,
     ForecastError,
     ForecasterConfig,
@@ -48,12 +49,16 @@ def short_series(hours=60, seed=0, constant=None):
 def test_config_validation():
     with pytest.raises(ForecastError, match="unknown model kind"):
         ForecasterConfig(kind="gru")
-    with pytest.raises(ForecastError, match="batch_size"):
-        ForecasterConfig(kind="sff", batch_size=2)
     with pytest.raises(ForecastError, match="positive"):
         ForecasterConfig(kind="sff", horizon=0)
     with pytest.raises(ForecastError, match="divisible"):
         ForecasterConfig(kind="transformer", model_dim=30, heads=8)
+
+
+def test_config_holds_fields_its_kind_does_not_read():
+    # Divisibility is a transformer constraint; other kinds ignore heads.
+    assert ForecasterConfig(kind="lstm", heads=3).heads == 3
+    assert set(ForecasterConfig(kind="lstm", heads=3).settings()) == set(MODEL_KEYS["lstm"])
 
 
 def test_config_dict_round_trip():

@@ -337,3 +337,18 @@ def test_graph_nll_matches_float_nll():
     graph_g = gaussian_nll_graph(nn.constant(raw[:, 0:1]), nn.constant(raw[:, 1:2]), targets)
     floats_g = nll_loss(targets, [project_gaussian(r[:2]) for r in raw])
     assert graph_g.item() == pytest.approx(floats_g, abs=1e-9)
+
+
+def test_logpdfs_take_array_parameters():
+    rng = np.random.default_rng(8)
+    mu, sigma, nu = rng.normal(size=6), rng.uniform(0.1, 3.0, 6), rng.uniform(2.1, 30.0, 6)
+    y = rng.normal(scale=4.0, size=6)
+    cases = [
+        (studentt_logpdf, StudentTParams(mu, sigma, nu),
+         [StudentTParams(*args) for args in zip(mu, sigma, nu)]),
+        (gaussian_logpdf, GaussianParams(mu, sigma),
+         [GaussianParams(*args) for args in zip(mu, sigma)]),
+    ]
+    for logpdf, batched, scalars in cases:
+        expected = [logpdf(yi, p) for yi, p in zip(y, scalars)]
+        np.testing.assert_allclose(logpdf(y, batched), expected, rtol=1e-14, atol=0.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_coverage,
@@ -136,3 +138,19 @@ def test_brute_force_equivalence_on_randomized_vectors():
         assert quantile_loss(truth, pred, q) == brute_quantile_loss(truth, pred, q)
         assert coverage(truth, pred) == brute_coverage(truth, pred)
         assert provisioning(truth, alloc) == brute_provisioning(truth, alloc)
+
+
+# Values of at least 1e-3 keep every difference a normal float, so halving
+# and doubling in the pinball loss are exact.
+_load = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), truth=st.lists(_load, min_size=1, max_size=40))
+def test_metric_properties(data, truth):
+    n = len(truth)
+    pred = data.draw(st.lists(_load, min_size=n, max_size=n))
+    alloc = data.draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n))
+    over, under = provisioning(truth, alloc)
+    assert over + under == 100.0
+    assert quantile_loss(truth, pred, 0.5) == point_errors(truth, pred)[1]

@@ -2,12 +2,13 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from prb_oracle import rapp
-from prb_oracle.forecasters import ForecasterConfig
+from prb_oracle.forecasters import MODEL_KEYS, MODEL_KINDS, ForecasterConfig
 from prb_oracle.metrics import point_errors
 from prb_oracle.power import PowerParams, power_saving
 from prb_oracle.rapp import (
@@ -71,6 +72,26 @@ def test_config_rejects_unknown_keys_and_kinds():
         ExperimentConfig.from_dict({"max_prb": 120, "power": {"max_prb": 160}})
     with pytest.raises(PipelineError, match="unknown model kind"):
         ExperimentConfig(models={"gru": ForecasterConfig(kind="sff")})
+    with pytest.raises(PipelineError, match="models.sff block has kind 'lstm'"):
+        ExperimentConfig(models={"sff": ForecasterConfig(kind="lstm")})
+
+
+def test_model_configs_keep_only_what_their_kind_reads():
+    models = {kind: ForecasterConfig(kind=kind, epochs=2, num_samples=7, heads=4, rnn_cells=9,
+                                     hidden=(5,), seed=12345)
+              for kind in MODEL_KINDS}
+    cfg = ExperimentConfig(models=models, seed=4)
+    for kind, m in cfg.models.items():
+        assert m.seed == 4 * 100 + rapp.MODEL_SEED_OFFSETS[kind]
+        assert m.epochs == 2
+        for key in ("num_samples", "heads", "rnn_cells", "hidden"):
+            expected = getattr(models[kind], key) if key in MODEL_KEYS[kind] else \
+                getattr(ForecasterConfig(kind=kind), key)
+            assert getattr(m, key) == expected
+    echo = cfg.to_dict()["models"]
+    assert {kind: sorted(block) for kind, block in echo.items()} == \
+        {kind: sorted(MODEL_KEYS[kind]) for kind in MODEL_KINDS}
+    assert replace(cfg, seed=7).models["sff"].seed == 711
 
 
 def test_config_dict_round_trip():

@@ -1,7 +1,11 @@
 """Trace generation, CSV ingestion, splitting, and windowing."""
 
+from datetime import datetime
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prb_oracle.traces import (
     PrbSeries,
@@ -176,3 +180,25 @@ def test_window_too_short():
                        np.ones(30), 160)
     with pytest.raises(TraceError, match="too short"):
         make_windows(series, 24, 24)
+
+
+def _zeros(n: int) -> PrbSeries:
+    return PrbSeries(datetime(2024, 1, 1), np.zeros(n), 160)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 2000), fraction=st.floats(0.001, 0.999))
+def test_split_lengths_sum_to_series_length(n, fraction):
+    n_train = int(np.floor(n * fraction))
+    assume(1 <= n_train < n)
+    train, test = split(_zeros(n), fraction)
+    assert (len(train), len(test)) == (n_train, n - n_train)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 400), context=st.integers(1, 60), horizon=st.integers(1, 60),
+       stride=st.integers(1, 30))
+def test_window_count_formula(n, context, horizon, stride):
+    assume(context + horizon <= n)
+    windows = make_windows(_zeros(n), context, horizon, stride)
+    assert len(windows) == (n - context - horizon) // stride + 1
