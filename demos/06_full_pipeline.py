@@ -19,16 +19,16 @@ config = ExperimentConfig(
     seed=0,
 )
 
-report = run_pipeline(config)
+report = run_pipeline(config)  # the document that report.json encodes
 
-print(f"\n{report.n_windows} test windows x {report.horizon} h pooled")
-print(f"true-data power saving: {report.true_data_saving_percent:.1f}%")
-print(f"lstm baseline: {report.lstm_baseline}")
+print(f"\n{report['n_windows']} test windows x {report['horizon']} h pooled")
+print(f"true-data power saving: {report['baselines']['true_data']['power_saving_percent']:.1f}%")
+print(f"lstm baseline: {report['baselines']['lstm']}")
 
 print(f"\n{'model':<12} {'MAE':>6} {'ND':>7}  saving% per percentile")
-for kind, model in report.models.items():
-    savings = "  ".join(f"{model.power_saving_percent[p]:5.1f}" for p in report.percentiles)
-    print(f"{kind:<12} {model.metrics.mae:6.2f} {model.metrics.nd:7.3f}  {savings}")
+for kind, model in report["models"].items():
+    savings = "  ".join(f"{model['power_saving_percent'][p]:5.1f}" for p in report["percentiles"])
+    print(f"{kind:<12} {model['metrics']['mae']:6.2f} {model['metrics']['nd']:7.3f}  {savings}")
 
 files = emit_report(report, "demo_out")
 print("\nwrote:")

@@ -13,14 +13,11 @@ from .forecasters import (
     TrainedModel,
     fit,
     forecast_quantile,
-    load_model,
     predict,
-    save_model,
 )
 from .likelihoods import GaussianParams, StudentTParams
-from .metrics import MetricsReport
 from .power import PowerParams, load_ratio, p_out, power_saving, total_power
-from .rapp import ExperimentConfig, SustainabilityReport, emit_report, run_pipeline
+from .rapp import ExperimentConfig, emit_report, run_pipeline
 from .traces import (
     PrbSeries,
     TraceConfig,
@@ -41,11 +38,9 @@ __all__ = [
     "ForecastResult",
     "ForecasterConfig",
     "GaussianParams",
-    "MetricsReport",
     "PowerParams",
     "PrbSeries",
     "StudentTParams",
-    "SustainabilityReport",
     "TraceConfig",
     "TrainedModel",
     "WindowPair",
@@ -55,7 +50,6 @@ __all__ = [
     "forecast_quantile",
     "generate_synthetic",
     "load_csv",
-    "load_model",
     "load_ratio",
     "make_windows",
     "p_out",
@@ -63,7 +57,6 @@ __all__ = [
     "predict",
     "run_pipeline",
     "save_csv",
-    "save_model",
     "split",
     "total_power",
 ]

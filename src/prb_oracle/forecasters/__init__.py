@@ -12,9 +12,7 @@ from .base import (
     calendar_features,
     fit,
     forecast_quantile,
-    load_model,
     predict,
-    save_model,
 )
 
 __all__ = [
@@ -29,7 +27,5 @@ __all__ = [
     "calendar_features",
     "fit",
     "forecast_quantile",
-    "load_model",
     "predict",
-    "save_model",
 ]

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from datetime import datetime, timedelta
-from pathlib import Path
 
 import numpy as np
 
@@ -73,13 +71,6 @@ class ForecasterConfig:
         """The hyperparameters this kind reads, keyed as in its config block."""
         return {key: getattr(self, key) for key in MODEL_KEYS[self.kind]}
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForecasterConfig":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class ForecastResult:
@@ -109,7 +100,6 @@ class TrainedModel:
     config: ForecasterConfig
     params: ParameterSet
     scale: float
-    start_time: datetime
     train_end_time: datetime
     final_train_loss: float | None
 
@@ -177,7 +167,6 @@ def fit(config: ForecasterConfig, train: PrbSeries) -> TrainedModel:
         config=config,
         params=params,
         scale=scale,
-        start_time=train.start_time,
         train_end_time=end,
         final_train_loss=final_loss,
     )
@@ -225,34 +214,3 @@ def forecast_quantile(result: ForecastResult, q: float) -> np.ndarray:
     if not 0.0 < q < 1.0:
         raise ForecastError(f"quantile level must be in (0,1), got {q}")
     return np.quantile(result.samples, q, axis=0)
-
-
-def save_model(model: TrainedModel, path_prefix: str | Path) -> None:
-    """Write {prefix}.params.json (checkpoint) and {prefix}.model.json (sidecar)."""
-    prefix = Path(path_prefix)
-    nncore.save_checkpoint(model.params, prefix.with_suffix(".params.json"))
-    sidecar = {
-        "config": model.config.to_dict(),
-        "scale": model.scale,
-        "start_time": model.start_time.isoformat(),
-        "train_end_time": model.train_end_time.isoformat(),
-        "final_train_loss": model.final_train_loss,
-    }
-    prefix.with_suffix(".model.json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    )
-
-
-def load_model(path_prefix: str | Path) -> TrainedModel:
-    prefix = Path(path_prefix)
-    params = nncore.load_checkpoint(prefix.with_suffix(".params.json"))
-    params.freeze()
-    sidecar = json.loads(prefix.with_suffix(".model.json").read_text())
-    return TrainedModel(
-        config=ForecasterConfig.from_dict(sidecar["config"]),
-        params=params,
-        scale=float(sidecar["scale"]),
-        start_time=datetime.fromisoformat(sidecar["start_time"]),
-        train_end_time=datetime.fromisoformat(sidecar["train_end_time"]),
-        final_train_loss=sidecar["final_train_loss"],
-    )

@@ -7,7 +7,6 @@ summation order and reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import fsum
 
 import numpy as np
@@ -15,20 +14,6 @@ import numpy as np
 
 class MetricError(ValueError):
     """Invalid metric inputs."""
-
-
-@dataclass
-class MetricsReport:
-    """Everything scored for one model: point errors plus per-percentile maps."""
-
-    mse: float
-    mae: float
-    mape_percent: float
-    nd: float
-    quantile_loss: dict[float, float] = field(default_factory=dict)
-    coverage: dict[float, float] = field(default_factory=dict)
-    over_percent: dict[float, float] = field(default_factory=dict)
-    under_percent: dict[float, float] = field(default_factory=dict)
 
 
 def _pair(truth, pred, op: str) -> tuple[np.ndarray, np.ndarray]:

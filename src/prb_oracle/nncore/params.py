@@ -1,9 +1,7 @@
-"""Named parameter sets: Glorot init, freezing, and JSON checkpoints."""
+"""Named parameter sets: Glorot init and freezing."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,12 +36,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -58,12 +50,6 @@ class ParameterSet:
         for t in self._params.values():
             t.data.flags.writeable = False
 
-    def copy(self) -> "ParameterSet":
-        clone = ParameterSet()
-        for name, t in self._params.items():
-            clone.add(name, t.data.copy())
-        return clone
-
 
 def init_params(layer_sizes: Sequence[int], seed: int | Sequence[int]) -> ParameterSet:
     """Dense-stack parameters for consecutive layer sizes.
@@ -77,23 +63,4 @@ def init_params(layer_sizes: Sequence[int], seed: int | Sequence[int]) -> Parame
     for i, (n_in, n_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
         params.weight(f"w{i}", n_in, n_out)
         params.bias(f"b{i}", n_out)
-    return params
-
-
-def save_checkpoint(params: ParameterSet, path: str | Path) -> None:
-    """Self-describing JSON checkpoint: name -> {shape, row-major values}."""
-    doc = {
-        name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
-        for name, t in params.items()
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def load_checkpoint(path: str | Path) -> ParameterSet:
-    doc = json.loads(Path(path).read_text())
-    params = ParameterSet()
-    for name in sorted(doc):
-        entry = doc[name]
-        data = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        params.add(name, data)
     return params

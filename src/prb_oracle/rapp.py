@@ -8,7 +8,8 @@ import csv
 import json
 import os
 import shutil
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .forecasters import (
     fit,
     predict,
 )
-from .metrics import MetricsReport, coverage, normalized_deviation, point_errors, quantile_loss, provisioning
+from .metrics import coverage, normalized_deviation, point_errors, quantile_loss, provisioning
 from .power import PowerParams, power_saving
 from .traces import PrbSeries, TraceConfig, generate_synthetic, load_csv, split
 
@@ -57,7 +58,7 @@ class ExperimentConfig:
     def __post_init__(self):
         ps = tuple(float(p) for p in self.percentiles)
         object.__setattr__(self, "percentiles", ps)
-        if any(not 0.0 < p < 1.0 for p in ps) or any(a >= b for a, b in zip(ps, ps[1:])):
+        if not ps or any(not 0.0 < p < 1.0 for p in ps) or any(a >= b for a, b in zip(ps, ps[1:])):
             raise PipelineError(
                 f"percentiles must be strictly increasing within (0,1), got {ps}"
             )
@@ -104,17 +105,21 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
+        _check_types("", doc, cls)
         kwargs = {}
         if "trace" in doc:
             tr = _block("trace", doc.pop("trace"))
             kind = tr.pop("kind", "synthetic")
             if kind == "synthetic":
                 _check_keys("trace", tr, {f.name for f in fields(TraceConfig)})
+                _check_types("trace.", tr, TraceConfig)
                 kwargs["trace"] = TraceConfig(**tr)
             elif kind == "csv":
                 _check_keys("trace", tr, {"path"})
                 if "path" not in tr:
                     raise PipelineError("csv trace block needs a 'path' key")
+                if not isinstance(tr["path"], str):
+                    raise PipelineError(f"trace.path must be a string, got {tr['path']!r}")
                 kwargs["trace"] = tr["path"]
             else:
                 raise PipelineError(f"unknown trace kind {kind!r}")
@@ -126,7 +131,8 @@ class ExperimentConfig:
                 name = f"models.{kind}"
                 m = _block(name, m)
                 _check_keys(name, m, {"kind", *MODEL_KEYS[kind]})
-                models[kind] = ForecasterConfig.from_dict({"kind": kind, **m})
+                _check_types(f"{name}.", m, ForecasterConfig)
+                models[kind] = ForecasterConfig(**{"kind": kind, **m})
             kwargs["models"] = models
         if "percentiles" in doc:
             kwargs["percentiles"] = tuple(doc.pop("percentiles"))
@@ -150,34 +156,37 @@ def _check_keys(name: str, block: dict, allowed: set[str]) -> None:
         raise PipelineError(f"unknown keys {unknown} in {name} block")
 
 
-@dataclass
-class ModelReport:
-    """Pooled forecasts and scores for one trained model."""
-
-    kind: str
-    metrics: MetricsReport
-    power_saving_percent: dict[float, float]
-    median_pooled: np.ndarray
-    quantiles_pooled: dict[float, np.ndarray]
-    allocations: dict[float, np.ndarray]
-    final_train_loss: float | None
+# What a config value may be, by the type of its field's default: the
+# accepted types, then the name of one and of a list of them.
+_VALUE_TYPES = {
+    int: (Integral, "an integer", "integers"),
+    float: (Real, "a number", "numbers"),
+    str: (str, "a string", "strings"),
+}
 
 
-@dataclass
-class SustainabilityReport:
-    """Everything the experiment measured, pooled across test windows."""
+def _is_a(value, default) -> bool:
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_is_a(v, default[0]) for v in value)
+    return isinstance(value, _VALUE_TYPES[type(default)][0]) and not isinstance(value, bool)
 
-    config: dict
-    percentiles: tuple[float, ...]
-    horizon: int
-    n_windows: int
-    max_prb: int
-    truth_pooled: np.ndarray
-    true_data_saving_percent: float
-    true_data_alloc: np.ndarray
-    lstm_baseline: dict[str, float]
-    models: dict[str, ModelReport]
-    last_window: dict
+
+def _check_types(prefix: str, block: dict, cls) -> None:
+    """Reject a value whose type is not that of its field's default in `cls`.
+
+    Int fields take no bools, float fields also take ints, and tuple fields
+    take a list of their default's element type.
+    """
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    for key, value in block.items():
+        default = defaults.get(key, MISSING)
+        if default is MISSING or _is_a(value, default):
+            continue
+        if isinstance(default, tuple):
+            want = f"a list of {_VALUE_TYPES[type(default[0])][2]}"
+        else:
+            want = _VALUE_TYPES[type(default)][1]
+        raise PipelineError(f"{prefix}{key} must be {want}, got {value!r}")
 
 
 def _obtain_trace(config: ExperimentConfig) -> PrbSeries:
@@ -186,13 +195,16 @@ def _obtain_trace(config: ExperimentConfig) -> PrbSeries:
     return load_csv(config.trace, config.max_prb)
 
 
-def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
+def run_pipeline(config: ExperimentConfig) -> dict:
     """Run the full experiment; deterministic per config.seed.
 
     Fits every configured model on the chronological train split, rolls
     non-overlapping horizon-length windows across the test split (each
     conditioned on the preceding context hours), allocates PRBs at every
     configured percentile, and scores provisioning and power saving.
+
+    Returns the report document that `emit_report` writes as report.json,
+    with numpy arrays and float percentile keys still in place.
     """
     series = _obtain_trace(config)
     train, test = split(series, config.train_fraction)
@@ -225,6 +237,7 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
             results[kind].append(predict(model, ctx, start=start, rng=rng, origin=t0))
 
     power = PowerParams(max_prb=config.max_prb)
+    ps = config.percentiles
     # Ground-truth baseline: provision exactly the demand, rounded up.
     true_alloc = ceil_clamp(truth, config.max_prb)
     true_hourly, true_saving = power_saving(true_alloc, power)
@@ -239,7 +252,7 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
         "models": {},
     }
 
-    levels = sorted({BAND_LOW, 0.5, BAND_HIGH, *config.percentiles})
+    levels = sorted({BAND_LOW, 0.5, BAND_HIGH, *ps})
     models = {}
     for kind, window_results in results.items():
         # Every quantile in one pass over the pooled (num_samples, n_windows*horizon) paths.
@@ -247,70 +260,63 @@ def run_pipeline(config: ExperimentConfig) -> SustainabilityReport:
         quantiles = dict(zip(levels, np.quantile(pooled, levels, axis=0)))
         median = quantiles[0.5]
         mse, mae, mape = point_errors(truth, median)
-        report = MetricsReport(
-            mse=mse, mae=mae, mape_percent=mape, nd=normalized_deviation(truth, median)
-        )
-        final = window_results[-1]
-        last_entry = {
+        qpred = {p: quantiles[p] for p in ps}
+        alloc = {p: ceil_clamp(qpred[p], config.max_prb) for p in ps}
+        over_under = {p: provisioning(truth, alloc[p]) for p in ps}
+        saving = {p: power_saving(alloc[p], power) for p in ps}  # (hourly, mean)
+        last["models"][kind] = {
             "median": median[sl],
             "band_low": quantiles[BAND_LOW][sl],
             "band_high": quantiles[BAND_HIGH][sl],
-            "alloc": {},
-            "saving": {},
+            "alloc": {p: alloc[p][sl] for p in ps},
+            "saving": {p: saving[p][0][sl] for p in ps},
         }
-        if final.point is not None:
-            last_entry["point"] = final.point
-        saving_map, quant_map, alloc_map = {}, {}, {}
-        for p in config.percentiles:
-            qpred = quantiles[p]
-            alloc = ceil_clamp(qpred, config.max_prb)
-            report.quantile_loss[p] = quantile_loss(truth, qpred, p)
-            report.coverage[p] = coverage(truth, qpred)
-            over, under = provisioning(truth, alloc)
-            report.over_percent[p] = over
-            report.under_percent[p] = under
-            hourly, saving_map[p] = power_saving(alloc, power)
-            quant_map[p] = qpred
-            alloc_map[p] = alloc
-            last_entry["alloc"][p] = alloc[sl]
-            last_entry["saving"][p] = hourly[sl]
-        last["models"][kind] = last_entry
-        models[kind] = ModelReport(
-            kind=kind,
-            metrics=report,
-            power_saving_percent=saving_map,
-            median_pooled=median,
-            quantiles_pooled=quant_map,
-            allocations=alloc_map,
-            final_train_loss=trained[kind].final_train_loss,
-        )
+        if window_results[-1].point is not None:
+            last["models"][kind]["point"] = window_results[-1].point
+        models[kind] = {
+            "metrics": {
+                "mse": mse,
+                "mae": mae,
+                "mape_percent": mape,
+                "nd": normalized_deviation(truth, median),
+                "quantile_loss": {p: quantile_loss(truth, qpred[p], p) for p in ps},
+                "coverage": {p: coverage(truth, qpred[p]) for p in ps},
+                "over_percent": {p: over_under[p][0] for p in ps},
+                "under_percent": {p: over_under[p][1] for p in ps},
+            },
+            "power_saving_percent": {p: saving[p][1] for p in ps},
+            "median_pooled": median,
+            "quantiles_pooled": qpred,
+            "allocations": alloc,
+            "final_train_loss": trained[kind].final_train_loss,
+        }
 
     lstm_baseline = {}
     if "lstm" in models:
-        mid = 0.5 if 0.5 in config.percentiles else config.percentiles[0]
+        mid = 0.5 if 0.5 in ps else ps[0]
+        lstm = models["lstm"]
         lstm_baseline = {
-            "power_saving_percent": models["lstm"].power_saving_percent[mid],
-            "over_percent": models["lstm"].metrics.over_percent[mid],
-            "under_percent": models["lstm"].metrics.under_percent[mid],
+            "power_saving_percent": lstm["power_saving_percent"][mid],
+            "over_percent": lstm["metrics"]["over_percent"][mid],
+            "under_percent": lstm["metrics"]["under_percent"][mid],
         }
 
-    # The echo describes the experiment, not the emission destination, so
-    # identical (config, seed) runs serialize byte-identically anywhere.
-    config_echo = {k: v for k, v in config.to_dict().items() if k != "output_dir"}
-
-    return SustainabilityReport(
-        config=config_echo,
-        percentiles=config.percentiles,
-        horizon=horizon,
-        n_windows=n_windows,
-        max_prb=config.max_prb,
-        truth_pooled=truth,
-        true_data_saving_percent=true_saving,
-        true_data_alloc=true_alloc,
-        lstm_baseline=lstm_baseline,
-        models=models,
-        last_window=last,
-    )
+    return {
+        # The echo describes the experiment, not the emission destination, so
+        # identical (config, seed) runs serialize byte-identically anywhere.
+        "config": {k: v for k, v in config.to_dict().items() if k != "output_dir"},
+        "percentiles": list(ps),
+        "horizon": horizon,
+        "n_windows": n_windows,
+        "max_prb": config.max_prb,
+        "truth_pooled": truth,
+        "baselines": {
+            "true_data": {"power_saving_percent": true_saving, "alloc": true_alloc},
+            "lstm": lstm_baseline,
+        },
+        "models": models,
+        "last_window": last,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -333,46 +339,7 @@ def _jsonify(obj):
     return obj
 
 
-def report_to_dict(report: SustainabilityReport) -> dict:
-    doc = {
-        "config": report.config,
-        "percentiles": list(report.percentiles),
-        "horizon": report.horizon,
-        "n_windows": report.n_windows,
-        "max_prb": report.max_prb,
-        "truth_pooled": report.truth_pooled,
-        "baselines": {
-            "true_data": {
-                "power_saving_percent": report.true_data_saving_percent,
-                "alloc": report.true_data_alloc,
-            },
-            "lstm": report.lstm_baseline,
-        },
-        "models": {},
-        "last_window": report.last_window,
-    }
-    for kind, m in report.models.items():
-        doc["models"][kind] = {
-            "metrics": {
-                "mse": m.metrics.mse,
-                "mae": m.metrics.mae,
-                "mape_percent": m.metrics.mape_percent,
-                "nd": m.metrics.nd,
-                "quantile_loss": m.metrics.quantile_loss,
-                "coverage": m.metrics.coverage,
-                "over_percent": m.metrics.over_percent,
-                "under_percent": m.metrics.under_percent,
-            },
-            "power_saving_percent": m.power_saving_percent,
-            "median_pooled": m.median_pooled,
-            "quantiles_pooled": m.quantiles_pooled,
-            "allocations": m.allocations,
-            "final_train_loss": m.final_train_loss,
-        }
-    return _jsonify(doc)
-
-
-def emit_report(report: SustainabilityReport, out_dir: str | Path) -> list[Path]:
+def emit_report(doc: dict, out_dir: str | Path) -> list[Path]:
     """Write report.json plus the table/plot CSVs; returns the written paths.
 
     The files are written into a temporary directory next to `out_dir` and
@@ -397,11 +364,11 @@ def emit_report(report: SustainabilityReport, out_dir: str | Path) -> list[Path]
     }
     try:
         (tmp / "report.json").write_text(
-            json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+            json.dumps(_jsonify(doc), sort_keys=True, indent=2) + "\n"
         )
         for name, rows in tables.items():
             with (tmp / name).open("w", newline="") as fh:
-                csv.writer(fh).writerows(rows(report))
+                csv.writer(fh).writerows(rows(doc))
         if out.exists():  # replace our files, leave any others
             for name in [*tables, "report.json"]:
                 os.replace(tmp / name, out / name)
@@ -412,79 +379,72 @@ def emit_report(report: SustainabilityReport, out_dir: str | Path) -> list[Path]
     return [out / name for name in ("report.json", *tables)]
 
 
-def _percentile_header(report) -> list[str]:
-    return [_plabel(p) for p in report.percentiles]
+def _kinds(doc: dict, kinds=MODEL_KINDS) -> list[str]:
+    """The report's models among `kinds`, in table order."""
+    return [k for k in kinds if k in doc["models"]]
 
 
-def _table1_rows(report: SustainabilityReport) -> list[list]:
-    ordered = [k for k in MODEL_KINDS if k in report.models]
-    rows = [["metric", "model", "overall", *_percentile_header(report)]]
-    blanks = [""] * len(report.percentiles)
+def _table1_rows(doc: dict) -> list[list]:
+    ps = doc["percentiles"]
+    metrics = {k: doc["models"][k]["metrics"] for k in _kinds(doc)}
+    prob = _kinds(doc, PROBABILISTIC_KINDS)
+    blanks = [""] * len(ps)
+    rows = [["metric", "model", "overall", *map(_plabel, ps)]]
     for metric in ("mse", "mae", "mape_percent"):
-        for kind in ordered:
-            rows.append([metric, kind, getattr(report.models[kind].metrics, metric), *blanks])
-    for kind in ordered:
-        if kind in PROBABILISTIC_KINDS:
-            rows.append(["nd", kind, report.models[kind].metrics.nd, *blanks])
+        rows += [[metric, k, m[metric], *blanks] for k, m in metrics.items()]
+    rows += [["nd", k, metrics[k]["nd"], *blanks] for k in prob]
     for metric in ("quantile_loss", "coverage"):
-        for kind in ordered:
-            if kind in PROBABILISTIC_KINDS:
-                vals = getattr(report.models[kind].metrics, metric)
-                rows.append([metric, kind, "", *[vals[p] for p in report.percentiles]])
+        rows += [[metric, k, "", *(metrics[k][metric][p] for p in ps)] for k in prob]
     return rows
 
 
-def _table2_rows(report: SustainabilityReport) -> list[list]:
-    ordered = [k for k in MODEL_KINDS if k in report.models]
-    rows = [["model", "statistic", "overall", *_percentile_header(report)]]
-    blanks = [""] * len(report.percentiles)
-    rows.append(["true_data", "power_saving_percent", report.true_data_saving_percent, *blanks])
-    for stat, value in report.lstm_baseline.items():
-        rows.append(["lstm", stat, value, *blanks])
-    for kind in ordered:
-        if kind not in PROBABILISTIC_KINDS:
-            continue
-        m = report.models[kind]
+def _table2_rows(doc: dict) -> list[list]:
+    ps = doc["percentiles"]
+    base = doc["baselines"]
+    blanks = [""] * len(ps)
+    rows = [
+        ["model", "statistic", "overall", *map(_plabel, ps)],
+        ["true_data", "power_saving_percent", base["true_data"]["power_saving_percent"], *blanks],
+    ]
+    rows += [["lstm", stat, value, *blanks] for stat, value in base["lstm"].items()]
+    for kind in _kinds(doc, PROBABILISTIC_KINDS):
+        m = doc["models"][kind]
         rows.append(["", "", "", *blanks])  # visual separator, matches grid layout
-        rows.append([kind, "power_saving_percent", "",
-                     *[m.power_saving_percent[p] for p in report.percentiles]])
-        rows.append([kind, "over_percent", "",
-                     *[m.metrics.over_percent[p] for p in report.percentiles]])
-        rows.append([kind, "under_percent", "",
-                     *[m.metrics.under_percent[p] for p in report.percentiles]])
+        for stat, values in (("power_saving_percent", m["power_saving_percent"]),
+                             ("over_percent", m["metrics"]["over_percent"]),
+                             ("under_percent", m["metrics"]["under_percent"])):
+            rows.append([kind, stat, "", *(values[p] for p in ps)])
     return rows
 
 
-def _hourly_rows(report: SustainabilityReport) -> list[list]:
-    last = report.last_window
-    ordered = [k for k in MODEL_KINDS if k in last["models"]]
+def _hourly_rows(doc: dict) -> list[list]:
+    ps = doc["percentiles"]
+    last = doc["last_window"]
+    ordered = _kinds(doc)
     header = ["hour", "truth", "true_alloc", "true_saving"]
     for kind in ordered:
         header += [f"{kind}_median", f"{kind}_band_low", f"{kind}_band_high"]
         if "point" in last["models"][kind]:
             header.append(f"{kind}_point")
-        for p in report.percentiles:
+        for p in ps:
             header += [f"{kind}_alloc_{_plabel(p)}", f"{kind}_saving_{_plabel(p)}"]
     rows = [header]
-    for h in range(report.horizon):
+    for h in range(doc["horizon"]):
         row = [h, last["truth"][h], last["true_alloc"][h], last["true_saving"][h]]
         for kind in ordered:
             entry = last["models"][kind]
             row += [entry["median"][h], entry["band_low"][h], entry["band_high"][h]]
             if "point" in entry:
                 row.append(entry["point"][h])
-            for p in report.percentiles:
+            for p in ps:
                 row += [entry["alloc"][p][h], entry["saving"][p][h]]
         rows.append(row)
     return rows
 
 
-def _provisioning_rows(report: SustainabilityReport) -> list[list]:
+def _provisioning_rows(doc: dict) -> list[list]:
     rows = [["model", "percentile", "over_percent", "under_percent"]]
-    for kind in MODEL_KINDS:
-        if kind not in report.models or kind not in PROBABILISTIC_KINDS:
-            continue
-        m = report.models[kind]
-        for p in report.percentiles:
-            rows.append([kind, p, m.metrics.over_percent[p], m.metrics.under_percent[p]])
+    for kind in _kinds(doc, PROBABILISTIC_KINDS):
+        m = doc["models"][kind]["metrics"]
+        rows += [[kind, p, m["over_percent"][p], m["under_percent"][p]] for p in doc["percentiles"]]
     return rows

@@ -143,6 +143,19 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     ({"models": {"lstm": {"epochs": 1, "heads": 4}}}, "unknown keys ['heads'] in models.lstm block"),
     ({"models": {"lstm": {"num_samples": 10}}}, "unknown keys ['num_samples'] in models.lstm block"),
     ({"models": {"transformer": {"hidden": [8]}}}, "unknown keys ['hidden'] in models.transformer block"),
+    ({"models": {"sff": {"epochs": "2"}}}, "models.sff.epochs must be an integer, got '2'"),
+    ({"trace": {"weeks": "2"}}, "trace.weeks must be an integer, got '2'"),
+    ({"percentiles": 0.5}, "percentiles must be a list of numbers, got 0.5"),
+    ({"max_prb": "160"}, "max_prb must be an integer, got '160'"),
+    ({"seed": "3"}, "seed must be an integer, got '3'"),
+    ({"train_fraction": "0.8"}, "train_fraction must be a number, got '0.8'"),
+    ({"models": {"sff": {"hidden": 40}}}, "models.sff.hidden must be a list of integers, got 40"),
+    ({"models": {"sff": {"hidden": [40, 4.5]}}}, "models.sff.hidden must be a list of integers, got [40, 4.5]"),
+    ({"models": {"lstm": {"epochs": True}}}, "models.lstm.epochs must be an integer, got True"),
+    ({"models": {"deepar": {"lr": "1e-3"}}}, "models.deepar.lr must be a number, got '1e-3'"),
+    ({"percentiles": [0.5, "0.9"]}, "percentiles must be a list of numbers, got [0.5, '0.9']"),
+    ({"percentiles": []}, "percentiles must be strictly increasing within (0,1), got ()"),
+    ({"trace": {"kind": "csv", "path": 7}}, "trace.path must be a string, got 7"),
 ])
 def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, message):
     monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise

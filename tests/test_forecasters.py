@@ -1,4 +1,4 @@
-"""Estimator contracts: shapes, determinism, scaling, losses, checkpoints."""
+"""Estimator contracts: shapes, determinism, scaling, losses."""
 
 from datetime import datetime
 
@@ -15,9 +15,7 @@ from prb_oracle.forecasters import (
     calendar_features,
     fit,
     forecast_quantile,
-    load_model,
     predict,
-    save_model,
 )
 from prb_oracle.forecasters import deepar, lstm, sff, transformer
 from prb_oracle.likelihoods import nll_loss, project_gaussian, project_studentt
@@ -59,11 +57,6 @@ def test_config_holds_fields_its_kind_does_not_read():
     # Divisibility is a transformer constraint; other kinds ignore heads.
     assert ForecasterConfig(kind="lstm", heads=3).heads == 3
     assert set(ForecasterConfig(kind="lstm", heads=3).settings()) == set(MODEL_KEYS["lstm"])
-
-
-def test_config_dict_round_trip():
-    cfg = ForecasterConfig(kind="sff", hidden=(16, 8), seed=5)
-    assert ForecasterConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_forecast_quantile_linear_interpolation():
@@ -353,19 +346,3 @@ def test_positional_encoding_shape_and_range():
     assert pe.shape == (10, 8)
     assert np.all(np.abs(pe) <= 1.0)
     assert not np.allclose(pe[0], pe[1])
-
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_model_checkpoint_round_trip(tmp_path, kind):
-    model = fit(tiny_config(kind), short_series())
-    save_model(model, tmp_path / "model")
-    loaded = load_model(tmp_path / "model")
-    assert loaded.config == model.config
-    assert loaded.scale == model.scale
-    assert loaded.train_end_time == model.train_end_time
-    ctx = short_series(seed=4).values[:6]
-    assert np.array_equal(predict(model, ctx).samples, predict(loaded, ctx).samples)

@@ -1,4 +1,4 @@
-"""Autodiff core: forward oracles, gradient checks, Adam, init, checkpoints."""
+"""Autodiff core: forward oracles, gradient checks, Adam, init."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from prb_oracle.nncore import (
     adam_step,
     backward,
     init_params,
-    load_checkpoint,
-    save_checkpoint,
 )
 
 
@@ -237,7 +235,7 @@ def test_adam_shape_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# init + checkpoints
+# init + freezing
 # ---------------------------------------------------------------------------
 
 def test_init_params_biases_zero_weights_bounded():
@@ -263,16 +261,6 @@ def test_init_params_rejects_bad_sizes():
         init_params([5], seed=0)
     with pytest.raises(ValueError):
         init_params([5, 0, 3], seed=0)
-
-
-def test_checkpoint_round_trip(tmp_path):
-    params = init_params([4, 7, 2], seed=17)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(params, path)
-    loaded = load_checkpoint(path)
-    assert sorted(loaded.names()) == sorted(params.names())
-    for name in params.names():
-        assert np.array_equal(loaded[name].data, params[name].data)
 
 
 def test_parameter_freeze_blocks_writes():

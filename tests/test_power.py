@@ -96,7 +96,7 @@ def static_splits(draw):
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
     total = draw(st.floats(0.0, 0.999))
     norm = sum(weights) or 1.0
-    return [total * w / norm for w in weights]
+    return [total * (w / norm) for w in weights]  # w*total first underflows for subnormal w
 
 
 @settings(max_examples=200, deadline=None)

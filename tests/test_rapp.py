@@ -1,5 +1,6 @@
 """Pipeline orchestration: config handling, report content, determinism, emission."""
 
+import csv
 import json
 import re
 from dataclasses import replace
@@ -14,8 +15,8 @@ from prb_oracle.power import PowerParams, power_saving
 from prb_oracle.rapp import (
     ExperimentConfig,
     PipelineError,
+    _jsonify,
     emit_report,
-    report_to_dict,
     run_pipeline,
 )
 from prb_oracle.traces import PrbSeries, TraceConfig, generate_synthetic, save_csv
@@ -134,99 +135,99 @@ def test_pipeline_rejects_zero_load_test_hour_before_training(tmp_path, monkeypa
 
 def test_pooled_shapes(small_report):
     rep = small_report
-    n = rep.n_windows * rep.horizon
-    assert rep.truth_pooled.shape == (n,)
-    assert rep.true_data_alloc.shape == (n,)
-    for m in rep.models.values():
-        assert m.median_pooled.shape == (n,)
+    n = rep["n_windows"] * rep["horizon"]
+    assert rep["truth_pooled"].shape == (n,)
+    assert rep["baselines"]["true_data"]["alloc"].shape == (n,)
+    for m in rep["models"].values():
+        assert m["median_pooled"].shape == (n,)
         for p in PCTS:
-            assert m.allocations[p].shape == (n,)
-            assert m.quantiles_pooled[p].shape == (n,)
+            assert m["allocations"][p].shape == (n,)
+            assert m["quantiles_pooled"][p].shape == (n,)
 
 
 def test_true_data_saving_formula(small_report):
-    rep = small_report
-    expected = 100.0 * (1.0 - np.mean(rep.true_data_alloc) / rep.max_prb)
-    assert rep.true_data_saving_percent == pytest.approx(expected, abs=1e-9)
-    assert np.array_equal(rep.true_data_alloc, np.ceil(rep.truth_pooled))
+    true_data = small_report["baselines"]["true_data"]
+    expected = 100.0 * (1.0 - np.mean(true_data["alloc"]) / small_report["max_prb"])
+    assert true_data["power_saving_percent"] == pytest.approx(expected, abs=1e-9)
+    assert np.array_equal(true_data["alloc"], np.ceil(small_report["truth_pooled"]))
 
 
 def test_savings_are_measured_against_the_experiment_capacity():
     cfg = small_config(max_prb=120, models={"lstm": ForecasterConfig(kind="lstm", epochs=1)})
-    rep = run_pipeline(cfg)
-    expected = 100.0 * (1.0 - np.mean(rep.true_data_alloc) / 120)
-    assert rep.true_data_saving_percent == pytest.approx(expected, abs=1e-9)
+    true_data = run_pipeline(cfg)["baselines"]["true_data"]
+    expected = 100.0 * (1.0 - np.mean(true_data["alloc"]) / 120)
+    assert true_data["power_saving_percent"] == pytest.approx(expected, abs=1e-9)
 
 
 def test_provisioning_always_sums_to_100(small_report):
-    for m in small_report.models.values():
+    for m in small_report["models"].values():
         for p in PCTS:
-            assert m.metrics.over_percent[p] + m.metrics.under_percent[p] == 100.0
+            assert m["metrics"]["over_percent"][p] + m["metrics"]["under_percent"][p] == 100.0
 
 
 def test_every_percentile_in_every_map(small_report):
-    for m in small_report.models.values():
-        for mapping in (m.metrics.quantile_loss, m.metrics.coverage,
-                        m.metrics.over_percent, m.metrics.under_percent,
-                        m.power_saving_percent, m.allocations):
+    for m in small_report["models"].values():
+        for mapping in (m["metrics"]["quantile_loss"], m["metrics"]["coverage"],
+                        m["metrics"]["over_percent"], m["metrics"]["under_percent"],
+                        m["power_saving_percent"], m["allocations"]):
             assert tuple(mapping) == PCTS
 
 
 def test_monotone_saving_and_provisioning(small_report):
-    for m in small_report.models.values():
-        saving = [m.power_saving_percent[p] for p in PCTS]
-        over = [m.metrics.over_percent[p] for p in PCTS]
-        under = [m.metrics.under_percent[p] for p in PCTS]
+    for m in small_report["models"].values():
+        saving = [m["power_saving_percent"][p] for p in PCTS]
+        over = [m["metrics"]["over_percent"][p] for p in PCTS]
+        under = [m["metrics"]["under_percent"][p] for p in PCTS]
         assert all(a >= b for a, b in zip(saving, saving[1:]))
         assert all(a <= b for a, b in zip(over, over[1:]))
         assert all(a >= b for a, b in zip(under, under[1:]))
         for lo, hi in zip(PCTS[:-1], PCTS[1:]):
-            assert np.all(m.allocations[lo] <= m.allocations[hi])
+            assert np.all(m["allocations"][lo] <= m["allocations"][hi])
 
 
 def test_lstm_degenerate_distribution(small_report):
-    m = small_report.models["lstm"]
+    m = small_report["models"]["lstm"]
+    baseline = small_report["baselines"]["lstm"]
     for p in PCTS[1:]:
-        assert np.array_equal(m.allocations[p], m.allocations[PCTS[0]])
-    assert small_report.lstm_baseline["over_percent"] == m.metrics.over_percent[0.5]
-    assert small_report.lstm_baseline["over_percent"] + \
-        small_report.lstm_baseline["under_percent"] == 100.0
+        assert np.array_equal(m["allocations"][p], m["allocations"][PCTS[0]])
+    assert baseline["over_percent"] == m["metrics"]["over_percent"][0.5]
+    assert baseline["over_percent"] + baseline["under_percent"] == 100.0
 
 
 def test_report_self_consistency(small_report):
     rep = small_report
     power = PowerParams()
-    for m in rep.models.values():
-        _, mae, _ = point_errors(rep.truth_pooled, m.median_pooled)
-        assert m.metrics.mae == pytest.approx(mae, abs=1e-12)
+    for m in rep["models"].values():
+        _, mae, _ = point_errors(rep["truth_pooled"], m["median_pooled"])
+        assert m["metrics"]["mae"] == pytest.approx(mae, abs=1e-12)
         for p in PCTS:
-            _, mean_saving = power_saving(m.allocations[p], power)
-            assert m.power_saving_percent[p] == pytest.approx(mean_saving, abs=1e-9)
+            _, mean_saving = power_saving(m["allocations"][p], power)
+            assert m["power_saving_percent"][p] == pytest.approx(mean_saving, abs=1e-9)
 
 
 def test_last_window_slice_matches_pooled(small_report):
     rep = small_report
-    last = rep.last_window
-    sl = slice((rep.n_windows - 1) * rep.horizon, rep.n_windows * rep.horizon)
-    assert np.array_equal(last["truth"], rep.truth_pooled[sl])
-    for kind, m in rep.models.items():
-        assert np.array_equal(last["models"][kind]["median"], m.median_pooled[sl])
+    last = rep["last_window"]
+    sl = slice((rep["n_windows"] - 1) * rep["horizon"], rep["n_windows"] * rep["horizon"])
+    assert np.array_equal(last["truth"], rep["truth_pooled"][sl])
+    for kind, m in rep["models"].items():
+        assert np.array_equal(last["models"][kind]["median"], m["median_pooled"][sl])
         for p in PCTS:
-            assert np.array_equal(last["models"][kind]["alloc"][p], m.allocations[p][sl])
+            assert np.array_equal(last["models"][kind]["alloc"][p], m["allocations"][p][sl])
 
 
 def test_pipeline_deterministic():
     cfg_models = {k: ForecasterConfig(kind=k, epochs=1, num_samples=10)
                   for k in ("deepar", "lstm")}
     cfg = small_config(models=cfg_models)
-    a = json.dumps(report_to_dict(run_pipeline(cfg)), sort_keys=True)
-    b = json.dumps(report_to_dict(run_pipeline(cfg)), sort_keys=True)
+    a = json.dumps(_jsonify(run_pipeline(cfg)), sort_keys=True)
+    b = json.dumps(_jsonify(run_pipeline(cfg)), sort_keys=True)
     assert a == b
 
 
 def test_config_echo_omits_output_dir(small_report):
-    assert "output_dir" not in small_report.config
-    assert small_report.config["seed"] == 3
+    assert "output_dir" not in small_report["config"]
+    assert small_report["config"]["seed"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,7 @@ def test_emit_report_files(tmp_path, small_report):
     assert names == ["hourly.csv", "provisioning.csv", "report.json", "table1.csv", "table2.csv"]
 
     hourly = (tmp_path / "hourly.csv").read_text().strip().splitlines()
-    assert len(hourly) == 1 + small_report.horizon
+    assert len(hourly) == 1 + small_report["horizon"]
 
     table2 = (tmp_path / "table2.csv").read_text().strip().splitlines()
     header = table2[0].split(",")
@@ -254,8 +255,31 @@ def test_emit_report_files(tmp_path, small_report):
     doc = json.loads((tmp_path / "report.json").read_text())
     assert set(doc["models"]) == {"sff", "deepar", "transformer", "lstm"}
     assert doc["baselines"]["true_data"]["power_saving_percent"] == pytest.approx(
-        small_report.true_data_saving_percent
+        small_report["baselines"]["true_data"]["power_saving_percent"]
     )
+
+
+def test_emitted_files_are_the_report_document(tmp_path, small_report):
+    emit_report(small_report, tmp_path)
+    assert json.loads((tmp_path / "report.json").read_text()) == _jsonify(small_report)
+
+    with (tmp_path / "table2.csv").open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["model", "statistic", "overall", "p10", "p50", "p90"]
+    base = small_report["baselines"]
+    expected = [["true_data", "power_saving_percent",
+                 base["true_data"]["power_saving_percent"], "", "", ""]]
+    expected += [["lstm", stat, value, "", "", ""] for stat, value in base["lstm"].items()]
+    for kind in ("sff", "deepar", "transformer"):
+        m = small_report["models"][kind]
+        expected.append(["", "", "", "", "", ""])
+        for stat, values in (("power_saving_percent", m["power_saving_percent"]),
+                             ("over_percent", m["metrics"]["over_percent"]),
+                             ("under_percent", m["metrics"]["under_percent"])):
+            expected.append([kind, stat, "", *(values[p] for p in PCTS)])
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert row == [str(v) for v in want]  # str(float) round-trips exactly
 
 
 def test_re_emission_is_identical(tmp_path, small_report):
@@ -293,5 +317,5 @@ def test_emission_into_existing_directory_keeps_other_files(tmp_path, small_repo
     (out / "report.json").write_text("stale")
     written = emit_report(small_report, out)
     assert (out / "notes.txt").read_text() == "mine"
-    assert json.loads((out / "report.json").read_text())["n_windows"] == small_report.n_windows
+    assert json.loads((out / "report.json").read_text())["n_windows"] == small_report["n_windows"]
     assert sorted(p.name for p in out.iterdir()) == sorted(["notes.txt", *(p.name for p in written)])
