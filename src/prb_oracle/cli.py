@@ -73,6 +73,8 @@ def _resolve_run_config(args) -> ExperimentConfig:
         config = replace(config, seed=args.seed)
     if args.models is not None:
         wanted = [m.strip() for m in args.models.split(",") if m.strip()]
+        if not wanted:
+            raise PipelineError(f"--models {args.models!r} names no model")
         missing = [m for m in wanted if m not in config.models]
         if missing:
             raise PipelineError(f"models not in config: {missing}")
@@ -118,6 +120,9 @@ def _cmd_inspect(args) -> int:
     if not path.exists():
         raise PipelineError(f"report not found: {path}")
     doc = json.loads(path.read_text())
+    for key in ("percentiles", "baselines", "models"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise PipelineError(f"{path} is not a report: no {key!r} key")
     percentiles = doc["percentiles"]
     labels = [f"p{100 * p:g}" for p in percentiles]
     name_w, stat_w = 12, 16

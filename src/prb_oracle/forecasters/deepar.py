@@ -29,37 +29,19 @@ def build(config) -> ParameterSet:
     return params
 
 
-def lstm_cell(params: ParameterSet, layer: int, x: nn.Tensor, h: nn.Tensor, c: nn.Tensor):
-    """One LSTM step; gate layout [input, forget, cell, output]."""
-    n = h.shape[1]
-    gates = nn.add(
-        nn.add(nn.matmul(x, params[f"wx{layer}"]), nn.matmul(h, params[f"wh{layer}"])),
-        params[f"bg{layer}"],
-    )
-    i = nn.sigmoid(nn.narrow(gates, 1, 0, n))
-    f = nn.sigmoid(nn.narrow(gates, 1, n, n))
-    g = nn.tanh(nn.narrow(gates, 1, 2 * n, n))
-    o = nn.sigmoid(nn.narrow(gates, 1, 3 * n, n))
-    c_new = nn.add(nn.mul(f, c), nn.mul(i, g))
-    h_new = nn.mul(o, nn.tanh(c_new))
-    return h_new, c_new
-
-
 def _zero_state(config):
-    return [
-        (nn.constant(np.zeros((1, config.rnn_cells))), nn.constant(np.zeros((1, config.rnn_cells))))
-        for _ in range(config.rnn_layers)
-    ]
+    """One packed [h | c] row of zeros per layer."""
+    return [nn.constant(np.zeros((1, 2 * config.rnn_cells))) for _ in range(config.rnn_layers)]
 
 
 def _step(params, config, x: nn.Tensor, state):
     """Advance all layers one step; returns (top h, new state)."""
     new_state = []
     inp = x
-    for layer in range(config.rnn_layers):
-        h, c = lstm_cell(params, layer, inp, *state[layer])
-        new_state.append((h, c))
-        inp = h
+    for layer, hc in enumerate(state):
+        hc = nn.lstm_cell(inp, hc, params[f"wx{layer}"], params[f"wh{layer}"], params[f"bg{layer}"])
+        new_state.append(hc)
+        inp = nn.narrow(hc, 1, 0, config.rnn_cells)
     return inp, new_state
 
 
@@ -94,8 +76,7 @@ def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
     for t in range(1, config.context_len):
         _, state = _step(params, config, _input_at(ctx_scaled[t - 1], cov_ctx[t]), state)
     n = config.num_samples
-    state = [(nn.constant(np.repeat(h.data, n, axis=0)), nn.constant(np.repeat(c.data, n, axis=0)))
-             for h, c in state]
+    state = [nn.constant(np.repeat(hc.data, n, axis=0)) for hc in state]
 
     out = np.empty((n, config.horizon))
     prev = np.full(n, float(ctx_scaled[-1]))

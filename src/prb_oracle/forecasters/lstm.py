@@ -6,8 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nncore as nn
-from ..nncore import ParameterSet
-from .deepar import lstm_cell
+from ..nncore import ParameterSet, lstm_cell
 
 
 def build(config) -> ParameterSet:
@@ -21,11 +20,11 @@ def build(config) -> ParameterSet:
 
 
 def _forward(params, config, ctx_scaled: np.ndarray) -> nn.Tensor:
-    h = nn.constant(np.zeros((1, config.rnn_cells)))
-    c = nn.constant(np.zeros((1, config.rnn_cells)))
+    hc = nn.constant(np.zeros((1, 2 * config.rnn_cells)))
     for t in range(config.context_len):
-        h, c = lstm_cell(params, 0, nn.constant(np.array([[ctx_scaled[t]]])), h, c)
-    return nn.add(nn.matmul(h, params["w_head"]), params["b_head"])
+        hc = lstm_cell(nn.constant(np.array([[ctx_scaled[t]]])), hc,
+                       params["wx0"], params["wh0"], params["bg0"])
+    return nn.add(nn.matmul(nn.narrow(hc, 1, 0, config.rnn_cells), params["w_head"]), params["b_head"])
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:

@@ -13,23 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nn
+from .nncore.tensor import _lanczos
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# Lanczos approximation, g=7, 9 coefficients; |abs error| < 1e-10 on (0, 1e4].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 class LikelihoodError(ValueError):
     """Invalid distribution parameters or mismatched lengths."""
@@ -96,14 +82,6 @@ def log_gamma(x):
         out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos(1.0 - xs)
     out[~small] = _lanczos(x[~small])
     return float(out[0]) if scalar else out
-
-
-def _lanczos(z: np.ndarray) -> np.ndarray:
-    t = z + _LANCZOS_G - 0.5
-    series = np.full_like(z, _LANCZOS_COEFFS[0])
-    for k, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        series += c / (z + k - 1.0)
-    return 0.5 * LOG_2PI + (z - 0.5) * np.log(t) - t + np.log(series)
 
 
 def softplus(x):
@@ -200,20 +178,10 @@ def nll_loss(targets, params) -> float:
 # ---------------------------------------------------------------------------
 
 def log_gamma_graph(z: nn.Tensor) -> nn.Tensor:
-    """Lanczos log-gamma as a tensor composite; requires all entries > 0.
-
-    Built from div/log/add/mul primitives so the gradient (digamma) comes
-    from the chain rule instead of a hand-written derivative.
-    """
+    """Lanczos log-gamma as one nncore `lgamma` node; requires all entries > 0."""
     if np.any(z.data <= 0.0):
         raise LikelihoodError("log_gamma_graph requires positive arguments")
-    t = nn.add_const(z, _LANCZOS_G - 0.5)
-    series = nn.constant(np.full(z.shape, _LANCZOS_COEFFS[0]))
-    for k, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        series = nn.add(series, nn.div(nn.constant(np.full(z.shape, c)),
-                                       nn.add_const(z, float(k - 1))))
-    lead = nn.mul(nn.add_const(z, -0.5), nn.log(t))
-    return nn.add_const(nn.add(nn.sub(lead, t), nn.log(series)), 0.5 * LOG_2PI)
+    return nn.lgamma(z)
 
 
 def studentt_nll_graph(raw_mu: nn.Tensor, raw_sigma: nn.Tensor, raw_nu: nn.Tensor,

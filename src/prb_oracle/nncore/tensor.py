@@ -2,18 +2,21 @@
 
 Every operation checks shapes eagerly, computes its forward value with plain
 numpy, and (while gradients are enabled) records a closure that scatters the
-output adjoint back onto its inputs. `backward` topologically sorts the
-recorded graph from a scalar loss and runs the closures in reverse.
+output adjoint back onto its inputs. Nodes go onto a tape of weak references
+in creation order, already a topological order (a Wengert list, Griewank &
+Walther 2008); `backward` runs the closures in reverse tape order.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
 
 _grad_enabled = True
+_tape: list = []  # weak refs to the nodes recorded since the last backward, in creation order
 
 
 @contextmanager
@@ -39,7 +42,7 @@ def _shape_error(op: str, *shapes) -> ShapeMismatch:
 class Tensor:
     """A node in the computation graph: value, adjoint slot, and provenance."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backprop")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backprop", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = (), backprop=None):
@@ -93,9 +96,13 @@ def constant(data) -> Tensor:
 
 
 def _node(data, op: str, parents: tuple, backprop) -> Tensor:
-    if _grad_enabled:
-        return Tensor(data, op=op, parents=parents, backprop=backprop)
-    return Tensor(data, op=op)
+    if not _grad_enabled:
+        return Tensor(data, op=op)
+    node = Tensor(data, op=op, parents=parents, backprop=backprop)
+    _tape.append(weakref.ref(node))
+    if len(_tape) % 4096 == 0:  # drop the refs of graphs freed without a backward
+        _tape[:] = [r for r in _tape if r() is not None]
+    return node
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -282,7 +289,7 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = _sigmoid(a.data)
+    out_data = 0.5 * np.tanh(0.5 * a.data) + 0.5  # no overflow, unlike 1 / (1 + e^-x)
 
     def backprop(g):
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -303,7 +310,7 @@ def softplus(a: Tensor) -> Tensor:
     out_data = np.logaddexp(0.0, a.data)
 
     def backprop(g):
-        _accumulate(a, g * _sigmoid(a.data))
+        _accumulate(a, g * (0.5 * np.tanh(0.5 * a.data) + 0.5))
 
     return _node(out_data, "softplus", (a,), backprop)
 
@@ -364,17 +371,8 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
     return x.T if x.ndim == 2 else x.swapaxes(-1, -2)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# composites
+# attention and fused ops
 # ---------------------------------------------------------------------------
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -401,60 +399,129 @@ def causal_mask(n: int) -> np.ndarray:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Row-wise layer normalization with learned (1, d) gain and bias."""
-    n, d = x.shape
-    if gain.shape != (1, d) or bias.shape != (1, d):
+    if x.data.ndim != 2 or not gain.shape == bias.shape == (1, x.shape[1]):
         raise _shape_error("layer_norm", x.shape, gain.shape, bias.shape)
-    ones_row = constant(np.ones((1, d)))
-    mean_col = matmul(x, constant(np.full((d, 1), 1.0 / d)))
-    centered = sub(x, matmul(mean_col, ones_row))
-    var_col = matmul(square(centered), constant(np.full((d, 1), 1.0 / d)))
-    inv_std = div(constant(np.ones((n, 1))), sqrt(add_const(var_col, eps)))
-    normed = mul(centered, matmul(inv_std, ones_row))
-    return add(mul(normed, matmul(constant(np.ones((n, 1))), gain)), bias)
+    centered = x.data - x.data.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps)
+    normed = centered * inv_std
+    out_data = normed * gain.data + bias.data
+
+    def backprop(g):
+        gn = g * gain.data
+        inner = gn - gn.mean(axis=1, keepdims=True)
+        _accumulate(x, inv_std * (inner - normed * (gn * normed).mean(axis=1, keepdims=True)))
+        _accumulate(gain, (g * normed).sum(axis=0, keepdims=True))
+        _accumulate(bias, g.sum(axis=0, keepdims=True))
+
+    return _node(out_data, "layer_norm", (x, gain, bias), backprop)
+
+
+def lstm_cell(x: Tensor, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """One LSTM step (Hochreiter & Schmidhuber 1997): x (B, k) and the packed
+    state hc = [h | c] (B, 2n) to the new [h | c]. wx (k, 4n), wh (n, 4n) and
+    the bias row b (1, 4n) lay the gates out as [input, forget, cell, output]."""
+    n = wh.shape[0]
+    if not (x.data.ndim == 2 and hc.shape == (x.shape[0], 2 * n) and wh.shape == (n, 4 * n)
+            and wx.shape == (x.shape[1], 4 * n) and b.shape == (1, 4 * n)):
+        raise _shape_error("lstm_cell", x.shape, hc.shape, wx.shape, wh.shape, b.shape)
+    h, c = hc.data[:, :n], hc.data[:, n:]
+    z = x.data @ wx.data + h @ wh.data + b.data
+    # One tanh for all four gates, as sigmoid(v) = 0.5 tanh(v / 2) + 0.5.
+    act = np.tanh(np.concatenate([0.5 * z[:, :2 * n], z[:, 2 * n:3 * n], 0.5 * z[:, 3 * n:]], axis=1))
+    sig = 0.5 * act + 0.5
+    i, f, g, o = sig[:, :n], sig[:, n:2 * n], act[:, 2 * n:3 * n], sig[:, 3 * n:]
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    out_data = np.concatenate([o * tanh_c, c_new], axis=1)
+
+    def backprop(grad):
+        gh, gc = grad[:, :n], grad[:, n:]
+        dc = gc + gh * o * (1.0 - tanh_c * tanh_c)
+        d_act = np.concatenate([dc * g, dc * c, dc * i, gh * tanh_c], axis=1)
+        dz = d_act * sig * (1.0 - sig)
+        dz[:, 2 * n:3 * n] = d_act[:, 2 * n:3 * n] * (1.0 - g * g)
+        _accumulate(x, dz @ wx.data.T)
+        _accumulate(wx, x.data.T @ dz)
+        _accumulate(wh, h.T @ dz)
+        _accumulate(b, dz.sum(axis=0, keepdims=True))
+        _accumulate(hc, np.concatenate([dz @ wh.data.T, dc * f], axis=1))
+
+    return _node(out_data, "lstm_cell", (x, hc, wx, wh, b), backprop)
+
+
+# Lanczos approximation, g=7, 9 coefficients; |abs error| < 1e-10 on (0, 1e4].
+_LANCZOS_G = 7.0
+_LANCZOS_COEFFS = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+
+def _lanczos(z: np.ndarray) -> np.ndarray:
+    t = z + _LANCZOS_G - 0.5
+    series = np.full_like(z, _LANCZOS_COEFFS[0])
+    for k, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
+        series += c / (z + k - 1.0)
+    return 0.5 * math.log(2.0 * math.pi) + (z - 0.5) * np.log(t) - t + np.log(series)
+
+
+def lgamma(a: Tensor) -> Tensor:
+    """Lanczos log-gamma of entries >= 0.5; the gradient is the series' exact derivative."""
+    out_data = _lanczos(a.data)
+
+    def backprop(g):
+        z = a.data
+        dens = [z + k for k in range(len(_LANCZOS_COEFFS) - 1)]
+        series = _LANCZOS_COEFFS[0] + sum(c / d for c, d in zip(_LANCZOS_COEFFS[1:], dens))
+        dseries = -sum(c / (d * d) for c, d in zip(_LANCZOS_COEFFS[1:], dens))
+        t = z + _LANCZOS_G - 0.5
+        _accumulate(a, g * (np.log(t) + (z - 0.5) / t - 1.0 + dseries / series))
+
+    return _node(out_data, "lgamma", (a,), backprop)
 
 
 # ---------------------------------------------------------------------------
 # reverse pass
 # ---------------------------------------------------------------------------
 
-def _topo_order(loss: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order  # parents precede children
+_CONSUMED = "backward: graph already consumed by an earlier backward; rebuild the forward pass"
 
 
 def backward(loss: Tensor, params=None):
     """Run reverse-mode accumulation from a scalar loss.
 
-    Populates `.grad` on every node reachable from the loss. When a
-    ParameterSet is given, returns {name: gradient array}, with zeros for
-    parameters the loss does not depend on.
+    Populates `.grad` on every node the loss depends on, and consumes every
+    node taped since the last backward: a later backward through one raises.
+    When a ParameterSet is given, returns {name: gradient array}, with zeros
+    for parameters the loss does not depend on.
     """
     if loss.data.size != 1:
         raise ShapeMismatch(f"backward: loss must be scalar, got shape {loss.shape}")
+    if loss._parents is None:
+        raise RuntimeError(_CONSUMED)
     if params is not None:
         for p in params.tensors():
             p.grad = None
-    order = _topo_order(loss)
-    for node in order:
+    tape = [node for node in (r() for r in _tape) if node is not None]
+    for node in tape:
         node.grad = None
+        for parent in node._parents:
+            if parent._parents is None:
+                raise RuntimeError(_CONSUMED)
+            parent.grad = None
+    _tape.clear()
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backprop is not None and node.grad is not None:
+    for node in reversed(tape):
+        if node.grad is not None:  # nodes the loss does not depend on stay None
             node._backprop(node.grad)
+        node._backprop = node._parents = None
     if params is not None:
         return {
             name: (p.grad if p.grad is not None else np.zeros_like(p.data))

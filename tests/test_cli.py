@@ -121,6 +121,18 @@ def test_inspect_missing_report_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    (TINY_CONFIG, "no 'baselines' key"),  # a config file is not a report
+    ({"baselines": {}, "models": {}}, "no 'percentiles' key"),
+    ([1, 2], "no 'percentiles' key"),
+])
+def test_inspect_of_a_json_that_is_not_a_report_is_an_error_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch(["inspect", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path} is not a report: {message}\n"
+
+
 def test_unknown_flag_nonzero_exit():
     assert dispatch(["run", "--bogus"]) != 0
 
@@ -170,6 +182,17 @@ def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, m
 def test_unknown_model_subset_rejected(tiny_config_file, capsys):
     assert dispatch(["run", "--config", str(tiny_config_file), "--models", "deepar"]) == 1
     assert "not in config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("models", ["", ",", " , "])
+def test_models_flag_naming_no_model_is_an_error_line(tmp_path, tiny_config_file, capsys,
+                                                     monkeypatch, models):
+    monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
+    status = dispatch(["run", "--config", str(tiny_config_file), "--models", models,
+                       "--out", str(tmp_path / "out")])
+    assert status == 1
+    assert capsys.readouterr().err == f"error: --models {models!r} names no model\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Autodiff core: forward oracles, gradient checks, Adam, init."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from prb_oracle.nncore import (
     backward,
     init_params,
 )
+from prb_oracle.nncore import tensor
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +190,70 @@ def test_no_grad_blocks_recording():
         loss = nn.sum_all(nn.square(params["x"]))
     grads = backward(loss, params)
     assert np.all(grads["x"] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# tape
+# ---------------------------------------------------------------------------
+
+def _two_layer_loss(params, x):
+    h = nn.tanh(nn.add(nn.matmul(nn.constant(x), params["w0"]), params["b0"]))
+    return nn.sum_all(nn.square(nn.add(nn.matmul(h, params["w1"]), params["b1"])))
+
+
+def test_tape_is_empty_after_backward():
+    params = init_params([3, 4, 2], seed=1)
+    loss = _two_layer_loss(params, np.ones((2, 3)))
+    assert len(tensor._tape) >= 7
+    backward(loss, params)
+    assert tensor._tape == []
+
+
+def test_no_grad_records_nothing():
+    backward(nn.sum_all(nn.Tensor(np.ones((1, 1)), requires_grad=True)))  # empty the tape
+    params = init_params([3, 4, 2], seed=1)
+    with nn.no_grad():
+        _two_layer_loss(params, np.ones((2, 3)))
+    assert tensor._tape == []
+
+
+def test_forward_only_graphs_do_not_change_a_later_loss_gradients():
+    params = init_params([3, 4, 2], seed=2)
+    x = np.random.default_rng(0).normal(size=(2, 3))
+    want = backward(_two_layer_loss(params, x), params)
+    # Graphs built with gradients on but never backpropagated: one kept alive,
+    # one dropped, both sharing the parameters of the loss that follows.
+    kept = _two_layer_loss(params, 2.0 * x)
+    _two_layer_loss(params, 3.0 * x)
+    got = backward(_two_layer_loss(params, x), params)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+    assert kept.grad is None
+
+
+def test_a_consumed_graph_raises_on_a_second_backward():
+    params = init_params([3, 4, 2], seed=3)
+    loss = _two_layer_loss(params, np.ones((2, 3)))
+    backward(loss, params)
+    with pytest.raises(RuntimeError, match="consumed"):
+        backward(loss, params)
+    # Also when only part of the graph is reused by a new loss.
+    h = nn.tanh(nn.matmul(nn.constant(np.ones((1, 3))), params["w0"]))
+    backward(nn.sum_all(h))
+    with pytest.raises(RuntimeError, match="consumed by an earlier backward"):
+        backward(nn.sum_all(nn.square(h)))
+
+
+def test_graphs_dropped_without_backward_are_freed():
+    x = nn.Tensor(np.ones((2, 2)), requires_grad=True)
+    ref = weakref.ref(nn.square(x))
+    gc.collect()
+    assert ref() is None
+    backward(nn.sum_all(x))  # empty the tape
+    recorded = 20_000
+    for _ in range(recorded):
+        nn.square(x)
+    assert len(tensor._tape) < recorded / 2  # dead references are dropped as it grows
 
 
 # ---------------------------------------------------------------------------
