@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .forecasters import TrainingDiverged
 from .rapp import ExperimentConfig, PipelineError, emit_report, run_pipeline
 from .traces import TraceError, generate_synthetic, save_csv
 
@@ -156,7 +157,7 @@ def dispatch(argv: list[str]) -> int:
     handlers = {"gen-trace": _cmd_gen_trace, "run": _cmd_run, "inspect": _cmd_inspect}
     try:
         return handlers[args.command](args)
-    except (PipelineError, TraceError, ValueError, OSError) as exc:
+    except (PipelineError, TraceError, TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,6 +62,8 @@ class ForecasterConfig:
             raise ForecastError("all size hyperparameters must be positive")
         if self.epochs < 0:
             raise ForecastError(f"epochs must be >= 0, got {self.epochs}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ForecastError(f"lr must be finite and > 0, got {self.lr}")
         if self.kind == "transformer" and self.model_dim % self.heads != 0:
             raise ForecastError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}"

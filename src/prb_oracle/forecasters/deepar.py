@@ -35,14 +35,13 @@ def _zero_state(config):
 
 
 def _step(params, config, x: nn.Tensor, state):
-    """Advance all layers one step; returns (top h, new state)."""
+    """Advance all layers one step; returns the new state."""
     new_state = []
-    inp = x
     for layer, hc in enumerate(state):
-        hc = nn.lstm_cell(inp, hc, params[f"wx{layer}"], params[f"wh{layer}"], params[f"bg{layer}"])
-        new_state.append(hc)
-        inp = nn.narrow(hc, 1, 0, config.rnn_cells)
-    return inp, new_state
+        inp = nn.narrow(new_state[-1], 1, 0, config.rnn_cells) if layer else x
+        new_state.append(nn.lstm_cell(inp, hc, params[f"wx{layer}"], params[f"wh{layer}"],
+                                      params[f"bg{layer}"]))
+    return new_state
 
 
 def _input_at(value, cov_row: np.ndarray) -> nn.Tensor:
@@ -58,14 +57,12 @@ def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
     head_rows = []
     total = config.context_len + config.horizon
     for t in range(1, total):
-        top, state = _step(params, config, _input_at(values[t - 1], cov[t]), state)
+        state = _step(params, config, _input_at(values[t - 1], cov[t]), state)
         if t >= config.context_len:
-            head_rows.append(top)
+            head_rows.append(nn.narrow(state[-1], 1, 0, config.rnn_cells))
     hidden = nn.concat(head_rows, axis=0)
     raw = nn.add(nn.matmul(hidden, params["w_head"]), params["b_head"])
-    return gaussian_nll_graph(
-        nn.narrow(raw, 1, 0, 1), nn.narrow(raw, 1, 1, 1), tgt_scaled
-    )
+    return gaussian_nll_graph(raw, tgt_scaled)
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
@@ -74,14 +71,15 @@ def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
     # every sample path rolls forward from a copy of it, as one row.
     state = _zero_state(config)
     for t in range(1, config.context_len):
-        _, state = _step(params, config, _input_at(ctx_scaled[t - 1], cov_ctx[t]), state)
+        state = _step(params, config, _input_at(ctx_scaled[t - 1], cov_ctx[t]), state)
     n = config.num_samples
     state = [nn.constant(np.repeat(hc.data, n, axis=0)) for hc in state]
 
     out = np.empty((n, config.horizon))
     prev = np.full(n, float(ctx_scaled[-1]))
     for t in range(config.horizon):
-        top, state = _step(params, config, _input_at(prev, cov_tgt[t]), state)
+        state = _step(params, config, _input_at(prev, cov_tgt[t]), state)
+        top = nn.narrow(state[-1], 1, 0, config.rnn_cells)
         raw = nn.add(nn.matmul(top, params["w_head"]), params["b_head"])
         prev = out[:, t] = sample(project_gaussian(raw.data), rng, 1)[0]
     return out

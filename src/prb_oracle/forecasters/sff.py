@@ -20,31 +20,24 @@ def build(config) -> ParameterSet:
                           seed=[config.seed, 0])
 
 
-def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray):
-    """Raw head outputs as three (horizon, 1) columns."""
+def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray) -> nn.Tensor:
+    """Raw head outputs as (horizon, 3) rows [mu, sigma, nu]."""
     h = nn.constant(ctx_scaled.reshape(1, -1))
     n_layers = len(config.hidden) + 1
     for i in range(n_layers):
         h = nn.add(nn.matmul(h, params[f"w{i}"]), params[f"b{i}"])
         if i < n_layers - 1:
             h = nn.relu(h)
-    hor = config.horizon
-    raw_mu = nn.transpose(nn.narrow(h, 1, 0, hor))
-    raw_sigma = nn.transpose(nn.narrow(h, 1, hor, hor))
-    raw_nu = nn.transpose(nn.narrow(h, 1, 2 * hor, hor))
-    return raw_mu, raw_sigma, raw_nu
+    return nn.transpose(nn.reshape(h, (3, config.horizon)))
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
-    raw_mu, raw_sigma, raw_nu = _forward(params, config, ctx_scaled)
-    return studentt_nll_graph(raw_mu, raw_sigma, raw_nu, tgt_scaled, nu_floor=NU_FLOOR)
+    return studentt_nll_graph(_forward(params, config, ctx_scaled), tgt_scaled, nu_floor=NU_FLOOR)
 
 
 def step_params(params, config, ctx_scaled) -> StudentTParams:
     """Projected distributions of all horizon steps, as (horizon,) arrays, in scaled units."""
-    raw_mu, raw_sigma, raw_nu = _forward(params, config, ctx_scaled)
-    raws = np.hstack([raw_mu.data, raw_sigma.data, raw_nu.data])
-    return project_studentt(raws, nu_floor=NU_FLOOR)
+    return project_studentt(_forward(params, config, ctx_scaled).data, nu_floor=NU_FLOOR)
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:

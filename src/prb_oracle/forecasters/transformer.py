@@ -5,7 +5,7 @@ The encoder ingests the embedded context; the decoder applies masked
 self-attention, attention over the encoder output, and a position-wise
 feed-forward layer. Training is teacher-forced; forecasting samples
 autoregressively, all samples as rows of one batch, with the decoder's
-self-attention keys and values cached per sample.
+self-attention keys and values cached per sample and head.
 """
 
 from __future__ import annotations
@@ -69,32 +69,36 @@ def positional_encoding(length: int, d: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def project_kv(params, prefix, x_kv) -> tuple[nn.Tensor, nn.Tensor]:
-    """Attention keys and values of `x_kv` (2-D rows or a leading batch axis)."""
-    return nn.matmul(x_kv, params[f"{prefix}_wk"]), nn.matmul(x_kv, params[f"{prefix}_wv"])
+def split_heads(x: nn.Tensor, heads: int) -> nn.Tensor:
+    """Heads onto the batch axis: (..., t, d) to (B·heads, t, d/heads), B = 1 for 2-D x."""
+    t, d = x.shape[-2:]
+    batch = x.data.size // (t * d) * heads
+    return nn.transpose(nn.reshape(nn.transpose(x), (batch, d // heads, t)))
+
+
+def merge_heads(x: nn.Tensor, shape: tuple[int, ...]) -> nn.Tensor:
+    """Inverse of `split_heads`: (B·heads, t, d/heads) back to `shape` (..., t, d)."""
+    return nn.transpose(nn.reshape(nn.transpose(x), (*shape[:-2], shape[-1], shape[-2])))
+
+
+def project_kv(params, prefix, x_kv, heads) -> tuple[nn.Tensor, nn.Tensor]:
+    """Attention keys and values of `x_kv` (2-D rows or a leading batch axis),
+    split into heads."""
+    return (split_heads(nn.matmul(x_kv, params[f"{prefix}_wk"]), heads),
+            split_heads(nn.matmul(x_kv, params[f"{prefix}_wv"]), heads))
 
 
 def multi_head_attention(params, prefix, x_q, k, v, heads, mask=None) -> nn.Tensor:
-    """Attention of the projected queries of `x_q` over keys `k` and values
-    `v` (from `project_kv`). Heads split and join on the last axis, so 2-D
-    rows and batched 3-D inputs go through the same code."""
+    """Attention of the projected queries of `x_q` over split keys `k` and
+    values `v` (from `project_kv`), all heads in one batched call. A 2-D
+    `mask` applies to every head."""
     q = nn.matmul(x_q, params[f"{prefix}_wq"])
-    axis = q.data.ndim - 1
-    head_dim = q.shape[axis] // heads
-    outs = [
-        nn.attention(
-            nn.narrow(q, axis, h * head_dim, head_dim),
-            nn.narrow(k, axis, h * head_dim, head_dim),
-            nn.narrow(v, axis, h * head_dim, head_dim),
-            mask,
-        )
-        for h in range(heads)
-    ]
-    return nn.matmul(nn.concat(outs, axis=axis), params[f"{prefix}_wo"])
+    a = nn.attention(split_heads(q, heads), k, v, mask)
+    return nn.matmul(merge_heads(a, q.shape), params[f"{prefix}_wo"])
 
 
 def _self_attention(params, prefix, x, heads, mask=None) -> nn.Tensor:
-    return multi_head_attention(params, prefix, x, *project_kv(params, prefix, x), heads, mask)
+    return multi_head_attention(params, prefix, x, *project_kv(params, prefix, x, heads), heads, mask)
 
 
 def _feed_forward(params, prefix, x) -> nn.Tensor:
@@ -143,23 +147,24 @@ def decode(params, config, dec_inp: np.ndarray, first_pos: int, enc_out: nn.Tens
     table = positional_encoding(first_pos + m, config.model_dim)[first_pos:]
     y = _embed(params, config, "dec", dec_inp, table)
     a = _self_attention(params, "dec_self", y, config.heads, nn.causal_mask(m))
-    return _decoder_tail(params, config, y, a, project_kv(params, "dec_cross", enc_out))
+    return _decoder_tail(params, config, y, a, project_kv(params, "dec_cross", enc_out, config.heads))
 
 
 def decode_step(params, config, inp: np.ndarray, position: np.ndarray, cache, cross_kv):
     """Decode the next position of every sample at once.
 
     inp is (S, 3), one [previous value, hour, day-of-week] row per sample, at
-    the (1, d) positional row `position`. `cache` holds each sample's
-    self-attention keys and values of the earlier positions, (S, t, d) each,
-    or is None at the first position; cross_kv is `project_kv` of the shared
-    encoder output. Returns the raw head outputs (S, 3) and the cache
-    extended to (S, t+1, d). Row s equals the last row of `decode` on sample
+    the (1, d) positional row `position`. `cache` holds the self-attention
+    keys and values of the earlier positions, split per sample and head as
+    `project_kv` returns them, (S·heads, t, d/heads) each, or is None at the
+    first position; cross_kv is `project_kv` of the shared encoder output.
+    Returns the raw head outputs (S, 3) and the cache extended to
+    (S·heads, t+1, d/heads). Row s equals the last row of `decode` on sample
     s's own prefix, as causal masking keeps earlier rows fixed.
     """
     y = _embed(params, config, "dec", inp, position)
     y_seq = nn.reshape(y, (inp.shape[0], 1, config.model_dim))  # one query per sample
-    k, v = project_kv(params, "dec_self", y_seq)
+    k, v = project_kv(params, "dec_self", y_seq, config.heads)
     if cache is not None:
         k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
     a = multi_head_attention(params, "dec_self", y_seq, k, v, config.heads)
@@ -171,20 +176,14 @@ def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
     prev = np.concatenate([[ctx_scaled[-1]], tgt_scaled[:-1]])
     dec_inp = np.column_stack([prev, feats["tgt"]])
     raw = decode(params, config, dec_inp, config.context_len, enc_out)
-    return studentt_nll_graph(
-        nn.narrow(raw, 1, 0, 1),
-        nn.narrow(raw, 1, 1, 1),
-        nn.narrow(raw, 1, 2, 1),
-        tgt_scaled,
-        nu_floor=NU_FLOOR,
-    )
+    return studentt_nll_graph(raw, tgt_scaled, nu_floor=NU_FLOOR)
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
     """Ancestral roll-outs of all samples at once, one row per sample: the
     context is encoded once, then each step decodes one new row per sample."""
     enc_out = encode(params, config, ctx_scaled, feats["ctx"])
-    cross_kv = project_kv(params, "dec_cross", enc_out)
+    cross_kv = project_kv(params, "dec_cross", enc_out, config.heads)
     table = positional_encoding(config.context_len + config.horizon, config.model_dim)
     n = config.num_samples
     out = np.empty((n, config.horizon))

@@ -184,16 +184,21 @@ def log_gamma_graph(z: nn.Tensor) -> nn.Tensor:
     return nn.lgamma(z)
 
 
-def studentt_nll_graph(raw_mu: nn.Tensor, raw_sigma: nn.Tensor, raw_nu: nn.Tensor,
-                       targets: np.ndarray, nu_floor: float = 2.0) -> nn.Tensor:
+def _head_columns(raw: nn.Tensor, targets: np.ndarray, n: int) -> tuple[nn.Tensor, list]:
+    """Targets as an (H, 1) constant and the n (H, 1) columns of (H, n) raw head rows."""
+    y = nn.constant(np.asarray(targets, dtype=np.float64).reshape(-1, 1))
+    if raw.shape != (y.shape[0], n):
+        raise LikelihoodError(f"raw shape {raw.shape} vs targets {y.shape}, expected {(y.shape[0], n)}")
+    return y, [nn.narrow(raw, 1, i, 1) for i in range(n)]
+
+
+def studentt_nll_graph(raw: nn.Tensor, targets: np.ndarray, nu_floor: float = 2.0) -> nn.Tensor:
     """Differentiable Student-t NLL over one prediction range.
 
-    Inputs are (H, 1) raw head outputs; targets is a length-H array in the
-    same (scaled) units as raw_mu.
+    raw holds (H, 3) raw head rows [mu, sigma, nu], as `project_studentt`
+    takes them; targets is a length-H array in the same (scaled) units as mu.
     """
-    y = nn.constant(np.asarray(targets, dtype=np.float64).reshape(-1, 1))
-    if raw_mu.shape != y.shape:
-        raise LikelihoodError(f"raw_mu shape {raw_mu.shape} vs targets {y.shape}")
+    y, (raw_mu, raw_sigma, raw_nu) = _head_columns(raw, targets, 3)
     sigma = nn.softplus(raw_sigma)
     nu = nn.add_const(nn.softplus(raw_nu), nu_floor)
     half_nup1 = nn.scale(nn.add_const(nu, 1.0), 0.5)
@@ -209,12 +214,10 @@ def studentt_nll_graph(raw_mu: nn.Tensor, raw_sigma: nn.Tensor, raw_nu: nn.Tenso
     return nn.scale(nn.sum_all(logpdf), -1.0)
 
 
-def gaussian_nll_graph(raw_mu: nn.Tensor, raw_sigma: nn.Tensor,
-                       targets: np.ndarray) -> nn.Tensor:
-    """Differentiable Gaussian NLL over one prediction range."""
-    y = nn.constant(np.asarray(targets, dtype=np.float64).reshape(-1, 1))
-    if raw_mu.shape != y.shape:
-        raise LikelihoodError(f"raw_mu shape {raw_mu.shape} vs targets {y.shape}")
+def gaussian_nll_graph(raw: nn.Tensor, targets: np.ndarray) -> nn.Tensor:
+    """Differentiable Gaussian NLL over one prediction range, from (H, 2)
+    raw head rows [mu, sigma] as `project_gaussian` takes them."""
+    y, (raw_mu, raw_sigma) = _head_columns(raw, targets, 2)
     sigma = nn.softplus(raw_sigma)
     quad = nn.div(nn.square(nn.sub(y, raw_mu)), nn.scale(nn.square(sigma), 2.0))
     logpdf = nn.add_const(nn.scale(nn.add(nn.log(sigma), quad), -1.0), -0.5 * LOG_2PI)

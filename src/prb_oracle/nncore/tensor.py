@@ -379,7 +379,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     """Scaled dot-product attention softmax(q k^T / sqrt(d) + mask) v.
 
     q, k and v are 2-D, or 3-D with one shared leading batch axis; the
-    additive mask has the shape of the scores.
+    additive mask broadcasts to the scores' shape (one 2-D mask for all).
     """
     nd = q.data.ndim
     if nd not in (2, 3) or k.data.ndim != nd or v.data.ndim != nd \
@@ -388,7 +388,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
         raise _shape_error("attention", q.shape, k.shape, v.shape)
     scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
-        scores = add(scores, constant(mask))
+        scores = add(scores, constant(np.broadcast_to(mask, scores.shape)))
     return matmul(softmax(scores), v)
 
 

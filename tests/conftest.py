@@ -120,6 +120,9 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
         ("attention_batched_masked",
          lambda t: nn.attention(t[0], t[1], t[2], np.broadcast_to(mask, (2, 3, 3))),
          [mat(2, 3, 4), mat(2, 3, 4), mat(2, 3, 2)]),
+        # One 2-D mask broadcast over the batch axis (heads as batch entries).
+        ("attention_batched_mask_2d", lambda t: nn.attention(t[0], t[1], t[2], mask),
+         [mat(2, 3, 4), mat(2, 3, 4), mat(2, 3, 2)]),
     ]
 
 

@@ -12,6 +12,7 @@ from prb_oracle.cli import (
     dispatch,
     write_default_config,
 )
+from prb_oracle.forecasters import TrainingDiverged
 from prb_oracle.rapp import ExperimentConfig
 from prb_oracle.traces import load_csv
 
@@ -168,6 +169,8 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     ({"percentiles": [0.5, "0.9"]}, "percentiles must be a list of numbers, got [0.5, '0.9']"),
     ({"percentiles": []}, "percentiles must be strictly increasing within (0,1), got ()"),
     ({"trace": {"kind": "csv", "path": 7}}, "trace.path must be a string, got 7"),
+    ({"models": {"sff": {"lr": float("nan")}}}, "lr must be finite and > 0, got nan"),
+    ({"models": {"sff": {"lr": -0.5}}}, "lr must be finite and > 0, got -0.5"),
 ])
 def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, message):
     monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
@@ -176,6 +179,17 @@ def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, m
     assert dispatch(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_diverged_training_is_an_error_line(tmp_path, tiny_config_file, capsys, monkeypatch):
+    def diverge(config, train):
+        raise TrainingDiverged(f"{config.kind}: non-finite loss nan at epoch 0, window t0=24")
+
+    monkeypatch.setattr(rapp, "fit", diverge)
+    status = dispatch(["run", "--config", str(tiny_config_file), "--out", str(tmp_path / "out")])
+    assert status == 1
+    assert capsys.readouterr().err == "error: sff: non-finite loss nan at epoch 0, window t0=24\n"
     assert not (tmp_path / "out").exists()
 
 

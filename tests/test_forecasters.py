@@ -210,8 +210,9 @@ def test_deepar_loss_is_sum_of_per_step_gaussian_nll():
         state = deepar._zero_state(cfg)
         dists = []
         for t in range(1, 9):
-            top, state = deepar._step(params, cfg, deepar._input_at(values[t - 1], cov[t]), state)
+            state = deepar._step(params, cfg, deepar._input_at(values[t - 1], cov[t]), state)
             if t >= 6:
+                top = nn.narrow(state[-1], 1, 0, cfg.rnn_cells)
                 raw = nn.add(nn.matmul(top, params["w_head"]), params["b_head"]).data[0]
                 dists.append(project_gaussian(raw))
     assert total == pytest.approx(nll_loss(tgt, dists), abs=1e-9)
@@ -266,12 +267,13 @@ def _deepar_one_by_one(params, cfg, ctx, feats, noise):
     (mu, sigma)."""
     warm = deepar._zero_state(cfg)
     for t in range(1, cfg.context_len):
-        _, warm = deepar._step(params, cfg, deepar._input_at(ctx[t - 1], feats["ctx"][t]), warm)
+        warm = deepar._step(params, cfg, deepar._input_at(ctx[t - 1], feats["ctx"][t]), warm)
     out, moments = np.empty(noise.shape), np.empty(noise.shape + (2,))
     for s in range(noise.shape[0]):
         state, prev = warm, float(ctx[-1])
         for t in range(cfg.horizon):
-            top, state = deepar._step(params, cfg, deepar._input_at(prev, feats["tgt"][t]), state)
+            state = deepar._step(params, cfg, deepar._input_at(prev, feats["tgt"][t]), state)
+            top = nn.narrow(state[-1], 1, 0, cfg.rnn_cells)
             dist = project_gaussian(nn.add(nn.matmul(top, params["w_head"]), params["b_head"]).data[0])
             prev = out[s, t] = dist.mu + dist.sigma * noise[s, t]
             moments[s, t] = dist.mu, dist.sigma

@@ -1,8 +1,9 @@
-"""The fused nncore ops against the composites of primitives they replace.
+"""The fused nncore ops, and batched-head attention, against the composites
+of primitives they replace.
 
-Each reference below is the composite the model code used before the op
-existed, kept here only as an oracle: the fused op's value and its input
-gradients must match it to float rounding.
+Each reference below is the composite the model code used before the op or
+layout existed, kept here only as an oracle: the new path's value and its
+input gradients must match it to float rounding.
 """
 
 import math
@@ -12,6 +13,7 @@ import pytest
 
 from conftest import max_rel_err
 from prb_oracle import nncore as nn
+from prb_oracle.forecasters import ForecasterConfig, transformer
 from prb_oracle.nncore.tensor import _LANCZOS_COEFFS, _LANCZOS_G
 
 TOL = 1e-12
@@ -113,3 +115,104 @@ def test_fused_op_shape_errors():
         nn.lstm_cell(ones(2, 3), ones(2, 8), ones(2, 16), ones(4, 16), ones(1, 16))
     with pytest.raises(nn.ShapeMismatch, match="layer_norm"):
         nn.layer_norm(ones(2, 3), ones(1, 4), ones(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# multi-head attention: heads on the batch axis against per-head slices
+# ---------------------------------------------------------------------------
+
+HEADS, DIM = 4, 8
+
+
+def composite_multi_head_attention(params, x_q, x_kv, heads, mask=None):
+    """The old per-head path: narrow each head out of q, k and v on the last
+    axis, one attention call per head, and a concat to join them."""
+    q, k, v = (nn.matmul(x, params[f"a_{w}"]) for x, w in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
+    axis = q.data.ndim - 1
+    size = q.shape[axis] // heads
+    outs = [nn.attention(*(nn.narrow(t, axis, h * size, size) for t in (q, k, v)), mask)
+            for h in range(heads)]
+    return nn.matmul(nn.concat(outs, axis=axis), params["a_wo"])
+
+
+def _named(weights):
+    return dict(zip(("a_wq", "a_wk", "a_wv", "a_wo"), weights))
+
+
+def _split_cache_attention(x_new, x_prev, *weights):
+    """decode_step's layout: earlier positions' keys and values cached split,
+    the new position's appended on the time axis."""
+    params = _named(weights)
+    cache = transformer.project_kv(params, "a", x_prev, HEADS)
+    k, v = transformer.project_kv(params, "a", x_new, HEADS)
+    k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
+    return transformer.multi_head_attention(params, "a", x_new, k, v, HEADS)
+
+
+MASK = nn.causal_mask(5)
+MHA_CASES = {
+    # name: (input shapes before the four weights, batched-head path, per-head oracle)
+    "causal_2d": (
+        [(5, DIM)],
+        lambda x, *w: transformer.multi_head_attention(
+            _named(w), "a", x, *transformer.project_kv(_named(w), "a", x, HEADS), HEADS, MASK),
+        lambda x, *w: composite_multi_head_attention(_named(w), x, x, HEADS, MASK),
+    ),
+    "batched_3d": (
+        [(3, 2, DIM), (3, 4, DIM)],
+        lambda xq, xkv, *w: transformer.multi_head_attention(
+            _named(w), "a", xq, *transformer.project_kv(_named(w), "a", xkv, HEADS), HEADS),
+        lambda xq, xkv, *w: composite_multi_head_attention(_named(w), xq, xkv, HEADS),
+    ),
+    "split_cache": (
+        [(3, 1, DIM), (3, 4, DIM)],
+        _split_cache_attention,
+        lambda xn, xp, *w: composite_multi_head_attention(
+            _named(w), xn, nn.concat([xp, xn], axis=1), HEADS),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MHA_CASES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_multi_head_attention_matches_per_head_slices(case, seed):
+    rng = np.random.default_rng(seed)
+    shapes, batched, per_head = MHA_CASES[case]
+    inputs = [rng.normal(size=s) for s in shapes]
+    inputs += [rng.normal(scale=0.5, size=(DIM, DIM)) for _ in range(4)]
+    probe = rng.normal(size=per_head(*map(nn.constant, inputs)).shape)
+    want, want_grads = _value_and_grads(per_head, inputs, probe)
+    got, got_grads = _value_and_grads(batched, inputs, probe)
+    assert got.shape == want.shape
+    assert max_rel_err(got, want) <= TOL
+    for g, w in zip(got_grads, want_grads):
+        assert max_rel_err(g, w) <= TOL
+
+
+def test_multi_head_attention_has_no_per_head_nodes():
+    rng = np.random.default_rng(4)
+    weights = [nn.constant(rng.normal(size=(DIM, DIM))) for _ in range(4)]
+    out = MHA_CASES["causal_2d"][1](nn.constant(rng.normal(size=(5, DIM))), *weights)
+    ops, stack = [], [out]
+    while stack:
+        node = stack.pop()
+        ops.append(node.op)
+        stack.extend(node._parents)
+    assert ops.count("softmax") == 1
+    assert "narrow" not in ops and "concat" not in ops
+
+
+def test_decode_step_caches_keys_per_sample_and_head():
+    cfg = ForecasterConfig(kind="transformer", context_len=4, horizon=2, num_samples=3,
+                           model_dim=DIM, ff_scale=2, heads=HEADS, blocks=1)
+    params = transformer.build(cfg)
+    table = transformer.positional_encoding(6, DIM)
+    with nn.no_grad():
+        enc = transformer.encode(params, cfg, np.linspace(0.8, 1.2, 4), np.zeros((4, 2)))
+        cross_kv = transformer.project_kv(params, "dec_cross", enc, HEADS)
+        cache = None
+        for t in range(2):
+            raw, cache = transformer.decode_step(params, cfg, np.ones((3, 3)), table[4 + t:5 + t],
+                                                 cache, cross_kv)
+    assert raw.shape == (3, 3)
+    assert cache[0].shape == cache[1].shape == (3 * HEADS, 2, DIM // HEADS)

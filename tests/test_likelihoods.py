@@ -327,16 +327,20 @@ def test_graph_nll_matches_float_nll():
     rng = np.random.default_rng(19)
     raw = rng.normal(size=(8, 3))
     targets = rng.normal(size=8)
-    graph = studentt_nll_graph(
-        nn.constant(raw[:, 0:1]), nn.constant(raw[:, 1:2]), nn.constant(raw[:, 2:3]),
-        targets, nu_floor=2.0,
-    )
+    graph = studentt_nll_graph(nn.constant(raw), targets, nu_floor=2.0)
     floats = nll_loss(targets, [project_studentt(r, nu_floor=2.0) for r in raw])
     assert graph.item() == pytest.approx(floats, abs=1e-9)
 
-    graph_g = gaussian_nll_graph(nn.constant(raw[:, 0:1]), nn.constant(raw[:, 1:2]), targets)
+    graph_g = gaussian_nll_graph(nn.constant(raw[:, :2]), targets)
     floats_g = nll_loss(targets, [project_gaussian(r[:2]) for r in raw])
     assert graph_g.item() == pytest.approx(floats_g, abs=1e-9)
+
+
+def test_graph_nll_takes_one_raw_row_per_target():
+    with pytest.raises(LikelihoodError, match=r"expected \(4, 3\)"):
+        studentt_nll_graph(nn.constant(np.zeros((4, 2))), np.zeros(4))
+    with pytest.raises(LikelihoodError, match=r"expected \(4, 2\)"):
+        gaussian_nll_graph(nn.constant(np.zeros((3, 2))), np.zeros(4))
 
 
 def test_logpdfs_take_array_parameters():
