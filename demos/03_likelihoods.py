@@ -17,10 +17,10 @@ from prb_oracle.likelihoods import (
 )
 
 # Raw network outputs become valid parameters through softplus projections;
-# the trained heads add a +2 floor on nu so variance always exists.
+# nu also gets a fixed floor of 2 (likelihoods.NU_FLOOR), so variance always exists.
 raw = (58.0, 1.2, 0.4)
 print("raw head output ", raw)
-print("projected       ", project_studentt(raw, nu_floor=2.0))
+print("projected       ", project_studentt(raw))
 print("gaussian head   ", project_gaussian(raw[:2]))
 
 # Density shapes: the Student-t trades a lower peak for heavier tails.

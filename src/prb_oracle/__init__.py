@@ -6,7 +6,7 @@ percentile allocation policies -> provisioning and power-saving analysis
 under a normalized base-station power model.
 """
 
-from .decision import AllocationPlan, AllocationPolicy, allocate
+from .decision import AllocationPolicy, allocate
 from .forecasters import (
     ForecasterConfig,
     ForecastResult,
@@ -16,23 +16,13 @@ from .forecasters import (
     predict,
 )
 from .likelihoods import GaussianParams, StudentTParams
-from .power import PowerParams, load_ratio, p_out, power_saving, total_power
+from .power import PowerParams, power_saving, total_power
 from .rapp import ExperimentConfig, emit_report, run_pipeline
-from .traces import (
-    PrbSeries,
-    TraceConfig,
-    WindowPair,
-    generate_synthetic,
-    load_csv,
-    make_windows,
-    save_csv,
-    split,
-)
+from .traces import PrbSeries, TraceConfig, generate_synthetic, load_csv, save_csv, split
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationPlan",
     "AllocationPolicy",
     "ExperimentConfig",
     "ForecastResult",
@@ -43,16 +33,12 @@ __all__ = [
     "StudentTParams",
     "TraceConfig",
     "TrainedModel",
-    "WindowPair",
     "allocate",
     "emit_report",
     "fit",
     "forecast_quantile",
     "generate_synthetic",
     "load_csv",
-    "load_ratio",
-    "make_windows",
-    "p_out",
     "power_saving",
     "predict",
     "run_pipeline",

@@ -124,13 +124,13 @@ def _model_module(kind: str):
 def fit(config: ForecasterConfig, train: PrbSeries) -> TrainedModel:
     """Train one estimator on a PRB series.
 
-    Runs `epochs` shuffled passes over all stride-1 windows at batch size 1,
+    Runs `epochs` shuffled passes over all sliding windows at batch size 1,
     minimizing the model's likelihood loss (squared error for the lstm
     baseline). Inputs are divided by the training-series mean; deterministic
     per config.seed.
     """
     mod = _model_module(config.kind)
-    windows = make_windows(train, config.context_len, config.horizon, stride=1)
+    windows = make_windows(train, config.context_len, config.horizon)
     scale = float(train.values.mean())
     if scale <= 0.0:
         raise ForecastError("training series mean must be positive")

@@ -9,10 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nncore as nn
-from ..likelihoods import StudentTParams, project_studentt, sample, studentt_nll_graph
+from ..likelihoods import project_studentt, sample, studentt_nll_graph
 from ..nncore import ParameterSet
-
-NU_FLOOR = 2.0
 
 
 def build(config) -> ParameterSet:
@@ -32,14 +30,10 @@ def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray) -> nn.Tensor:
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
-    return studentt_nll_graph(_forward(params, config, ctx_scaled), tgt_scaled, nu_floor=NU_FLOOR)
-
-
-def step_params(params, config, ctx_scaled) -> StudentTParams:
-    """Projected distributions of all horizon steps, as (horizon,) arrays, in scaled units."""
-    return project_studentt(_forward(params, config, ctx_scaled).data, nu_floor=NU_FLOOR)
+    return studentt_nll_graph(_forward(params, config, ctx_scaled), tgt_scaled)
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
     """num_samples independent draws per step, one row per sample, in one call."""
-    return sample(step_params(params, config, ctx_scaled), rng, config.num_samples)
+    dist = project_studentt(_forward(params, config, ctx_scaled).data)
+    return sample(dist, rng, config.num_samples)

@@ -19,7 +19,6 @@ from ..likelihoods import project_studentt, sample, studentt_nll_graph
 from ..nncore import ParameterSet
 
 N_FEATURES = 3  # previous (encoder: current) value, hour-of-day, day-of-week
-NU_FLOOR = 2.0
 
 
 def build(config) -> ParameterSet:
@@ -176,7 +175,7 @@ def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
     prev = np.concatenate([[ctx_scaled[-1]], tgt_scaled[:-1]])
     dec_inp = np.column_stack([prev, feats["tgt"]])
     raw = decode(params, config, dec_inp, config.context_len, enc_out)
-    return studentt_nll_graph(raw, tgt_scaled, nu_floor=NU_FLOOR)
+    return studentt_nll_graph(raw, tgt_scaled)
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
@@ -193,5 +192,5 @@ def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
         inp = np.column_stack([prev, np.broadcast_to(feats["tgt"][t], (n, 2))])
         pos = config.context_len + t
         raw, cache = decode_step(params, config, inp, table[pos:pos + 1], cache, cross_kv)
-        prev = out[:, t] = sample(project_studentt(raw.data, nu_floor=NU_FLOOR), rng, 1)[0]
+        prev = out[:, t] = sample(project_studentt(raw.data), rng, 1)[0]
     return out

@@ -16,6 +16,7 @@ from . import nncore as nn
 from .nncore.tensor import _lanczos
 
 LOG_2PI = math.log(2.0 * math.pi)
+NU_FLOOR = 2.0  # added to softplus(raw nu): every projected Student-t has finite variance
 
 class LikelihoodError(ValueError):
     """Invalid distribution parameters or mismatched lengths."""
@@ -100,14 +101,14 @@ def _project(raw, n: int) -> list:
     return [float(c) for c in cols] if raw.ndim == 1 else cols
 
 
-def project_studentt(raw, nu_floor: float = 0.0) -> StudentTParams:
+def project_studentt(raw) -> StudentTParams:
     """Map raw network triples (last axis) to valid Student-t parameters.
 
-    mu passes through; sigma and nu go through softplus. Training heads pass
-    nu_floor=2.0 so the distribution always has finite variance.
+    mu passes through; sigma and nu go through softplus, and nu gets
+    NU_FLOOR on top.
     """
     mu, sigma, nu = _project(raw, 3)
-    return StudentTParams(mu=mu, sigma=sigma, nu=nu_floor + nu)
+    return StudentTParams(mu=mu, sigma=sigma, nu=NU_FLOOR + nu)
 
 
 def project_gaussian(raw) -> GaussianParams:
@@ -155,34 +156,9 @@ def sample(dist, rng: np.random.Generator, n: int) -> np.ndarray:
     return dist.mu + dist.sigma * (z / np.sqrt(v / dist.nu))
 
 
-def nll_loss(targets, params) -> float:
-    """Negative sum of per-timestep log-likelihoods (what training minimizes)."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if len(targets) != len(params):
-        raise LikelihoodError(
-            f"{len(targets)} targets vs {len(params)} parameter sets"
-        )
-    total = 0.0
-    for y, p in zip(targets, params):
-        if isinstance(p, StudentTParams):
-            total += studentt_logpdf(float(y), p)
-        elif isinstance(p, GaussianParams):
-            total += gaussian_logpdf(float(y), p)
-        else:
-            raise LikelihoodError(f"unsupported distribution {type(p).__name__}")
-    return -total
-
-
 # ---------------------------------------------------------------------------
 # graph-side builders (training losses)
 # ---------------------------------------------------------------------------
-
-def log_gamma_graph(z: nn.Tensor) -> nn.Tensor:
-    """Lanczos log-gamma as one nncore `lgamma` node; requires all entries > 0."""
-    if np.any(z.data <= 0.0):
-        raise LikelihoodError("log_gamma_graph requires positive arguments")
-    return nn.lgamma(z)
-
 
 def _head_columns(raw: nn.Tensor, targets: np.ndarray, n: int) -> tuple[nn.Tensor, list]:
     """Targets as an (H, 1) constant and the n (H, 1) columns of (H, n) raw head rows."""
@@ -192,7 +168,7 @@ def _head_columns(raw: nn.Tensor, targets: np.ndarray, n: int) -> tuple[nn.Tenso
     return y, [nn.narrow(raw, 1, i, 1) for i in range(n)]
 
 
-def studentt_nll_graph(raw: nn.Tensor, targets: np.ndarray, nu_floor: float = 2.0) -> nn.Tensor:
+def studentt_nll_graph(raw: nn.Tensor, targets: np.ndarray) -> nn.Tensor:
     """Differentiable Student-t NLL over one prediction range.
 
     raw holds (H, 3) raw head rows [mu, sigma, nu], as `project_studentt`
@@ -200,12 +176,12 @@ def studentt_nll_graph(raw: nn.Tensor, targets: np.ndarray, nu_floor: float = 2.
     """
     y, (raw_mu, raw_sigma, raw_nu) = _head_columns(raw, targets, 3)
     sigma = nn.softplus(raw_sigma)
-    nu = nn.add_const(nn.softplus(raw_nu), nu_floor)
+    nu = nn.add_const(nn.softplus(raw_nu), NU_FLOOR)
     half_nup1 = nn.scale(nn.add_const(nu, 1.0), 0.5)
     z = nn.div(nn.sub(y, raw_mu), sigma)
     inner = nn.add_const(nn.div(nn.square(z), nu), 1.0)
     logpdf = nn.sub(
-        nn.sub(log_gamma_graph(half_nup1), log_gamma_graph(nn.scale(nu, 0.5))),
+        nn.sub(nn.lgamma(half_nup1), nn.lgamma(nn.scale(nu, 0.5))),
         nn.add(
             nn.add(nn.log(sigma), nn.add_const(nn.scale(nn.log(nu), 0.5), 0.5 * math.log(math.pi))),
             nn.mul(half_nup1, nn.log(inner)),

@@ -22,9 +22,8 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: ParameterSet, lr: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params: ParameterSet, lr: float = 1e-3) -> "AdamState":
+        state = cls(lr=lr)
         for name, t in params.items():
             state.m[name] = np.zeros_like(t.data)
             state.v[name] = np.zeros_like(t.data)

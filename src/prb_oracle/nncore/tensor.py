@@ -65,30 +65,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
 
-    # Operator sugar; floats go through scale/add_const so the graph only
-    # ever holds tensor-tensor edges.
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add_const(self, float(other)) if np.isscalar(other) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add_const(self, -float(other)) if np.isscalar(other) else sub(self, other)
-
-    def __mul__(self, other):
-        return scale(self, float(other)) if np.isscalar(other) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / float(other)) if np.isscalar(other) else div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def constant(data) -> Tensor:
     """Leaf that participates in forward math but never needs a gradient."""
@@ -313,15 +289,6 @@ def softplus(a: Tensor) -> Tensor:
         _accumulate(a, g * (0.5 * np.tanh(0.5 * a.data) + 0.5))
 
     return _node(out_data, "softplus", (a,), backprop)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backprop(g):
-        _accumulate(a, g * out_data)
-
-    return _node(out_data, "exp", (a,), backprop)
 
 
 def log(a: Tensor) -> Tensor:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .traces import DEFAULT_MAX_PRB
+
 
 class PowerError(ValueError):
     """Invalid power-model parameters or allocations."""
@@ -26,7 +28,7 @@ class PowerParams:
     p_bb: float = 0.16
     p_tran: float = 0.09408
     p_pa: float = 0.24382
-    max_prb: int = 160
+    max_prb: int = DEFAULT_MAX_PRB
 
     def __post_init__(self):
         if self.max_prb < 1:

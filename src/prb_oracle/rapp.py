@@ -25,7 +25,7 @@ from .forecasters import (
 )
 from .metrics import coverage, normalized_deviation, point_errors, quantile_loss, provisioning
 from .power import PowerParams, power_saving
-from .traces import PrbSeries, TraceConfig, generate_synthetic, load_csv, split
+from .traces import DEFAULT_MAX_PRB, PrbSeries, TraceConfig, generate_synthetic, load_csv, split
 
 DEFAULT_PERCENTILES = (0.05, 0.25, 0.50, 0.75, 0.90, 0.99)
 BAND_LOW, BAND_HIGH = 0.01, 0.99  # shaded uncertainty band in the hourly table
@@ -48,7 +48,7 @@ class ExperimentConfig:
     """
 
     trace: TraceConfig | str = field(default_factory=TraceConfig)
-    max_prb: int = 160
+    max_prb: int = DEFAULT_MAX_PRB
     train_fraction: float = 0.8
     percentiles: tuple[float, ...] = DEFAULT_PERCENTILES
     models: dict[str, ForecasterConfig] = field(default_factory=dict)
@@ -56,6 +56,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise PipelineError(f"seed must be >= 0, got {self.seed}")
         ps = tuple(float(p) for p in self.percentiles)
         object.__setattr__(self, "percentiles", ps)
         if not ps or any(not 0.0 < p < 1.0 for p in ps) or any(a >= b for a, b in zip(ps, ps[1:])):

@@ -92,6 +92,8 @@ class TraceConfig:
             raise TraceError(f"floor must be > 0, got {self.floor}")
         if self.noise_std < 0.0:
             raise TraceError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise TraceError(f"trace.seed must be >= 0, got {self.seed}")
 
 
 def generate_synthetic(config: TraceConfig, max_prb: int = DEFAULT_MAX_PRB) -> PrbSeries:
@@ -185,23 +187,17 @@ def split(series: PrbSeries, train_fraction: float = 0.8) -> tuple[PrbSeries, Pr
     return train, test
 
 
-def make_windows(
-    series: PrbSeries, context_len: int, horizon: int, stride: int = 1
-) -> list[WindowPair]:
-    """Sliding (context, target) pairs ordered by t0_index; never crosses the end."""
+def make_windows(series: PrbSeries, context_len: int, horizon: int) -> list[WindowPair]:
+    """One (context, target) pair per start hour, ordered by t0_index; never crosses the end."""
     if context_len < 1 or horizon < 1:
         raise TraceError("context_len and horizon must be >= 1")
-    if stride < 1:
-        raise TraceError(f"stride must be >= 1, got {stride}")
     n = len(series)
     if context_len + horizon > n:
         raise TraceError(
             f"series of length {n} too short for context {context_len} + horizon {horizon}"
         )
-    count = (n - context_len - horizon) // stride + 1
     windows = []
-    for k in range(count):
-        start = k * stride
+    for start in range(n - context_len - horizon + 1):
         t0 = start + context_len
         windows.append(
             WindowPair(

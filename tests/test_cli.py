@@ -171,6 +171,8 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     ({"trace": {"kind": "csv", "path": 7}}, "trace.path must be a string, got 7"),
     ({"models": {"sff": {"lr": float("nan")}}}, "lr must be finite and > 0, got nan"),
     ({"models": {"sff": {"lr": -0.5}}}, "lr must be finite and > 0, got -0.5"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"trace": {"seed": -3}}, "trace.seed must be >= 0, got -3"),
 ])
 def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, message):
     monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
@@ -179,6 +181,13 @@ def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, m
     assert dispatch(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_is_an_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
+    assert dispatch(["run", "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 

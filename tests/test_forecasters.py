@@ -18,7 +18,7 @@ from prb_oracle.forecasters import (
     predict,
 )
 from prb_oracle.forecasters import deepar, lstm, sff, transformer
-from prb_oracle.likelihoods import nll_loss, project_gaussian, project_studentt
+from prb_oracle.likelihoods import gaussian_logpdf, project_gaussian, project_studentt
 from prb_oracle.traces import PrbSeries, TraceConfig, generate_synthetic
 
 MODULES = {"sff": sff, "deepar": deepar, "transformer": transformer, "lstm": lstm}
@@ -208,22 +208,21 @@ def test_deepar_loss_is_sum_of_per_step_gaussian_nll():
         values = np.concatenate([ctx, tgt])
         cov = np.vstack([feats["ctx"], feats["tgt"]])
         state = deepar._zero_state(cfg)
-        dists = []
+        raws = []
         for t in range(1, 9):
             state = deepar._step(params, cfg, deepar._input_at(values[t - 1], cov[t]), state)
             if t >= 6:
                 top = nn.narrow(state[-1], 1, 0, cfg.rnn_cells)
-                raw = nn.add(nn.matmul(top, params["w_head"]), params["b_head"]).data[0]
-                dists.append(project_gaussian(raw))
-    assert total == pytest.approx(nll_loss(tgt, dists), abs=1e-9)
+                raws.append(nn.add(nn.matmul(top, params["w_head"]), params["b_head"]).data[0])
+    assert total == pytest.approx(-gaussian_logpdf(tgt, project_gaussian(raws)).sum(), abs=1e-9)
 
 
-def test_sff_head_layout_matches_step_params():
+def test_sff_head_layout_projects_to_one_distribution_per_step():
     cfg = tiny_config("sff")
     params = sff.build(cfg)
     ctx = np.linspace(0.5, 1.5, 6)
     with nn.no_grad():
-        dists = sff.step_params(params, cfg, ctx)
+        dists = project_studentt(sff._forward(params, cfg, ctx).data)
     assert dists.mu.shape == dists.sigma.shape == dists.nu.shape == (3,)
     assert np.all(dists.sigma > 0) and np.all(dists.nu > 2.0)
 
@@ -290,7 +289,7 @@ def _transformer_one_by_one(params, cfg, ctx, feats, noise):
         for t in range(cfg.horizon):
             dec_inp = np.column_stack([prev, feats["tgt"][: t + 1]])
             raw = transformer.decode(params, cfg, dec_inp, cfg.context_len, enc).data[-1]
-            dist = project_studentt(raw, nu_floor=transformer.NU_FLOOR)
+            dist = project_studentt(raw)
             out[s, t] = dist.mu + dist.sigma * noise[s, t]
             moments[s, t] = dist.mu, dist.sigma
             prev.append(out[s, t])

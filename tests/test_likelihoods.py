@@ -7,14 +7,13 @@ import pytest
 
 from prb_oracle import nncore as nn
 from prb_oracle.likelihoods import (
+    NU_FLOOR,
     GaussianParams,
     LikelihoodError,
     StudentTParams,
     gaussian_logpdf,
     gaussian_nll_graph,
     log_gamma,
-    log_gamma_graph,
-    nll_loss,
     project_gaussian,
     project_studentt,
     sample,
@@ -68,10 +67,10 @@ def test_log_gamma_rejects_nonpositive():
         log_gamma(-1.5)
 
 
-def test_log_gamma_graph_value_and_gradient():
+def test_lgamma_op_value_and_gradient():
     z = np.array([[1.0], [2.5], [7.0], [30.0]])
     leaf = nn.Tensor(z.copy(), requires_grad=True)
-    out = log_gamma_graph(leaf)
+    out = nn.lgamma(leaf)
     assert np.allclose(out.data[:, 0], [math.lgamma(v) for v in z[:, 0]], atol=1e-10)
     nn.backward(nn.sum_all(out))
     h = 1e-5
@@ -87,12 +86,16 @@ def test_log_gamma_graph_value_and_gradient():
 
 def test_project_studentt_softplus():
     p = project_studentt((5.0, 0.0, 0.0))
-    assert (p.mu, p.sigma, p.nu) == pytest.approx((5.0, LN2, LN2), abs=1e-12)
+    assert (p.mu, p.sigma, p.nu) == pytest.approx((5.0, LN2, NU_FLOOR + LN2), abs=1e-12)
 
 
 def test_project_studentt_with_variance_floor():
-    p = project_studentt((1.0, 0.0, 0.0), nu_floor=2.0)
-    assert p.nu == pytest.approx(2.0 + LN2, abs=1e-12)
+    # However negative the raw dof, nu stays above 2: the variance is finite.
+    assert NU_FLOOR == 2.0
+    raw = np.zeros((4, 3))
+    raw[:, 2] = [-800.0, -30.0, 0.0, 5.0]
+    nu = project_studentt(raw).nu
+    assert np.all(nu >= 2.0) and np.all(np.diff(nu) > 0.0)
 
 
 def test_project_large_raw_sigma():
@@ -282,10 +285,10 @@ def test_array_params_validate_every_element():
 
 def test_projections_accept_stacked_raw_rows():
     raw = np.random.default_rng(12).normal(scale=3.0, size=(5, 3))
-    stacked_t = project_studentt(raw, nu_floor=2.0)
+    stacked_t = project_studentt(raw)
     stacked_g = project_gaussian(raw[:, :2])
     for i, row in enumerate(raw):
-        one_t = project_studentt(row, nu_floor=2.0)
+        one_t = project_studentt(row)
         one_g = project_gaussian(row[:2])
         assert (stacked_t.mu[i], stacked_t.sigma[i], stacked_t.nu[i]) == (one_t.mu, one_t.sigma, one_t.nu)
         assert (stacked_g.mu[i], stacked_g.sigma[i]) == (one_g.mu, one_g.sigma)
@@ -297,42 +300,47 @@ def test_projections_accept_stacked_raw_rows():
 # negative log-likelihood
 # ---------------------------------------------------------------------------
 
+def _gaussian_nll(targets, mu, sigma) -> float:
+    """Graph NLL of the targets under N(mu, sigma), through raw head rows."""
+    shape = np.shape(targets)
+    raw = np.column_stack([np.broadcast_to(mu, shape), np.log(np.expm1(np.broadcast_to(sigma, shape)))])
+    return gaussian_nll_graph(nn.constant(raw), np.asarray(targets)).item()
+
+
 def test_nll_single_gaussian_point_at_mean():
-    loss = nll_loss([0.0], [GaussianParams(0.0, 1.0)])
-    assert loss == pytest.approx(0.918939, abs=1e-6)
+    assert _gaussian_nll([0.0], 0.0, 1.0) == pytest.approx(0.918939, abs=1e-6)
 
 
 def test_nll_additive_over_timesteps():
     rng = np.random.default_rng(8)
     targets = rng.normal(size=6)
-    params = [GaussianParams(float(m), 1.0 + abs(float(s)))
-              for m, s in rng.normal(size=(6, 2))]
-    total = nll_loss(targets, params)
-    split_sum = nll_loss(targets[:2], params[:2]) + nll_loss(targets[2:], params[2:])
+    mu, sigma = rng.normal(size=6), 1.0 + np.abs(rng.normal(size=6))
+    total = _gaussian_nll(targets, mu, sigma)
+    split_sum = _gaussian_nll(targets[:2], mu[:2], sigma[:2]) + _gaussian_nll(targets[2:], mu[2:], sigma[2:])
     assert total == pytest.approx(split_sum, abs=1e-9)
 
 
 def test_nll_decreases_as_prediction_approaches_target():
-    losses = [nll_loss([5.0], [GaussianParams(mu, 1.0)]) for mu in (1.0, 3.0, 4.0, 5.0)]
+    losses = [_gaussian_nll([5.0], mu, 1.0) for mu in (1.0, 3.0, 4.0, 5.0)]
     assert losses == sorted(losses, reverse=True)
     assert losses[-1] < losses[0]
 
 
 def test_nll_length_mismatch():
-    with pytest.raises(LikelihoodError):
-        nll_loss([1.0, 2.0], [GaussianParams(0.0, 1.0)])
+    with pytest.raises(LikelihoodError, match=r"expected \(1, 3\)"):
+        studentt_nll_graph(nn.constant(np.zeros((2, 3))), np.array([1.0]))
 
 
 def test_graph_nll_matches_float_nll():
     rng = np.random.default_rng(19)
     raw = rng.normal(size=(8, 3))
     targets = rng.normal(size=8)
-    graph = studentt_nll_graph(nn.constant(raw), targets, nu_floor=2.0)
-    floats = nll_loss(targets, [project_studentt(r, nu_floor=2.0) for r in raw])
+    graph = studentt_nll_graph(nn.constant(raw), targets)
+    floats = -studentt_logpdf(targets, project_studentt(raw)).sum()
     assert graph.item() == pytest.approx(floats, abs=1e-9)
 
     graph_g = gaussian_nll_graph(nn.constant(raw[:, :2]), targets)
-    floats_g = nll_loss(targets, [project_gaussian(r[:2]) for r in raw])
+    floats_g = -gaussian_logpdf(targets, project_gaussian(raw[:, :2])).sum()
     assert graph_g.item() == pytest.approx(floats_g, abs=1e-9)
 
 

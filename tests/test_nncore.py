@@ -1,6 +1,7 @@
 """Autodiff core: forward oracles, gradient checks, Adam, init."""
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -132,6 +133,18 @@ def test_forward_and_backward_stay_finite():
                          ids=[c[0] for c in primitive_cases()])
 def test_primitive_gradients(name, builder, inputs):
     check_op_gradients(builder, inputs)
+
+
+def test_every_exported_op_has_a_gradient_case():
+    # Every function nncore exports from its tensor module is an op, except
+    # these four, which record no node of their own.
+    not_ops = {"backward", "causal_mask", "constant", "no_grad"}
+    ops = {name for name in nn.__all__
+           if inspect.isfunction(getattr(nn, name))
+           and getattr(nn, name).__module__ == tensor.__name__} - not_ops
+    cases = [c[0] for c in primitive_cases()]
+    missing = sorted(op for op in ops if not any(c == op or c.startswith(op + "_") for c in cases))
+    assert ops and not missing, f"ops without a finite-difference case: {missing}"
 
 
 def test_backward_square():

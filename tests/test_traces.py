@@ -161,16 +161,15 @@ def test_split_rejects_bad_fraction():
 def test_window_counts():
     series = generate_synthetic(TraceConfig(weeks=1))
     exact = PrbSeries(series.start_time, series.values[:48], 160)
-    assert len(make_windows(exact, 24, 24, 24)) == 1
+    assert len(make_windows(exact, 24, 24)) == 1
     three_days = PrbSeries(series.start_time, series.values[:72], 160)
-    assert len(make_windows(three_days, 24, 24, 24)) == 2
-    # stride-1 count formula on the full week
-    assert len(make_windows(series, 24, 24, 1)) == 168 - 48 + 1
+    assert len(make_windows(three_days, 24, 24)) == 25
+    assert len(make_windows(series, 24, 24)) == 168 - 48 + 1
 
 
 def test_window_slicing_identity():
     series = generate_synthetic(TraceConfig(weeks=1, seed=9))
-    for w in make_windows(series, 24, 24, 24):
+    for w in make_windows(series, 24, 24):
         assert np.array_equal(w.target, series.values[w.t0_index : w.t0_index + 24])
         assert np.array_equal(w.context, series.values[w.t0_index - 24 : w.t0_index])
 
@@ -196,9 +195,8 @@ def test_split_lengths_sum_to_series_length(n, fraction):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(2, 400), context=st.integers(1, 60), horizon=st.integers(1, 60),
-       stride=st.integers(1, 30))
-def test_window_count_formula(n, context, horizon, stride):
+@given(n=st.integers(2, 400), context=st.integers(1, 60), horizon=st.integers(1, 60))
+def test_window_count_formula(n, context, horizon):
     assume(context + horizon <= n)
-    windows = make_windows(_zeros(n), context, horizon, stride)
-    assert len(windows) == (n - context - horizon) // stride + 1
+    windows = make_windows(_zeros(n), context, horizon)
+    assert [w.t0_index for w in windows] == list(range(context, n - horizon + 1))
