@@ -120,30 +120,41 @@ def _cmd_inspect(args) -> int:
         path = path / "report.json"
     if not path.exists():
         raise PipelineError(f"report not found: {path}")
-    doc = json.loads(path.read_text())
-    for key in ("percentiles", "baselines", "models"):
-        if not isinstance(doc, dict) or key not in doc:
-            raise PipelineError(f"{path} is not a report: no {key!r} key")
-    percentiles = doc["percentiles"]
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise PipelineError(f"{path} is not a report: not valid JSON ({exc})") from None
+
+    def field(*keys):
+        """doc[keys[0]][keys[1]]...; a missing key is an error naming its dotted path."""
+        value = doc
+        for depth, key in enumerate(keys, start=1):
+            if not isinstance(value, dict) or key not in value:
+                raise PipelineError(f"{path} is not a report: no {'.'.join(keys[:depth])!r} key")
+            value = value[key]
+        return value
+
+    percentiles = field("percentiles")
     labels = [f"p{100 * p:g}" for p in percentiles]
     name_w, stat_w = 12, 16
-    print(f"{'model':<{name_w}} {'statistic':<{stat_w}} " + " ".join(f"{l:>8}" for l in labels))
-    base = doc["baselines"]
-    print(f"{'true_data':<{name_w}} {'saving%':<{stat_w}} "
-          f"{base['true_data']['power_saving_percent']:>8.2f}  (all percentiles)")
-    if base.get("lstm"):
+    # Every cell is looked up before anything is printed, so a broken report
+    # prints its error line alone.
+    lines = [
+        f"{'model':<{name_w}} {'statistic':<{stat_w}} " + " ".join(f"{l:>8}" for l in labels),
+        f"{'true_data':<{name_w}} {'saving%':<{stat_w}} "
+        f"{field('baselines', 'true_data', 'power_saving_percent'):>8.2f}  (all percentiles)",
+    ]
+    if field("baselines").get("lstm"):
         for stat, label in (("power_saving_percent", "saving%"),
                             ("over_percent", "over%"), ("under_percent", "under%")):
-            print(f"{'lstm':<{name_w}} {label:<{stat_w}} {base['lstm'][stat]:>8.2f}")
-    for kind, model in doc["models"].items():
-        rows = [
-            ("saving%", model["power_saving_percent"]),
-            ("over%", model["metrics"]["over_percent"]),
-            ("under%", model["metrics"]["under_percent"]),
-        ]
-        for label, values in rows:
-            cells = " ".join(f"{values[str(p)]:>8.2f}" for p in percentiles)
-            print(f"{kind:<{name_w}} {label:<{stat_w}} {cells}")
+            lines.append(f"{'lstm':<{name_w}} {label:<{stat_w}} {field('baselines', 'lstm', stat):>8.2f}")
+    for kind in field("models"):
+        for label, keys in (("saving%", ("power_saving_percent",)),
+                            ("over%", ("metrics", "over_percent")),
+                            ("under%", ("metrics", "under_percent"))):
+            cells = " ".join(f"{field('models', kind, *keys, str(p)):>8.2f}" for p in percentiles)
+            lines.append(f"{kind:<{name_w}} {label:<{stat_w}} {cells}")
+    print("\n".join(lines))
     return 0
 
 

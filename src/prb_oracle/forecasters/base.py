@@ -55,18 +55,21 @@ class ForecasterConfig:
         object.__setattr__(self, "hidden", tuple(self.hidden))
         if self.kind not in MODEL_KINDS:
             raise ForecastError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
-        sizes = (self.context_len, self.horizon, self.num_samples, self.rnn_layers,
-                 self.rnn_cells, self.model_dim, self.ff_scale, self.heads, self.blocks,
-                 *self.hidden)
-        if any(s < 1 for s in sizes):
-            raise ForecastError("all size hyperparameters must be positive")
+        # Messages name the field as the config file spells it, models.<kind>.<key>.
+        where = f"models.{self.kind}."
+        for key in ("context_len", "horizon", "num_samples", "rnn_layers", "rnn_cells",
+                    "model_dim", "ff_scale", "heads", "blocks"):
+            if (value := getattr(self, key)) < 1:
+                raise ForecastError(f"{where}{key} must be positive, got {value}")
+        if any(h < 1 for h in self.hidden):
+            raise ForecastError(f"{where}hidden sizes must be positive, got {list(self.hidden)}")
         if self.epochs < 0:
-            raise ForecastError(f"epochs must be >= 0, got {self.epochs}")
+            raise ForecastError(f"{where}epochs must be >= 0, got {self.epochs}")
         if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ForecastError(f"lr must be finite and > 0, got {self.lr}")
+            raise ForecastError(f"{where}lr must be finite and > 0, got {self.lr}")
         if self.kind == "transformer" and self.model_dim % self.heads != 0:
             raise ForecastError(
-                f"model_dim {self.model_dim} not divisible by heads {self.heads}"
+                f"{where}model_dim {self.model_dim} not divisible by {where}heads {self.heads}"
             )
 
     def settings(self) -> dict:
@@ -127,42 +130,37 @@ def fit(config: ForecasterConfig, train: PrbSeries) -> TrainedModel:
     Runs `epochs` shuffled passes over all sliding windows at batch size 1,
     minimizing the model's likelihood loss (squared error for the lstm
     baseline). Inputs are divided by the training-series mean; deterministic
-    per config.seed.
+    per config.seed. The scaled series and its calendar table are built once;
+    each step slices its window at the window's t0.
     """
     mod = _model_module(config.kind)
-    windows = make_windows(train, config.context_len, config.horizon)
+    t0s = make_windows(train, config.context_len, config.horizon)
     scale = float(train.values.mean())
     if scale <= 0.0:
         raise ForecastError("training series mean must be positive")
+    scaled = train.values / scale
+    calendar = calendar_features(train.start_time, np.arange(len(train)))
     params = mod.build(config)
     state = AdamState.for_params(params, lr=config.lr)
     shuffle_rng = np.random.default_rng([config.seed, 1])
 
-    ctx_off = {w.t0_index: np.arange(w.t0_index - config.context_len, w.t0_index)
-               for w in windows}
     final_loss = None
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(windows))
+        order = shuffle_rng.permutation(len(t0s))
         epoch_loss = 0.0
-        for wi in order:
-            w = windows[wi]
-            feats = {
-                "ctx": calendar_features(train.start_time, ctx_off[w.t0_index]),
-                "tgt": calendar_features(
-                    train.start_time, np.arange(w.t0_index, w.t0_index + config.horizon)
-                ),
-            }
-            loss = mod.loss(params, config, w.context / scale, w.target / scale, feats)
+        for t0 in t0s[order]:
+            ctx, tgt = slice(t0 - config.context_len, t0), slice(t0, t0 + config.horizon)
+            feats = {"ctx": calendar[ctx], "tgt": calendar[tgt]}
+            loss = mod.loss(params, config, scaled[ctx], scaled[tgt], feats)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingDiverged(
-                    f"{config.kind}: non-finite loss {value} at epoch {epoch}, "
-                    f"window t0={w.t0_index}"
+                    f"{config.kind}: non-finite loss {value} at epoch {epoch}, window t0={t0}"
                 )
             grads = backward(loss, params)
             adam_step(params, grads, state)
             epoch_loss += value
-        final_loss = epoch_loss / len(windows)
+        final_loss = epoch_loss / len(t0s)
     params.freeze()
     end = train.start_time + timedelta(hours=len(train))
     return TrainedModel(

@@ -3,9 +3,10 @@ Student-t head.
 
 The encoder ingests the embedded context; the decoder applies masked
 self-attention, attention over the encoder output, and a position-wise
-feed-forward layer. Training is teacher-forced; forecasting samples
-autoregressively, all samples as rows of one batch, with the decoder's
-self-attention keys and values cached per sample and head.
+feed-forward layer. One `decode` serves both uses: training is one
+teacher-forced, causally masked call over the horizon; forecasting samples
+autoregressively, one call per position with all samples as rows of one
+batch and the self-attention keys and values cached per sample and head.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ def _ln_params(params, prefix, d):
     params.bias(f"{prefix}_b", d)
 
 
-def positional_encoding(length: int, d: int) -> np.ndarray:
-    """Sinusoidal position table, shape (length, d)."""
-    pos = np.arange(length, dtype=np.float64)[:, None]
+def positional_encoding(length: int, d: int, first: int = 0) -> np.ndarray:
+    """Sinusoidal position table of positions first .. length - 1, shape (length - first, d)."""
+    pos = np.arange(first, length, dtype=np.float64)[:, None]
     i = np.arange(d, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / d)
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
@@ -110,8 +111,7 @@ def _sublayer(params, ln_prefix, x, out) -> nn.Tensor:
 
 
 def _embed(params, config, side: str, inp: np.ndarray, positions: np.ndarray) -> nn.Tensor:
-    """Embed input rows; `positions` is their positional table, or one
-    (1, d) row shared by every input row."""
+    """Embed input rows; `positions` is their positional table."""
     x = nn.add(nn.matmul(nn.constant(inp), params[f"{side}_embed"]), params[f"{side}_embed_b"])
     # sqrt(d) embedding gain keeps the value signal from drowning in the
     # positional table.
@@ -129,52 +129,43 @@ def encode(params, config, ctx_scaled: np.ndarray, cov_ctx: np.ndarray) -> nn.Te
     return x
 
 
-def _decoder_tail(params, config, y, self_attn, cross_kv) -> nn.Tensor:
-    """Everything after the decoder's self-attention, row by row, through
-    the head: raw outputs (rows, 3)."""
-    y = _sublayer(params, "dec_ln1", y, self_attn)
+def decode(params, config, inp: np.ndarray, first_pos: int, cross_kv, cache=None):
+    """Decoder raw head outputs for B sequences of m new positions each.
+
+    inp is (B, m, 3), rows [previous value, hour, day-of-week] at positions
+    first_pos .. first_pos + m - 1; cross_kv is `project_kv` of the encoder
+    output, one memory shared by all B sequences. `cache` holds the
+    self-attention keys and values of the earlier positions, split per
+    sequence and head as `project_kv` returns them, (B·heads, t, d/heads)
+    each, or is None at the first decoder position. Each new position attends
+    causally to the cached ones and the new ones up to itself. Returns the raw
+    outputs (B·m, 3), sequence by sequence, and the cache extended by m
+    positions. Teacher-forced training is one call with B = 1 and no cache;
+    sampling is one call per position with m = 1 and a row per sample.
+    """
+    batch, m, _ = inp.shape
+    d, rows = config.model_dim, batch * m
+    table = np.tile(positional_encoding(first_pos + m, d, first_pos), (batch, 1))
+    y = nn.reshape(_embed(params, config, "dec", inp.reshape(rows, -1), table), (batch, m, d))
+    k, v = project_kv(params, "dec_self", y, config.heads)
+    if cache is not None:
+        k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
+    mask = nn.causal_mask(k.shape[1])[-m:] if m > 1 else None
+    a = multi_head_attention(params, "dec_self", y, k, v, config.heads, mask)
+    # Everything after the self-attention acts on the (B·m, d) rows, one by one.
+    y = _sublayer(params, "dec_ln1", nn.reshape(y, (rows, d)), nn.reshape(a, (rows, d)))
     a2 = multi_head_attention(params, "dec_cross", y, *cross_kv, config.heads)
     y = _sublayer(params, "dec_ln2", y, a2)
     y = _sublayer(params, "dec_ln3", y, _feed_forward(params, "dec", y))
-    return nn.add(nn.matmul(y, params["head"]), params["head_b"])
-
-
-def decode(params, config, dec_inp: np.ndarray, first_pos: int, enc_out: nn.Tensor) -> nn.Tensor:
-    """Decoder raw head outputs (len(dec_inp), 3); dec_inp rows are
-    [previous value, hour, day-of-week]."""
-    m = dec_inp.shape[0]
-    table = positional_encoding(first_pos + m, config.model_dim)[first_pos:]
-    y = _embed(params, config, "dec", dec_inp, table)
-    a = _self_attention(params, "dec_self", y, config.heads, nn.causal_mask(m))
-    return _decoder_tail(params, config, y, a, project_kv(params, "dec_cross", enc_out, config.heads))
-
-
-def decode_step(params, config, inp: np.ndarray, position: np.ndarray, cache, cross_kv):
-    """Decode the next position of every sample at once.
-
-    inp is (S, 3), one [previous value, hour, day-of-week] row per sample, at
-    the (1, d) positional row `position`. `cache` holds the self-attention
-    keys and values of the earlier positions, split per sample and head as
-    `project_kv` returns them, (S·heads, t, d/heads) each, or is None at the
-    first position; cross_kv is `project_kv` of the shared encoder output.
-    Returns the raw head outputs (S, 3) and the cache extended to
-    (S·heads, t+1, d/heads). Row s equals the last row of `decode` on sample
-    s's own prefix, as causal masking keeps earlier rows fixed.
-    """
-    y = _embed(params, config, "dec", inp, position)
-    y_seq = nn.reshape(y, (inp.shape[0], 1, config.model_dim))  # one query per sample
-    k, v = project_kv(params, "dec_self", y_seq, config.heads)
-    if cache is not None:
-        k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
-    a = multi_head_attention(params, "dec_self", y_seq, k, v, config.heads)
-    return _decoder_tail(params, config, y, nn.reshape(a, y.shape), cross_kv), (k, v)
+    return nn.add(nn.matmul(y, params["head"]), params["head_b"]), (k, v)
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
     enc_out = encode(params, config, ctx_scaled, feats["ctx"])
+    cross_kv = project_kv(params, "dec_cross", enc_out, config.heads)
     prev = np.concatenate([[ctx_scaled[-1]], tgt_scaled[:-1]])
-    dec_inp = np.column_stack([prev, feats["tgt"]])
-    raw = decode(params, config, dec_inp, config.context_len, enc_out)
+    inp = np.column_stack([prev, feats["tgt"]])[None]
+    raw, _ = decode(params, config, inp, config.context_len, cross_kv)
     return studentt_nll_graph(raw, tgt_scaled)
 
 
@@ -183,14 +174,12 @@ def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
     context is encoded once, then each step decodes one new row per sample."""
     enc_out = encode(params, config, ctx_scaled, feats["ctx"])
     cross_kv = project_kv(params, "dec_cross", enc_out, config.heads)
-    table = positional_encoding(config.context_len + config.horizon, config.model_dim)
     n = config.num_samples
     out = np.empty((n, config.horizon))
     prev = np.full(n, float(ctx_scaled[-1]))
     cache = None
     for t in range(config.horizon):
         inp = np.column_stack([prev, np.broadcast_to(feats["tgt"][t], (n, 2))])
-        pos = config.context_len + t
-        raw, cache = decode_step(params, config, inp, table[pos:pos + 1], cache, cross_kv)
+        raw, cache = decode(params, config, inp[:, None], config.context_len + t, cross_kv, cache)
         prev = out[:, t] = sample(project_studentt(raw.data), rng, 1)[0]
     return out

@@ -25,7 +25,8 @@ from .forecasters import (
 )
 from .metrics import coverage, normalized_deviation, point_errors, quantile_loss, provisioning
 from .power import PowerParams, power_saving
-from .traces import DEFAULT_MAX_PRB, PrbSeries, TraceConfig, generate_synthetic, load_csv, split
+from .traces import (DEFAULT_MAX_PRB, PrbSeries, TraceConfig, check_capacity, generate_synthetic,
+                     load_csv, split)
 
 DEFAULT_PERCENTILES = (0.05, 0.25, 0.50, 0.75, 0.90, 0.99)
 BAND_LOW, BAND_HIGH = 0.01, 0.99  # shaded uncertainty band in the hourly table
@@ -58,6 +59,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise PipelineError(f"seed must be >= 0, got {self.seed}")
+        if self.max_prb < 1:
+            raise PipelineError(f"max_prb must be >= 1, got {self.max_prb}")
+        if isinstance(self.trace, TraceConfig):
+            check_capacity(self.trace, self.max_prb)
         ps = tuple(float(p) for p in self.percentiles)
         object.__setattr__(self, "percentiles", ps)
         if not ps or any(not 0.0 < p < 1.0 for p in ps) or any(a >= b for a, b in zip(ps, ps[1:])):

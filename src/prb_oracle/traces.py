@@ -59,19 +59,6 @@ class PrbSeries:
 
 
 @dataclass(frozen=True)
-class WindowPair:
-    """One conditioning window and the prediction window that follows it.
-
-    t0_index is the position of the first prediction step in the
-    series the pair was cut from.
-    """
-
-    context: np.ndarray
-    target: np.ndarray
-    t0_index: int
-
-
-@dataclass(frozen=True)
 class TraceConfig:
     """Shape of a synthetic trace: diurnal sinusoid, weekend attenuation, noise."""
 
@@ -85,15 +72,22 @@ class TraceConfig:
 
     def __post_init__(self):
         if self.weeks < 1:
-            raise TraceError(f"weeks must be >= 1, got {self.weeks}")
+            raise TraceError(f"trace.weeks must be >= 1, got {self.weeks}")
         if not 0.0 <= self.weekly_factor <= 1.0:
-            raise TraceError(f"weekly_factor must be in [0,1], got {self.weekly_factor}")
+            raise TraceError(f"trace.weekly_factor must be in [0,1], got {self.weekly_factor}")
         if self.floor <= 0.0:
-            raise TraceError(f"floor must be > 0, got {self.floor}")
+            raise TraceError(f"trace.floor must be > 0, got {self.floor}")
         if self.noise_std < 0.0:
-            raise TraceError(f"noise_std must be >= 0, got {self.noise_std}")
+            raise TraceError(f"trace.noise_std must be >= 0, got {self.noise_std}")
         if self.seed < 0:
             raise TraceError(f"trace.seed must be >= 0, got {self.seed}")
+
+
+def check_capacity(config: TraceConfig, max_prb: int) -> None:
+    """The mean daily peak, base_load + daily_amplitude, must fit in max_prb."""
+    peak = config.base_load + config.daily_amplitude
+    if peak > max_prb:
+        raise TraceError(f"trace.base_load + trace.daily_amplitude = {peak} exceeds max_prb {max_prb}")
 
 
 def generate_synthetic(config: TraceConfig, max_prb: int = DEFAULT_MAX_PRB) -> PrbSeries:
@@ -103,11 +97,7 @@ def generate_synthetic(config: TraceConfig, max_prb: int = DEFAULT_MAX_PRB) -> P
                + N(0, noise_std), floor, max_prb),
     where w(day) attenuates the diurnal swing on Saturdays and Sundays.
     """
-    if config.base_load + config.daily_amplitude > max_prb:
-        raise TraceError(
-            f"base_load + daily_amplitude = "
-            f"{config.base_load + config.daily_amplitude} exceeds max_prb {max_prb}"
-        )
+    check_capacity(config, max_prb)
     n = config.weeks * HOURS_PER_WEEK
     hours = np.arange(n, dtype=np.float64)
     day_of_week = (hours // 24).astype(int) % 7  # 0 = Monday, start is a Monday
@@ -187,8 +177,10 @@ def split(series: PrbSeries, train_fraction: float = 0.8) -> tuple[PrbSeries, Pr
     return train, test
 
 
-def make_windows(series: PrbSeries, context_len: int, horizon: int) -> list[WindowPair]:
-    """One (context, target) pair per start hour, ordered by t0_index; never crosses the end."""
+def make_windows(series: PrbSeries, context_len: int, horizon: int) -> np.ndarray:
+    """The first prediction hour t0 of every window, ascending, stride 1:
+    context values[t0 - context_len:t0], target values[t0:t0 + horizon],
+    never past the end."""
     if context_len < 1 or horizon < 1:
         raise TraceError("context_len and horizon must be >= 1")
     n = len(series)
@@ -196,14 +188,4 @@ def make_windows(series: PrbSeries, context_len: int, horizon: int) -> list[Wind
         raise TraceError(
             f"series of length {n} too short for context {context_len} + horizon {horizon}"
         )
-    windows = []
-    for start in range(n - context_len - horizon + 1):
-        t0 = start + context_len
-        windows.append(
-            WindowPair(
-                context=series.values[start:t0].copy(),
-                target=series.values[t0 : t0 + horizon].copy(),
-                t0_index=t0,
-            )
-        )
-    return windows
+    return np.arange(context_len, n - horizon + 1)

@@ -126,12 +126,16 @@ def test_inspect_missing_report_fails(tmp_path, capsys):
     (TINY_CONFIG, "no 'baselines' key"),  # a config file is not a report
     ({"baselines": {}, "models": {}}, "no 'percentiles' key"),
     ([1, 2], "no 'percentiles' key"),
+    ("{not json", "not valid JSON (Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1))"),
+    ({"percentiles": [0.5], "baselines": {"true_data": {"power_saving_percent": 1}},
+      "models": {"sff": {}}}, "no 'models.sff.power_saving_percent' key"),
 ])
 def test_inspect_of_a_json_that_is_not_a_report_is_an_error_line(tmp_path, capsys, doc, message):
     path = tmp_path / "report.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert dispatch(["inspect", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {path} is not a report: {message}\n"
+    assert capsys.readouterr() == ("", f"error: {path} is not a report: {message}\n")
 
 
 def test_unknown_flag_nonzero_exit():
@@ -169,10 +173,14 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     ({"percentiles": [0.5, "0.9"]}, "percentiles must be a list of numbers, got [0.5, '0.9']"),
     ({"percentiles": []}, "percentiles must be strictly increasing within (0,1), got ()"),
     ({"trace": {"kind": "csv", "path": 7}}, "trace.path must be a string, got 7"),
-    ({"models": {"sff": {"lr": float("nan")}}}, "lr must be finite and > 0, got nan"),
-    ({"models": {"sff": {"lr": -0.5}}}, "lr must be finite and > 0, got -0.5"),
+    ({"models": {"sff": {"lr": float("nan")}}}, "models.sff.lr must be finite and > 0, got nan"),
+    ({"models": {"sff": {"lr": -0.5}}}, "models.sff.lr must be finite and > 0, got -0.5"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"trace": {"seed": -3}}, "trace.seed must be >= 0, got -3"),
+    ({"trace": {"weeks": 0}}, "trace.weeks must be >= 1, got 0"),
+    ({"models": {"sff": {"num_samples": 0}}}, "models.sff.num_samples must be positive, got 0"),
+    ({"max_prb": 0}, "max_prb must be >= 1, got 0"),
+    ({"trace": {"base_load": 130.0}}, "trace.base_load + trace.daily_amplitude = 170.0 exceeds max_prb 160"),
 ])
 def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, message):
     monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise

@@ -181,6 +181,24 @@ def test_fit_requires_enough_data():
         fit(tiny_config("sff"), tiny)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_fit_cuts_each_window_and_its_calendar_at_t0(kind):
+    # A series of exactly one window, starting mid-week off midnight: the
+    # one training step's loss is the loss on the window cut by hand.
+    cfg = tiny_config(kind)
+    start, c = datetime(2024, 1, 3, 17), cfg.context_len
+    values = short_series().values[:c + cfg.horizon]
+    model = fit(cfg, PrbSeries(start, values, 160))
+    scale = values.mean()
+    feats = {
+        "ctx": calendar_features(start, np.arange(c)),
+        "tgt": calendar_features(start, np.arange(c, c + cfg.horizon)),
+    }
+    mod = MODULES[kind]
+    want = mod.loss(mod.build(cfg), cfg, values[:c] / scale, values[c:] / scale, feats).item()
+    assert model.final_train_loss == want
+
+
 def test_training_loss_recorded_and_finite():
     model = fit(tiny_config("deepar"), short_series())
     assert model.final_train_loss is not None
@@ -236,11 +254,12 @@ def test_transformer_decoder_causality():
     tgt_feats = calendar_features(datetime(2024, 1, 1), np.arange(3))
     with nn.no_grad():
         enc = transformer.encode(params, cfg, ctx, feats)
+        cross_kv = transformer.project_kv(params, "dec_cross", enc, cfg.heads)
         base_inp = np.column_stack([[1.0, 1.1, 0.9], tgt_feats])
         bumped = base_inp.copy()
         bumped[2, 0] = 5.0
-        raw_a = transformer.decode(params, cfg, base_inp, 6, enc).data
-        raw_b = transformer.decode(params, cfg, bumped, 6, enc).data
+        raw_a = transformer.decode(params, cfg, base_inp[None], 6, cross_kv)[0].data
+        raw_b = transformer.decode(params, cfg, bumped[None], 6, cross_kv)[0].data
     assert np.allclose(raw_a[:2], raw_b[:2])
     assert not np.allclose(raw_a[2], raw_b[2])
 
@@ -283,12 +302,13 @@ def _transformer_one_by_one(params, cfg, ctx, feats, noise):
     """Each step of each sample is the last row of a full-prefix `decode` of
     that sample's own inputs, as before batching, fed the same draws."""
     enc = transformer.encode(params, cfg, ctx, feats["ctx"])
+    cross_kv = transformer.project_kv(params, "dec_cross", enc, cfg.heads)
     out, moments = np.empty(noise.shape), np.empty(noise.shape + (2,))
     for s in range(noise.shape[0]):
         prev = [float(ctx[-1])]
         for t in range(cfg.horizon):
             dec_inp = np.column_stack([prev, feats["tgt"][: t + 1]])
-            raw = transformer.decode(params, cfg, dec_inp, cfg.context_len, enc).data[-1]
+            raw = transformer.decode(params, cfg, dec_inp[None], cfg.context_len, cross_kv)[0].data[-1]
             dist = project_studentt(raw)
             out[s, t] = dist.mu + dist.sigma * noise[s, t]
             moments[s, t] = dist.mu, dist.sigma

@@ -140,7 +140,7 @@ def _named(weights):
 
 
 def _split_cache_attention(x_new, x_prev, *weights):
-    """decode_step's layout: earlier positions' keys and values cached split,
+    """The cached decoder's layout: earlier positions' keys and values cached split,
     the new position's appended on the time axis."""
     params = _named(weights)
     cache = transformer.project_kv(params, "a", x_prev, HEADS)
@@ -202,17 +202,24 @@ def test_multi_head_attention_has_no_per_head_nodes():
     assert "narrow" not in ops and "concat" not in ops
 
 
-def test_decode_step_caches_keys_per_sample_and_head():
-    cfg = ForecasterConfig(kind="transformer", context_len=4, horizon=2, num_samples=3,
+def test_decode_batches_sequences_and_caches_steps():
+    # One decoder for training and sampling: a batch of B sequences gives
+    # the rows of B single-sequence calls, and cached one-position steps
+    # give the rows of one causally masked call.
+    cfg = ForecasterConfig(kind="transformer", context_len=4, horizon=4, num_samples=3,
                            model_dim=DIM, ff_scale=2, heads=HEADS, blocks=1)
     params = transformer.build(cfg)
-    table = transformer.positional_encoding(6, DIM)
+    inp = np.random.default_rng(5).uniform(0.0, 1.0, (3, 4, 3))
     with nn.no_grad():
         enc = transformer.encode(params, cfg, np.linspace(0.8, 1.2, 4), np.zeros((4, 2)))
         cross_kv = transformer.project_kv(params, "dec_cross", enc, HEADS)
-        cache = None
-        for t in range(2):
-            raw, cache = transformer.decode_step(params, cfg, np.ones((3, 3)), table[4 + t:5 + t],
-                                                 cache, cross_kv)
-    assert raw.shape == (3, 3)
-    assert cache[0].shape == cache[1].shape == (3 * HEADS, 2, DIM // HEADS)
+        whole, _ = transformer.decode(params, cfg, inp, 4, cross_kv)
+        singles = [transformer.decode(params, cfg, seq[None], 4, cross_kv)[0].data for seq in inp]
+        cache, steps = None, []
+        for t in range(4):
+            raw, cache = transformer.decode(params, cfg, inp[:, t:t + 1], 4 + t, cross_kv, cache)
+            steps.append(raw.data)
+    assert whole.shape == (3 * 4, 3) and raw.shape == (3, 3)
+    assert np.array_equal(whole.data, np.concatenate(singles))
+    assert cache[0].shape == cache[1].shape == (3 * HEADS, 4, DIM // HEADS)
+    assert np.max(np.abs(np.stack(steps, axis=1).reshape(-1, 3) - whole.data)) <= 1e-12
