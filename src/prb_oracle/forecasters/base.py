@@ -8,6 +8,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .. import nncore
+from ..likelihoods import sample
 from ..nncore import ParameterSet, AdamState, adam_step, backward
 from ..traces import PrbSeries, make_windows
 
@@ -124,6 +125,35 @@ def _model_module(kind: str):
     return {"sff": sff, "deepar": deepar, "transformer": transformer, "lstm": lstm}[kind]
 
 
+# deepar and transformer are autoregressive. Each supplies its network as
+# `start(params, config, ctx_scaled, cov_ctx, rows) -> state` and
+# `step(params, config, inp (B, m, 3), state) -> (raw rows (B·m, n), state)`,
+# and its likelihood as HEAD = (training NLL, projection for sampling).
+def teacher_forced_loss(params, config, ctx_scaled, tgt_scaled, feats) -> nncore.Tensor:
+    """NLL of one window for an autoregressive kind: `start` on the context,
+    then one `step` over the horizon, each position fed the true previous value."""
+    mod = _model_module(config.kind)
+    state = mod.start(params, config, ctx_scaled, feats["ctx"], 1)
+    prev = np.concatenate([[ctx_scaled[-1]], tgt_scaled[:-1]])
+    raw, _ = mod.step(params, config, np.column_stack([prev, feats["tgt"]])[None], state)
+    return mod.HEAD[0](raw, tgt_scaled)
+
+
+def ancestral_paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
+    """Ancestral roll-outs, all num_samples paths as rows of one batch: each
+    one-position `step` is followed by one draw per path, its next input."""
+    mod = _model_module(config.kind)
+    n = config.num_samples
+    state = mod.start(params, config, ctx_scaled, feats["ctx"], n)
+    out = np.empty((n, config.horizon))
+    prev = np.full(n, float(ctx_scaled[-1]))
+    for t in range(config.horizon):
+        inp = np.column_stack([prev, np.broadcast_to(feats["tgt"][t], (n, 2))])
+        raw, state = mod.step(params, config, inp[:, None], state)
+        prev = out[:, t] = sample(mod.HEAD[1](raw.data), rng, 1)[0]
+    return out
+
+
 def fit(config: ForecasterConfig, train: PrbSeries) -> TrainedModel:
     """Train one estimator on a PRB series.
 
@@ -196,10 +226,8 @@ def predict(
         start = model.train_end_time
     if rng is None:
         rng = np.random.default_rng([config.seed, 2])
-    feats = {
-        "ctx": calendar_features(start, np.arange(-config.context_len, 0)),
-        "tgt": calendar_features(start, np.arange(config.horizon)),
-    }
+    calendar = calendar_features(start, np.arange(-config.context_len, config.horizon))
+    feats = {"ctx": calendar[:config.context_len], "tgt": calendar[config.context_len:]}
     mod = _model_module(config.kind)
     with nncore.no_grad():
         result = mod.paths(model.params, config, context / model.scale, feats, rng)

@@ -1,9 +1,7 @@
 """DeepAR-style estimator: stacked LSTM with a Gaussian head.
 
-Training runs teacher-forced over context + horizon and sums the Gaussian
-negative log-likelihood over the prediction range; forecasting draws
-independent ancestral roll-outs where each sampled value feeds the next
-step's input. The roll-outs advance together, one row per sample.
+`start` warms the LSTM state on the context and `step` advances it to raw
+head rows; `base.teacher_forced_loss` and `base.ancestral_paths` drive both.
 """
 
 from __future__ import annotations
@@ -11,10 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nncore as nn
-from ..likelihoods import gaussian_nll_graph, project_gaussian, sample
+from ..likelihoods import gaussian_nll_graph, project_gaussian
 from ..nncore import ParameterSet
+from .base import ancestral_paths, teacher_forced_loss
 
 N_FEATURES = 3  # previous value, hour-of-day, day-of-week
+HEAD = (gaussian_nll_graph, project_gaussian)
 
 
 def build(config) -> ParameterSet:
@@ -29,9 +29,15 @@ def build(config) -> ParameterSet:
     return params
 
 
-def _zero_state(config):
-    """One packed [h | c] row of zeros per layer."""
-    return [nn.constant(np.zeros((1, 2 * config.rnn_cells))) for _ in range(config.rnn_layers)]
+def start(params, config, ctx_scaled, cov_ctx, rows: int):
+    """Each layer's packed [h | c] state warmed on the context; `rows` > 1
+    tiles it as constants, so only the one-row state keeps its graph."""
+    state = [nn.constant(np.zeros((1, 2 * config.rnn_cells))) for _ in range(config.rnn_layers)]
+    for x in np.column_stack([ctx_scaled[:-1], cov_ctx[1:]]):
+        state = _step(params, config, nn.constant(x[None]), state)
+    if rows > 1:
+        state = [nn.constant(np.repeat(hc.data, rows, axis=0)) for hc in state]
+    return state
 
 
 def _step(params, config, x: nn.Tensor, state):
@@ -44,42 +50,21 @@ def _step(params, config, x: nn.Tensor, state):
     return new_state
 
 
-def _input_at(value, cov_row: np.ndarray) -> nn.Tensor:
-    """Input rows [value, hour, day-of-week], one per entry of `value`."""
-    value = np.atleast_1d(value)
-    return nn.constant(np.column_stack([value, np.broadcast_to(cov_row, (value.size, 2))]))
+def step(params, config, inp: np.ndarray, state):
+    """Raw head rows (B·m, 2), sequence by sequence, for the m new positions
+    of inp (B, m, 3), and the state (B rows) after them."""
+    batch, m, _ = inp.shape
+    tops = []
+    for j in range(m):
+        state = _step(params, config, nn.constant(inp[:, j]), state)
+        tops.append(nn.narrow(state[-1], 1, 0, config.rnn_cells))
+    hidden = nn.reshape(nn.concat(tops, axis=1), (batch * m, config.rnn_cells)) if m > 1 else tops[0]
+    return nn.add(nn.matmul(hidden, params["w_head"]), params["b_head"]), state
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
-    values = np.concatenate([ctx_scaled, tgt_scaled])
-    cov = np.vstack([feats["ctx"], feats["tgt"]])
-    state = _zero_state(config)
-    head_rows = []
-    total = config.context_len + config.horizon
-    for t in range(1, total):
-        state = _step(params, config, _input_at(values[t - 1], cov[t]), state)
-        if t >= config.context_len:
-            head_rows.append(nn.narrow(state[-1], 1, 0, config.rnn_cells))
-    hidden = nn.concat(head_rows, axis=0)
-    raw = nn.add(nn.matmul(hidden, params["w_head"]), params["b_head"])
-    return gaussian_nll_graph(raw, tgt_scaled)
+    return teacher_forced_loss(params, config, ctx_scaled, tgt_scaled, feats)
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
-    cov_ctx, cov_tgt = feats["ctx"], feats["tgt"]
-    # Warm the recurrent state on the observed context once, then tile it:
-    # every sample path rolls forward from a copy of it, as one row.
-    state = _zero_state(config)
-    for t in range(1, config.context_len):
-        state = _step(params, config, _input_at(ctx_scaled[t - 1], cov_ctx[t]), state)
-    n = config.num_samples
-    state = [nn.constant(np.repeat(hc.data, n, axis=0)) for hc in state]
-
-    out = np.empty((n, config.horizon))
-    prev = np.full(n, float(ctx_scaled[-1]))
-    for t in range(config.horizon):
-        state = _step(params, config, _input_at(prev, cov_tgt[t]), state)
-        top = nn.narrow(state[-1], 1, 0, config.rnn_cells)
-        raw = nn.add(nn.matmul(top, params["w_head"]), params["b_head"])
-        prev = out[:, t] = sample(project_gaussian(raw.data), rng, 1)[0]
-    return out
+    return ancestral_paths(params, config, ctx_scaled, feats, rng)

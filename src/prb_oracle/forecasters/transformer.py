@@ -3,10 +3,10 @@ Student-t head.
 
 The encoder ingests the embedded context; the decoder applies masked
 self-attention, attention over the encoder output, and a position-wise
-feed-forward layer. One `decode` serves both uses: training is one
-teacher-forced, causally masked call over the horizon; forecasting samples
-autoregressively, one call per position with all samples as rows of one
-batch and the self-attention keys and values cached per sample and head.
+feed-forward layer. `start` encodes the context and `step` decodes new
+positions; `base.teacher_forced_loss` trains with one causally masked `step`
+over the horizon, `base.ancestral_paths` samples one `step` per position with
+the self-attention keys and values cached per sample and head.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import math
 import numpy as np
 
 from .. import nncore as nn
-from ..likelihoods import project_studentt, sample, studentt_nll_graph
+from ..likelihoods import project_studentt, studentt_nll_graph
 from ..nncore import ParameterSet
+from .base import ancestral_paths, teacher_forced_loss
 
 N_FEATURES = 3  # previous (encoder: current) value, hour-of-day, day-of-week
+HEAD = (studentt_nll_graph, project_studentt)
 
 
 def build(config) -> ParameterSet:
@@ -97,10 +99,6 @@ def multi_head_attention(params, prefix, x_q, k, v, heads, mask=None) -> nn.Tens
     return nn.matmul(merge_heads(a, q.shape), params[f"{prefix}_wo"])
 
 
-def _self_attention(params, prefix, x, heads, mask=None) -> nn.Tensor:
-    return multi_head_attention(params, prefix, x, *project_kv(params, prefix, x, heads), heads, mask)
-
-
 def _feed_forward(params, prefix, x) -> nn.Tensor:
     inner = nn.relu(nn.add(nn.matmul(x, params[f"{prefix}_ff1"]), params[f"{prefix}_ff1_b"]))
     return nn.add(nn.matmul(inner, params[f"{prefix}_ff2"]), params[f"{prefix}_ff2_b"])
@@ -119,33 +117,33 @@ def _embed(params, config, side: str, inp: np.ndarray, positions: np.ndarray) ->
     return nn.add(x, nn.constant(positions))
 
 
-def encode(params, config, ctx_scaled: np.ndarray, cov_ctx: np.ndarray) -> nn.Tensor:
+def start(params, config, ctx_scaled, cov_ctx, rows: int):
+    """Encode the context. The state is (cross_kv, cache): `project_kv` of the
+    encoder output, one memory for any number of `rows`, and no cache yet."""
     inp = np.column_stack([ctx_scaled, cov_ctx])
     x = _embed(params, config, "enc", inp, positional_encoding(config.context_len, config.model_dim))
     for i in range(config.blocks):
-        a = _self_attention(params, f"enc{i}_attn", x, config.heads)
+        kv = project_kv(params, f"enc{i}_attn", x, config.heads)
+        a = multi_head_attention(params, f"enc{i}_attn", x, *kv, config.heads)
         x = _sublayer(params, f"enc{i}_ln1", x, a)
         x = _sublayer(params, f"enc{i}_ln2", x, _feed_forward(params, f"enc{i}", x))
-    return x
+    return project_kv(params, "dec_cross", x, config.heads), None
 
 
-def decode(params, config, inp: np.ndarray, first_pos: int, cross_kv, cache=None):
-    """Decoder raw head outputs for B sequences of m new positions each.
+def step(params, config, inp: np.ndarray, state):
+    """Raw head rows (B·m, 3), sequence by sequence, for the m new positions
+    of inp (B, m, 3), and the state with the cache extended by them.
 
-    inp is (B, m, 3), rows [previous value, hour, day-of-week] at positions
-    first_pos .. first_pos + m - 1; cross_kv is `project_kv` of the encoder
-    output, one memory shared by all B sequences. `cache` holds the
-    self-attention keys and values of the earlier positions, split per
-    sequence and head as `project_kv` returns them, (B·heads, t, d/heads)
-    each, or is None at the first decoder position. Each new position attends
-    causally to the cached ones and the new ones up to itself. Returns the raw
-    outputs (B·m, 3), sequence by sequence, and the cache extended by m
-    positions. Teacher-forced training is one call with B = 1 and no cache;
-    sampling is one call per position with m = 1 and a row per sample.
+    The cache holds the self-attention keys and values of the earlier decoder
+    positions, split as `project_kv` returns them, (B·heads, t, d/heads) each.
+    Each new position attends causally to the cached ones and the new ones up
+    to itself.
     """
+    cross_kv, cache = state
     batch, m, _ = inp.shape
     d, rows = config.model_dim, batch * m
-    table = np.tile(positional_encoding(first_pos + m, d, first_pos), (batch, 1))
+    first = config.context_len + (0 if cache is None else cache[0].shape[1])
+    table = np.tile(positional_encoding(first + m, d, first), (batch, 1))
     y = nn.reshape(_embed(params, config, "dec", inp.reshape(rows, -1), table), (batch, m, d))
     k, v = project_kv(params, "dec_self", y, config.heads)
     if cache is not None:
@@ -157,29 +155,12 @@ def decode(params, config, inp: np.ndarray, first_pos: int, cross_kv, cache=None
     a2 = multi_head_attention(params, "dec_cross", y, *cross_kv, config.heads)
     y = _sublayer(params, "dec_ln2", y, a2)
     y = _sublayer(params, "dec_ln3", y, _feed_forward(params, "dec", y))
-    return nn.add(nn.matmul(y, params["head"]), params["head_b"]), (k, v)
+    return nn.add(nn.matmul(y, params["head"]), params["head_b"]), (cross_kv, (k, v))
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
-    enc_out = encode(params, config, ctx_scaled, feats["ctx"])
-    cross_kv = project_kv(params, "dec_cross", enc_out, config.heads)
-    prev = np.concatenate([[ctx_scaled[-1]], tgt_scaled[:-1]])
-    inp = np.column_stack([prev, feats["tgt"]])[None]
-    raw, _ = decode(params, config, inp, config.context_len, cross_kv)
-    return studentt_nll_graph(raw, tgt_scaled)
+    return teacher_forced_loss(params, config, ctx_scaled, tgt_scaled, feats)
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
-    """Ancestral roll-outs of all samples at once, one row per sample: the
-    context is encoded once, then each step decodes one new row per sample."""
-    enc_out = encode(params, config, ctx_scaled, feats["ctx"])
-    cross_kv = project_kv(params, "dec_cross", enc_out, config.heads)
-    n = config.num_samples
-    out = np.empty((n, config.horizon))
-    prev = np.full(n, float(ctx_scaled[-1]))
-    cache = None
-    for t in range(config.horizon):
-        inp = np.column_stack([prev, np.broadcast_to(feats["tgt"][t], (n, 2))])
-        raw, cache = decode(params, config, inp[:, None], config.context_len + t, cross_kv, cache)
-        prev = out[:, t] = sample(project_studentt(raw.data), rng, 1)[0]
-    return out
+    return ancestral_paths(params, config, ctx_scaled, feats, rng)

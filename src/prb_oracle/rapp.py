@@ -140,6 +140,8 @@ class ExperimentConfig:
                 _check_keys(name, m, {"kind", *MODEL_KEYS[kind]})
                 _check_types(f"{name}.", m, ForecasterConfig)
                 models[kind] = ForecasterConfig(**{"kind": kind, **m})
+            if not models:
+                raise PipelineError("models block names no model")
             kwargs["models"] = models
         if "percentiles" in doc:
             kwargs["percentiles"] = tuple(doc.pop("percentiles"))

@@ -130,6 +130,12 @@ def test_inspect_missing_report_fails(tmp_path, capsys):
                   "line 1 column 2 (char 1))"),
     ({"percentiles": [0.5], "baselines": {"true_data": {"power_saving_percent": 1}},
       "models": {"sff": {}}}, "no 'models.sff.power_saving_percent' key"),
+    ({"percentiles": 5}, "'percentiles' must be a list of numbers, got 5"),
+    ({"percentiles": [0.5], "baselines": {"true_data": {"power_saving_percent": "x"}}},
+     "'baselines.true_data.power_saving_percent' must be a number, got 'x'"),
+    ({"percentiles": [0.5], "baselines": {"true_data": {"power_saving_percent": 1}},
+      "models": {"sff": {"power_saving_percent": {"0.5": None}}}},
+     "'models.sff.power_saving_percent.0.5' must be a number, got None"),
 ])
 def test_inspect_of_a_json_that_is_not_a_report_is_an_error_line(tmp_path, capsys, doc, message):
     path = tmp_path / "report.json"
@@ -181,6 +187,7 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     ({"models": {"sff": {"num_samples": 0}}}, "models.sff.num_samples must be positive, got 0"),
     ({"max_prb": 0}, "max_prb must be >= 1, got 0"),
     ({"trace": {"base_load": 130.0}}, "trace.base_load + trace.daily_amplitude = 170.0 exceeds max_prb 160"),
+    ({"models": {}}, "models block names no model"),
 ])
 def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, message):
     monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
@@ -262,6 +269,29 @@ def test_env_var_is_output_dir_fallback(tmp_path, monkeypatch):
     # flag still wins over the environment
     cfg = _resolve_run_config(_run_args(config=str(bare), out="from_flag"))
     assert cfg.output_dir == "from_flag"
+
+
+def test_percentiles_flag_sets_the_report_columns(tmp_path, tiny_config_file):
+    out = tmp_path / "out"
+    assert dispatch(["run", "--config", str(tiny_config_file), "--models", "lstm",
+                     "--percentiles", "0.25,0.75", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["percentiles"] == [0.25, 0.75]
+    header = (out / "table2.csv").read_text().splitlines()[0].split(",")
+    assert header[-2:] == ["p25", "p75"]
+
+
+@pytest.mark.parametrize("levels, message", [
+    ("0.5,x", "bad percentile list '0.5,x'"),
+    ("0.9,0.5", "percentiles must be strictly increasing within (0,1), got (0.9, 0.5)"),
+])
+def test_bad_percentiles_flag_is_an_error_line(tmp_path, tiny_config_file, capsys, monkeypatch,
+                                               levels, message):
+    monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
+    status = dispatch(["run", "--config", str(tiny_config_file), "--percentiles", levels,
+                       "--out", str(tmp_path / "out")])
+    assert status == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_percentile_override(tiny_config_file):

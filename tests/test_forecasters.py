@@ -17,7 +17,7 @@ from prb_oracle.forecasters import (
     forecast_quantile,
     predict,
 )
-from prb_oracle.forecasters import deepar, lstm, sff, transformer
+from prb_oracle.forecasters import base, deepar, lstm, sff, transformer
 from prb_oracle.likelihoods import gaussian_logpdf, project_gaussian, project_studentt
 from prb_oracle.traces import PrbSeries, TraceConfig, generate_synthetic
 
@@ -221,17 +221,15 @@ def test_deepar_loss_is_sum_of_per_step_gaussian_nll():
     }
     total = deepar.loss(params, cfg, ctx, tgt, feats).item()
 
-    # Independent recomputation: teacher-forced per-step heads, float nll.
+    # Independent recomputation: one-position steps fed the true previous
+    # values, float nll.
     with nn.no_grad():
-        values = np.concatenate([ctx, tgt])
-        cov = np.vstack([feats["ctx"], feats["tgt"]])
-        state = deepar._zero_state(cfg)
+        state = deepar.start(params, cfg, ctx, feats["ctx"], 1)
+        prev = np.concatenate([ctx[-1:], tgt[:-1]])
         raws = []
-        for t in range(1, 9):
-            state = deepar._step(params, cfg, deepar._input_at(values[t - 1], cov[t]), state)
-            if t >= 6:
-                top = nn.narrow(state[-1], 1, 0, cfg.rnn_cells)
-                raws.append(nn.add(nn.matmul(top, params["w_head"]), params["b_head"]).data[0])
+        for t in range(3):
+            raw, state = deepar.step(params, cfg, np.array([[[prev[t], *feats["tgt"][t]]]]), state)
+            raws.append(raw.data[0])
     assert total == pytest.approx(-gaussian_logpdf(tgt, project_gaussian(raws)).sum(), abs=1e-9)
 
 
@@ -253,19 +251,18 @@ def test_transformer_decoder_causality():
     feats = calendar_features(datetime(2024, 1, 1), np.arange(-6, 0))
     tgt_feats = calendar_features(datetime(2024, 1, 1), np.arange(3))
     with nn.no_grad():
-        enc = transformer.encode(params, cfg, ctx, feats)
-        cross_kv = transformer.project_kv(params, "dec_cross", enc, cfg.heads)
+        state = transformer.start(params, cfg, ctx, feats, 1)
         base_inp = np.column_stack([[1.0, 1.1, 0.9], tgt_feats])
         bumped = base_inp.copy()
         bumped[2, 0] = 5.0
-        raw_a = transformer.decode(params, cfg, base_inp[None], 6, cross_kv)[0].data
-        raw_b = transformer.decode(params, cfg, bumped[None], 6, cross_kv)[0].data
+        raw_a = transformer.step(params, cfg, base_inp[None], state)[0].data
+        raw_b = transformer.step(params, cfg, bumped[None], state)[0].data
     assert np.allclose(raw_a[:2], raw_b[:2])
     assert not np.allclose(raw_a[2], raw_b[2])
 
 
 class NoiseTable:
-    """Stands in for `sample` in a model module: at step t, sample s draws
+    """Stands in for `sample` in the shared sampler: at step t, sample s draws
     mu + sigma * noise[s, t]. Records the distributions it was handed."""
 
     def __init__(self, noise):
@@ -283,32 +280,28 @@ def _deepar_one_by_one(params, cfg, ctx, feats, noise):
     """Sample by sample, step by step, from one warmed state: the roll-outs
     batching replaced, fed the same draws. Returns the paths and each step's
     (mu, sigma)."""
-    warm = deepar._zero_state(cfg)
-    for t in range(1, cfg.context_len):
-        warm = deepar._step(params, cfg, deepar._input_at(ctx[t - 1], feats["ctx"][t]), warm)
+    warm = deepar.start(params, cfg, ctx, feats["ctx"], 1)
     out, moments = np.empty(noise.shape), np.empty(noise.shape + (2,))
     for s in range(noise.shape[0]):
         state, prev = warm, float(ctx[-1])
         for t in range(cfg.horizon):
-            state = deepar._step(params, cfg, deepar._input_at(prev, feats["tgt"][t]), state)
-            top = nn.narrow(state[-1], 1, 0, cfg.rnn_cells)
-            dist = project_gaussian(nn.add(nn.matmul(top, params["w_head"]), params["b_head"]).data[0])
+            raw, state = deepar.step(params, cfg, np.array([[[prev, *feats["tgt"][t]]]]), state)
+            dist = project_gaussian(raw.data[0])
             prev = out[s, t] = dist.mu + dist.sigma * noise[s, t]
             moments[s, t] = dist.mu, dist.sigma
     return out, moments
 
 
 def _transformer_one_by_one(params, cfg, ctx, feats, noise):
-    """Each step of each sample is the last row of a full-prefix `decode` of
-    that sample's own inputs, as before batching, fed the same draws."""
-    enc = transformer.encode(params, cfg, ctx, feats["ctx"])
-    cross_kv = transformer.project_kv(params, "dec_cross", enc, cfg.heads)
+    """Each step of each sample is the last row of a full-prefix, uncached
+    `step` of that sample's own inputs, as before batching, fed the same draws."""
+    start = transformer.start(params, cfg, ctx, feats["ctx"], 1)
     out, moments = np.empty(noise.shape), np.empty(noise.shape + (2,))
     for s in range(noise.shape[0]):
         prev = [float(ctx[-1])]
         for t in range(cfg.horizon):
             dec_inp = np.column_stack([prev, feats["tgt"][: t + 1]])
-            raw = transformer.decode(params, cfg, dec_inp[None], cfg.context_len, cross_kv)[0].data[-1]
+            raw = transformer.step(params, cfg, dec_inp[None], start)[0].data[-1]
             dist = project_studentt(raw)
             out[s, t] = dist.mu + dist.sigma * noise[s, t]
             moments[s, t] = dist.mu, dist.sigma
@@ -321,7 +314,7 @@ ONE_BY_ONE = {"deepar": _deepar_one_by_one, "transformer": _transformer_one_by_o
 
 def _batched_rollouts(kind, params, cfg, ctx, feats, noise, monkeypatch):
     table = NoiseTable(noise)
-    monkeypatch.setattr(MODULES[kind], "sample", table)
+    monkeypatch.setattr(base, "sample", table)
     out = MODULES[kind].paths(params, cfg, ctx, feats, rng=None)
     moments = np.stack([np.stack([d.mu, d.sigma], axis=-1) for d in table.dists], axis=1)
     return out, moments

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import max_rel_err
 from prb_oracle import nncore as nn
-from prb_oracle.forecasters import ForecasterConfig, transformer
+from prb_oracle.forecasters import ForecasterConfig, deepar, transformer
 from prb_oracle.nncore.tensor import _LANCZOS_COEFFS, _LANCZOS_G
 
 TOL = 1e-12
@@ -202,24 +202,29 @@ def test_multi_head_attention_has_no_per_head_nodes():
     assert "narrow" not in ops and "concat" not in ops
 
 
-def test_decode_batches_sequences_and_caches_steps():
-    # One decoder for training and sampling: a batch of B sequences gives
-    # the rows of B single-sequence calls, and cached one-position steps
-    # give the rows of one causally masked call.
-    cfg = ForecasterConfig(kind="transformer", context_len=4, horizon=4, num_samples=3,
+@pytest.mark.parametrize("kind", ["deepar", "transformer"])
+def test_step_batches_sequences_and_chains_positions(kind):
+    # One network step for training and sampling: a batch of B sequences
+    # gives the rows of B single-sequence calls, and chained one-position
+    # steps give the rows of one multi-position (teacher-forced) step.
+    cfg = ForecasterConfig(kind=kind, context_len=4, horizon=4, num_samples=3, rnn_cells=DIM,
                            model_dim=DIM, ff_scale=2, heads=HEADS, blocks=1)
-    params = transformer.build(cfg)
+    mod = {"deepar": deepar, "transformer": transformer}[kind]
+    params = mod.build(cfg)
     inp = np.random.default_rng(5).uniform(0.0, 1.0, (3, 4, 3))
+    ctx, cov = np.linspace(0.8, 1.2, 4), np.random.default_rng(6).uniform(0.0, 1.0, (4, 2))
     with nn.no_grad():
-        enc = transformer.encode(params, cfg, np.linspace(0.8, 1.2, 4), np.zeros((4, 2)))
-        cross_kv = transformer.project_kv(params, "dec_cross", enc, HEADS)
-        whole, _ = transformer.decode(params, cfg, inp, 4, cross_kv)
-        singles = [transformer.decode(params, cfg, seq[None], 4, cross_kv)[0].data for seq in inp]
-        cache, steps = None, []
+        whole, _ = mod.step(params, cfg, inp, mod.start(params, cfg, ctx, cov, 3))
+        one = mod.start(params, cfg, ctx, cov, 1)
+        singles = [mod.step(params, cfg, seq[None], one)[0].data for seq in inp]
+        state, steps = mod.start(params, cfg, ctx, cov, 3), []
         for t in range(4):
-            raw, cache = transformer.decode(params, cfg, inp[:, t:t + 1], 4 + t, cross_kv, cache)
+            raw, state = mod.step(params, cfg, inp[:, t:t + 1], state)
             steps.append(raw.data)
-    assert whole.shape == (3 * 4, 3) and raw.shape == (3, 3)
-    assert np.array_equal(whole.data, np.concatenate(singles))
-    assert cache[0].shape == cache[1].shape == (3 * HEADS, 4, DIM // HEADS)
-    assert np.max(np.abs(np.stack(steps, axis=1).reshape(-1, 3) - whole.data)) <= 1e-12
+    n = whole.shape[1]
+    assert whole.shape == (3 * 4, n) and raw.shape == (3, n)
+    assert np.max(np.abs(whole.data - np.concatenate(singles))) <= 1e-12
+    assert np.max(np.abs(np.stack(steps, axis=1).reshape(-1, n) - whole.data)) <= 1e-12
+    if kind == "transformer":
+        cache = state[1]
+        assert cache[0].shape == cache[1].shape == (3 * HEADS, 4, DIM // HEADS)

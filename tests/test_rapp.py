@@ -55,6 +55,8 @@ def test_config_percentiles_must_increase():
 def test_config_defaults_cover_all_models():
     cfg = ExperimentConfig()
     assert sorted(cfg.models) == ["deepar", "lstm", "sff", "transformer"]
+    # A config file with no models block means the same.
+    assert ExperimentConfig.from_dict({}).models == cfg.models
     assert cfg.percentiles == (0.05, 0.25, 0.50, 0.75, 0.90, 0.99)
 
 
