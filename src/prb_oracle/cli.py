@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .forecasters import TrainingDiverged
-from .rapp import ExperimentConfig, PipelineError, _is_a, emit_report, run_pipeline
+from .rapp import ExperimentConfig, PipelineError, _is_a, _type_name, emit_report, run_pipeline
 from .traces import TraceError, generate_synthetic, save_csv
 
 DEFAULT_CONFIG_NAME = "default.json"
@@ -127,15 +127,16 @@ def _cmd_inspect(args) -> int:
 
     def field(*keys, like=0.0):
         """doc[keys[0]][keys[1]]...; a missing key, or a value unlike `like` by the
-        config's type rule (None: any value), is an error naming its dotted path."""
+        config's type rule ({}: an object), is an error naming its dotted path."""
         value = doc
         for depth, key in enumerate(keys, start=1):
             if not isinstance(value, dict) or key not in value:
                 raise PipelineError(f"{path} is not a report: no {'.'.join(keys[:depth])!r} key")
             value = value[key]
-        if like is not None and not _is_a(value, like):
-            want = "a list of numbers" if isinstance(like, tuple) else "a number"
-            raise PipelineError(f"{path} is not a report: {'.'.join(keys)!r} must be {want}, got {value!r}")
+        if not _is_a(value, like):
+            raise PipelineError(
+                f"{path} is not a report: {'.'.join(keys)!r} must be {_type_name(like)}, got {value!r}"
+            )
         return value
 
     percentiles = field("percentiles", like=(0.0,))
@@ -148,11 +149,11 @@ def _cmd_inspect(args) -> int:
         f"{'true_data':<{name_w}} {'saving%':<{stat_w}} "
         f"{field('baselines', 'true_data', 'power_saving_percent'):>8.2f}  (all percentiles)",
     ]
-    if field("baselines", like=None).get("lstm"):
+    if field("baselines", like={}).get("lstm"):
         for stat, label in (("power_saving_percent", "saving%"),
                             ("over_percent", "over%"), ("under_percent", "under%")):
             lines.append(f"{'lstm':<{name_w}} {label:<{stat_w}} {field('baselines', 'lstm', stat):>8.2f}")
-    for kind in field("models", like=None):
+    for kind in field("models", like={}):
         for label, keys in (("saving%", ("power_saving_percent",)),
                             ("over%", ("metrics", "over_percent")),
                             ("under%", ("metrics", "under_percent"))):

@@ -16,7 +16,7 @@ MODEL_KINDS = ("sff", "deepar", "transformer", "lstm")
 PROBABILISTIC_KINDS = ("sff", "deepar", "transformer")
 
 # The hyperparameters each kind reads: the only keys its config block holds.
-_COMMON_KEYS = ("context_len", "horizon", "epochs", "lr")
+_COMMON_KEYS = ("context_len", "horizon", "epochs", "batch_size", "lr")
 MODEL_KEYS = {
     "sff": (*_COMMON_KEYS, "num_samples", "hidden"),
     "deepar": (*_COMMON_KEYS, "num_samples", "rnn_layers", "rnn_cells"),
@@ -41,6 +41,7 @@ class ForecasterConfig:
     context_len: int = 24
     horizon: int = 24
     epochs: int = 5
+    batch_size: int = 1
     num_samples: int = 100
     hidden: tuple[int, ...] = (40, 40)  # sff
     rnn_layers: int = 2                 # deepar
@@ -58,8 +59,8 @@ class ForecasterConfig:
             raise ForecastError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
         # Messages name the field as the config file spells it, models.<kind>.<key>.
         where = f"models.{self.kind}."
-        for key in ("context_len", "horizon", "num_samples", "rnn_layers", "rnn_cells",
-                    "model_dim", "ff_scale", "heads", "blocks"):
+        for key in ("context_len", "horizon", "batch_size", "num_samples", "rnn_layers",
+                    "rnn_cells", "model_dim", "ff_scale", "heads", "blocks"):
             if (value := getattr(self, key)) < 1:
                 raise ForecastError(f"{where}{key} must be positive, got {value}")
         if any(h < 1 for h in self.hidden):
@@ -125,18 +126,29 @@ def _model_module(kind: str):
     return {"sff": sff, "deepar": deepar, "transformer": transformer, "lstm": lstm}[kind]
 
 
+def as_batch(values, calendar) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled values (B, T) and their calendar rows (B, T, 2); one window, a 1-D
+    series with (T, 2) rows, is the batch of one."""
+    values = np.atleast_2d(values)
+    return values, np.reshape(calendar, (*values.shape, 2))
+
+
 # deepar and transformer are autoregressive. Each supplies its network as
-# `start(params, config, ctx_scaled, cov_ctx, rows) -> state` and
+# `start(params, config, ctx_scaled, cov_ctx, rows) -> state`, the state of B
+# contexts (`as_batch`) with `rows` rows each, and
 # `step(params, config, inp (B, m, 3), state) -> (raw rows (B·m, n), state)`,
 # and its likelihood as HEAD = (training NLL, projection for sampling).
 def teacher_forced_loss(params, config, ctx_scaled, tgt_scaled, feats) -> nncore.Tensor:
-    """NLL of one window for an autoregressive kind: `start` on the context,
-    then one `step` over the horizon, each position fed the true previous value."""
+    """NLL per window of a batch, for an autoregressive kind: `start` on the B
+    contexts, then one `step` over the horizon, each position fed the true
+    previous value; the NLL of all B·H rows divided by B."""
     mod = _model_module(config.kind)
-    state = mod.start(params, config, ctx_scaled, feats["ctx"], 1)
-    prev = np.concatenate([[ctx_scaled[-1]], tgt_scaled[:-1]])
-    raw, _ = mod.step(params, config, np.column_stack([prev, feats["tgt"]])[None], state)
-    return mod.HEAD[0](raw, tgt_scaled)
+    ctx, cov_ctx = as_batch(ctx_scaled, feats["ctx"])
+    tgt, cov_tgt = as_batch(tgt_scaled, feats["tgt"])
+    state = mod.start(params, config, ctx, cov_ctx, 1)
+    prev = np.concatenate([ctx[:, -1:], tgt[:, :-1]], axis=1)
+    raw, _ = mod.step(params, config, np.concatenate([prev[..., None], cov_tgt], axis=2), state)
+    return nncore.scale(mod.HEAD[0](raw, tgt.reshape(-1)), 1.0 / len(tgt))
 
 
 def ancestral_paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
@@ -157,11 +169,13 @@ def ancestral_paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
 def fit(config: ForecasterConfig, train: PrbSeries) -> TrainedModel:
     """Train one estimator on a PRB series.
 
-    Runs `epochs` shuffled passes over all sliding windows at batch size 1,
-    minimizing the model's likelihood loss (squared error for the lstm
-    baseline). Inputs are divided by the training-series mean; deterministic
-    per config.seed. The scaled series and its calendar table are built once;
-    each step slices its window at the window's t0.
+    Runs `epochs` shuffled passes over all sliding windows, one Adam step per
+    `batch_size` windows (the last batch of an epoch may be short), minimizing
+    the model's loss per window: its likelihood loss, squared error for the
+    lstm baseline. Inputs are divided by the training-series mean;
+    deterministic per config.seed. The scaled series and its calendar table
+    are built once; a batch is a fancy index of its windows' t0s into both.
+    The final loss is the last epoch's mean loss per window.
     """
     mod = _model_module(config.kind)
     t0s = make_windows(train, config.context_len, config.horizon)
@@ -173,23 +187,27 @@ def fit(config: ForecasterConfig, train: PrbSeries) -> TrainedModel:
     params = mod.build(config)
     state = AdamState.for_params(params, lr=config.lr)
     shuffle_rng = np.random.default_rng([config.seed, 1])
+    ctx_offsets = np.arange(-config.context_len, 0)
+    tgt_offsets = np.arange(config.horizon)
 
     final_loss = None
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(t0s))
         epoch_loss = 0.0
-        for t0 in t0s[order]:
-            ctx, tgt = slice(t0 - config.context_len, t0), slice(t0, t0 + config.horizon)
+        for lo in range(0, len(order), config.batch_size):
+            batch = t0s[order[lo:lo + config.batch_size]]
+            ctx, tgt = batch[:, None] + ctx_offsets, batch[:, None] + tgt_offsets
             feats = {"ctx": calendar[ctx], "tgt": calendar[tgt]}
             loss = mod.loss(params, config, scaled[ctx], scaled[tgt], feats)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingDiverged(
-                    f"{config.kind}: non-finite loss {value} at epoch {epoch}, window t0={t0}"
+                    f"{config.kind}: non-finite loss {value} at epoch {epoch}, "
+                    f"batch of window t0s {batch.tolist()}"
                 )
             grads = backward(loss, params)
             adam_step(params, grads, state)
-            epoch_loss += value
+            epoch_loss += value * len(batch)
         final_loss = epoch_loss / len(t0s)
     params.freeze()
     end = train.start_time + timedelta(hours=len(train))

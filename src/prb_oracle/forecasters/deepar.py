@@ -11,7 +11,7 @@ import numpy as np
 from .. import nncore as nn
 from ..likelihoods import gaussian_nll_graph, project_gaussian
 from ..nncore import ParameterSet
-from .base import ancestral_paths, teacher_forced_loss
+from .base import ancestral_paths, as_batch, teacher_forced_loss
 
 N_FEATURES = 3  # previous value, hour-of-day, day-of-week
 HEAD = (gaussian_nll_graph, project_gaussian)
@@ -30,11 +30,15 @@ def build(config) -> ParameterSet:
 
 
 def start(params, config, ctx_scaled, cov_ctx, rows: int):
-    """Each layer's packed [h | c] state warmed on the context; `rows` > 1
-    tiles it as constants, so only the one-row state keeps its graph."""
-    state = [nn.constant(np.zeros((1, 2 * config.rnn_cells))) for _ in range(config.rnn_layers)]
-    for x in np.column_stack([ctx_scaled[:-1], cov_ctx[1:]]):
-        state = _step(params, config, nn.constant(x[None]), state)
+    """Each layer's packed [h | c] state, one row per context, warmed on the
+    contexts; `rows` > 1 repeats each context's row as constants, so only the
+    one-row state keeps its graph."""
+    ctx, cov = as_batch(ctx_scaled, cov_ctx)
+    state = [nn.constant(np.zeros((len(ctx), 2 * config.rnn_cells)))
+             for _ in range(config.rnn_layers)]
+    warm = np.concatenate([ctx[:, :-1, None], cov[:, 1:]], axis=2)
+    for t in range(warm.shape[1]):
+        state = _step(params, config, nn.constant(warm[:, t]), state)
     if rows > 1:
         state = [nn.constant(np.repeat(hc.data, rows, axis=0)) for hc in state]
     return state

@@ -20,16 +20,19 @@ def build(config) -> ParameterSet:
 
 
 def _forward(params, config, ctx_scaled: np.ndarray) -> nn.Tensor:
-    hc = nn.constant(np.zeros((1, 2 * config.rnn_cells)))
+    """Point forecasts (B, horizon) of (B, C) contexts; a 1-D context is B = 1."""
+    ctx = np.atleast_2d(ctx_scaled)
+    hc = nn.constant(np.zeros((len(ctx), 2 * config.rnn_cells)))
     for t in range(config.context_len):
-        hc = lstm_cell(nn.constant(np.array([[ctx_scaled[t]]])), hc,
+        hc = lstm_cell(nn.constant(ctx[:, t:t + 1]), hc,
                        params["wx0"], params["wh0"], params["bg0"])
     return nn.add(nn.matmul(nn.narrow(hc, 1, 0, config.rnn_cells), params["w_head"]), params["b_head"])
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
+    """Mean squared error over all B·H values: the mean of the per-window MSEs."""
     pred = _forward(params, config, ctx_scaled)
-    diff = nn.sub(pred, nn.constant(tgt_scaled.reshape(1, -1)))
+    diff = nn.sub(pred, nn.constant(np.atleast_2d(tgt_scaled)))
     return nn.mean_all(nn.square(diff))
 
 

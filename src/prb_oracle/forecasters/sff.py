@@ -19,18 +19,24 @@ def build(config) -> ParameterSet:
 
 
 def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray) -> nn.Tensor:
-    """Raw head outputs as (horizon, 3) rows [mu, sigma, nu]."""
-    h = nn.constant(ctx_scaled.reshape(1, -1))
+    """Raw head outputs of (B, C) contexts (a 1-D one is B = 1) as (B·horizon, 3)
+    rows [mu, sigma, nu], window by window."""
+    ctx = np.atleast_2d(ctx_scaled)
+    h = nn.constant(ctx)
     n_layers = len(config.hidden) + 1
     for i in range(n_layers):
         h = nn.add(nn.matmul(h, params[f"w{i}"]), params[f"b{i}"])
         if i < n_layers - 1:
             h = nn.relu(h)
-    return nn.transpose(nn.reshape(h, (3, config.horizon)))
+    rows = nn.transpose(nn.reshape(h, (len(ctx), 3, config.horizon)))
+    return nn.reshape(rows, (len(ctx) * config.horizon, 3))
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
-    return studentt_nll_graph(_forward(params, config, ctx_scaled), tgt_scaled)
+    """Student-t NLL per window: the NLL of all B·H rows divided by B."""
+    tgt = np.atleast_2d(tgt_scaled)
+    return nn.scale(studentt_nll_graph(_forward(params, config, ctx_scaled), tgt.reshape(-1)),
+                    1.0 / len(tgt))
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:

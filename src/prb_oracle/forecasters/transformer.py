@@ -18,7 +18,7 @@ import numpy as np
 from .. import nncore as nn
 from ..likelihoods import project_studentt, studentt_nll_graph
 from ..nncore import ParameterSet
-from .base import ancestral_paths, teacher_forced_loss
+from .base import ancestral_paths, as_batch, teacher_forced_loss
 
 N_FEATURES = 3  # previous (encoder: current) value, hour-of-day, day-of-week
 HEAD = (studentt_nll_graph, project_studentt)
@@ -118,16 +118,21 @@ def _embed(params, config, side: str, inp: np.ndarray, positions: np.ndarray) ->
 
 
 def start(params, config, ctx_scaled, cov_ctx, rows: int):
-    """Encode the context. The state is (cross_kv, cache): `project_kv` of the
-    encoder output, one memory for any number of `rows`, and no cache yet."""
-    inp = np.column_stack([ctx_scaled, cov_ctx])
-    x = _embed(params, config, "enc", inp, positional_encoding(config.context_len, config.model_dim))
+    """Encode B contexts. The state is (cross_kv, cache): `project_kv` of the
+    encoder output, (B·heads, C, d/heads) each, one memory for any number of
+    `rows` per context, and no cache yet."""
+    ctx, cov = as_batch(ctx_scaled, cov_ctx)
+    (batch, c), d = ctx.shape, config.model_dim
+    inp = np.concatenate([ctx[..., None], cov], axis=2).reshape(batch * c, -1)
+    x = _embed(params, config, "enc", inp, np.tile(positional_encoding(c, d), (batch, 1)))
+    # Attention runs per context on (B, C, d); everything else on the (B·C, d) rows.
     for i in range(config.blocks):
-        kv = project_kv(params, f"enc{i}_attn", x, config.heads)
-        a = multi_head_attention(params, f"enc{i}_attn", x, *kv, config.heads)
-        x = _sublayer(params, f"enc{i}_ln1", x, a)
+        x3 = nn.reshape(x, (batch, c, d))
+        kv = project_kv(params, f"enc{i}_attn", x3, config.heads)
+        a = multi_head_attention(params, f"enc{i}_attn", x3, *kv, config.heads)
+        x = _sublayer(params, f"enc{i}_ln1", x, nn.reshape(a, (batch * c, d)))
         x = _sublayer(params, f"enc{i}_ln2", x, _feed_forward(params, f"enc{i}", x))
-    return project_kv(params, "dec_cross", x, config.heads), None
+    return project_kv(params, "dec_cross", nn.reshape(x, (batch, c, d)), config.heads), None
 
 
 def step(params, config, inp: np.ndarray, state):
@@ -137,9 +142,11 @@ def step(params, config, inp: np.ndarray, state):
     The cache holds the self-attention keys and values of the earlier decoder
     positions, split as `project_kv` returns them, (B·heads, t, d/heads) each.
     Each new position attends causally to the cached ones and the new ones up
-    to itself.
+    to itself. In the cross-attention the B·m rows are grouped by context:
+    each of the n_ctx encoded contexts is attended to by its B·m / n_ctx rows,
+    (B, m) in training and all (1, S) sample rows of the one context in sampling.
     """
-    cross_kv, cache = state
+    (cross_k, cross_v), cache = state
     batch, m, _ = inp.shape
     d, rows = config.model_dim, batch * m
     first = config.context_len + (0 if cache is None else cache[0].shape[1])
@@ -150,12 +157,14 @@ def step(params, config, inp: np.ndarray, state):
         k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
     mask = nn.causal_mask(k.shape[1])[-m:] if m > 1 else None
     a = multi_head_attention(params, "dec_self", y, k, v, config.heads, mask)
-    # Everything after the self-attention acts on the (B·m, d) rows, one by one.
+    # Everything but the attention acts on the (B·m, d) rows, one by one.
     y = _sublayer(params, "dec_ln1", nn.reshape(y, (rows, d)), nn.reshape(a, (rows, d)))
-    a2 = multi_head_attention(params, "dec_cross", y, *cross_kv, config.heads)
-    y = _sublayer(params, "dec_ln2", y, a2)
+    n_ctx = cross_k.shape[0] // config.heads
+    a2 = multi_head_attention(params, "dec_cross", nn.reshape(y, (n_ctx, rows // n_ctx, d)),
+                              cross_k, cross_v, config.heads)
+    y = _sublayer(params, "dec_ln2", y, nn.reshape(a2, (rows, d)))
     y = _sublayer(params, "dec_ln3", y, _feed_forward(params, "dec", y))
-    return nn.add(nn.matmul(y, params["head"]), params["head_b"]), (cross_kv, (k, v))
+    return nn.add(nn.matmul(y, params["head"]), params["head_b"]), ((cross_k, cross_v), (k, v))
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:

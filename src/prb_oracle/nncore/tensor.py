@@ -383,25 +383,39 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(out_data, "layer_norm", (x, gain, bias), backprop)
 
 
+def _lstm_gates(x, h, wx, wh, b):
+    """lstm_cell's gate activations from its inputs: the sigmoid view of all
+    four gates, and the gates (i, f, g, o)."""
+    n = wh.shape[0]
+    z = x @ wx + h @ wh + b
+    # One tanh for all four gates, as sigmoid(v) = 0.5 tanh(v / 2) + 0.5.
+    act = np.tanh(np.concatenate([0.5 * z[:, :2 * n], z[:, 2 * n:3 * n], 0.5 * z[:, 3 * n:]], axis=1))
+    sig = 0.5 * act + 0.5
+    return sig, (sig[:, :n], sig[:, n:2 * n], act[:, 2 * n:3 * n], sig[:, 3 * n:])
+
+
 def lstm_cell(x: Tensor, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     """One LSTM step (Hochreiter & Schmidhuber 1997): x (B, k) and the packed
     state hc = [h | c] (B, 2n) to the new [h | c]. wx (k, 4n), wh (n, 4n) and
-    the bias row b (1, 4n) lay the gates out as [input, forget, cell, output]."""
+    the bias row b (1, 4n) lay the gates out as [input, forget, cell, output].
+
+    The node stores no gate arrays: its backward recomputes them from the
+    parents' data, and tanh(c) from the c half of its own output, the same
+    expressions on the same arrays, so the gradients are those of a stored
+    copy while a taped batch keeps only its [h | c] outputs."""
     n = wh.shape[0]
     if not (x.data.ndim == 2 and hc.shape == (x.shape[0], 2 * n) and wh.shape == (n, 4 * n)
             and wx.shape == (x.shape[1], 4 * n) and b.shape == (1, 4 * n)):
         raise _shape_error("lstm_cell", x.shape, hc.shape, wx.shape, wh.shape, b.shape)
     h, c = hc.data[:, :n], hc.data[:, n:]
-    z = x.data @ wx.data + h @ wh.data + b.data
-    # One tanh for all four gates, as sigmoid(v) = 0.5 tanh(v / 2) + 0.5.
-    act = np.tanh(np.concatenate([0.5 * z[:, :2 * n], z[:, 2 * n:3 * n], 0.5 * z[:, 3 * n:]], axis=1))
-    sig = 0.5 * act + 0.5
-    i, f, g, o = sig[:, :n], sig[:, n:2 * n], act[:, 2 * n:3 * n], sig[:, 3 * n:]
+    _, (i, f, g, o) = _lstm_gates(x.data, h, wx.data, wh.data, b.data)
     c_new = f * c + i * g
-    tanh_c = np.tanh(c_new)
-    out_data = np.concatenate([o * tanh_c, c_new], axis=1)
+    out_data = np.concatenate([o * np.tanh(c_new), c_new], axis=1)
 
     def backprop(grad):
+        h, c = hc.data[:, :n], hc.data[:, n:]
+        sig, (i, f, g, o) = _lstm_gates(x.data, h, wx.data, wh.data, b.data)
+        tanh_c = np.tanh(np.ascontiguousarray(out_data[:, n:]))  # contiguous, as in the forward
         gh, gc = grad[:, :n], grad[:, n:]
         dc = gc + gh * o * (1.0 - tanh_c * tanh_c)
         d_act = np.concatenate([dc * g, dc * c, dc * i, gh * tanh_c], axis=1)
@@ -464,8 +478,11 @@ _CONSUMED = "backward: graph already consumed by an earlier backward; rebuild th
 def backward(loss: Tensor, params=None):
     """Run reverse-mode accumulation from a scalar loss.
 
-    Populates `.grad` on every node the loss depends on, and consumes every
+    Populates `.grad` on every leaf the loss depends on, and consumes every
     node taped since the last backward: a later backward through one raises.
+    Each taped node drops its gradient, closure and parents as soon as its
+    backprop has run, so interior nodes end with `grad` None and a graph
+    frees what it no longer needs while the pass runs.
     When a ParameterSet is given, returns {name: gradient array}, with zeros
     for parameters the loss does not depend on.
     """
@@ -485,10 +502,11 @@ def backward(loss: Tensor, params=None):
             parent.grad = None
     _tape.clear()
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape):
+    while tape:  # each node is dropped from the tape once its backprop has run
+        node = tape.pop()
         if node.grad is not None:  # nodes the loss does not depend on stay None
             node._backprop(node.grad)
-        node._backprop = node._parents = None
+        node.grad = node._backprop = node._parents = None
     if params is not None:
         return {
             name: (p.grad if p.grad is not None else np.zeros_like(p.data))

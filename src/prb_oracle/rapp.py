@@ -171,6 +171,7 @@ _VALUE_TYPES = {
     int: (Integral, "an integer", "integers"),
     float: (Real, "a number", "numbers"),
     str: (str, "a string", "strings"),
+    dict: (dict, "an object", "objects"),
 }
 
 
@@ -178,6 +179,13 @@ def _is_a(value, default) -> bool:
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_is_a(v, default[0]) for v in value)
     return isinstance(value, _VALUE_TYPES[type(default)][0]) and not isinstance(value, bool)
+
+
+def _type_name(default) -> str:
+    """What `_is_a(value, default)` asks for, as an error message says it."""
+    if isinstance(default, tuple):
+        return f"a list of {_VALUE_TYPES[type(default[0])][2]}"
+    return _VALUE_TYPES[type(default)][1]
 
 
 def _check_types(prefix: str, block: dict, cls) -> None:
@@ -189,13 +197,8 @@ def _check_types(prefix: str, block: dict, cls) -> None:
     defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
     for key, value in block.items():
         default = defaults.get(key, MISSING)
-        if default is MISSING or _is_a(value, default):
-            continue
-        if isinstance(default, tuple):
-            want = f"a list of {_VALUE_TYPES[type(default[0])][2]}"
-        else:
-            want = _VALUE_TYPES[type(default)][1]
-        raise PipelineError(f"{prefix}{key} must be {want}, got {value!r}")
+        if default is not MISSING and not _is_a(value, default):
+            raise PipelineError(f"{prefix}{key} must be {_type_name(default)}, got {value!r}")
 
 
 def _obtain_trace(config: ExperimentConfig) -> PrbSeries:

@@ -50,7 +50,10 @@ def test_bundled_default_config_is_valid():
     assert sorted(doc["models"]) == ["deepar", "lstm", "sff", "transformer"]
     for m in doc["models"].values():
         assert m["epochs"] == 5
-        assert "batch_size" not in m
+    # Minibatches of 32 at lr 1e-2, but the transformer still at batch 1.
+    recipe = {kind: (m["batch_size"], m["lr"]) for kind, m in doc["models"].items()}
+    assert recipe == {"sff": (32, 0.01), "deepar": (32, 0.01), "transformer": (1, 0.001),
+                      "lstm": (32, 0.01)}
     assert doc["percentiles"] == [0.05, 0.25, 0.5, 0.75, 0.9, 0.99]
 
 
@@ -136,6 +139,8 @@ def test_inspect_missing_report_fails(tmp_path, capsys):
     ({"percentiles": [0.5], "baselines": {"true_data": {"power_saving_percent": 1}},
       "models": {"sff": {"power_saving_percent": {"0.5": None}}}},
      "'models.sff.power_saving_percent.0.5' must be a number, got None"),
+    ({"percentiles": [0.5], "baselines": {"true_data": {"power_saving_percent": 1.0}}, "models": 5},
+     "'models' must be an object, got 5"),
 ])
 def test_inspect_of_a_json_that_is_not_a_report_is_an_error_line(tmp_path, capsys, doc, message):
     path = tmp_path / "report.json"
@@ -162,7 +167,7 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     ({"trace": {"kind": "csv", "path": "t.csv", "weeks": 2}}, "unknown keys ['weeks'] in trace block"),
     ({"models": {"sff": {"kind": "lstm"}}}, "models.sff block has kind 'lstm'"),
     ({"models": {"sff": {"seed": 12345}}}, "unknown keys ['seed'] in models.sff block"),
-    ({"models": {"deepar": {"batch_size": 1}}}, "unknown keys ['batch_size'] in models.deepar block"),
+    ({"models": {"deepar": {"seed": 1}}}, "unknown keys ['seed'] in models.deepar block"),
     ({"models": {"lstm": {"epochs": 1, "heads": 4}}}, "unknown keys ['heads'] in models.lstm block"),
     ({"models": {"lstm": {"num_samples": 10}}}, "unknown keys ['num_samples'] in models.lstm block"),
     ({"models": {"transformer": {"hidden": [8]}}}, "unknown keys ['hidden'] in models.transformer block"),
@@ -188,6 +193,7 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     ({"max_prb": 0}, "max_prb must be >= 1, got 0"),
     ({"trace": {"base_load": 130.0}}, "trace.base_load + trace.daily_amplitude = 170.0 exceeds max_prb 160"),
     ({"models": {}}, "models block names no model"),
+    ({"models": {"deepar": {"batch_size": 0}}}, "models.deepar.batch_size must be positive, got 0"),
 ])
 def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, message):
     monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
@@ -208,12 +214,12 @@ def test_negative_seed_flag_is_an_error_line(tmp_path, capsys, monkeypatch):
 
 def test_diverged_training_is_an_error_line(tmp_path, tiny_config_file, capsys, monkeypatch):
     def diverge(config, train):
-        raise TrainingDiverged(f"{config.kind}: non-finite loss nan at epoch 0, window t0=24")
+        raise TrainingDiverged(f"{config.kind}: non-finite loss nan at epoch 0, batch of window t0s [24, 61]")
 
     monkeypatch.setattr(rapp, "fit", diverge)
     status = dispatch(["run", "--config", str(tiny_config_file), "--out", str(tmp_path / "out")])
     assert status == 1
-    assert capsys.readouterr().err == "error: sff: non-finite loss nan at epoch 0, window t0=24\n"
+    assert capsys.readouterr().err == "error: sff: non-finite loss nan at epoch 0, batch of window t0s [24, 61]\n"
     assert not (tmp_path / "out").exists()
 
 

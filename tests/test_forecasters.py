@@ -12,6 +12,7 @@ from prb_oracle.forecasters import (
     ForecastError,
     ForecasterConfig,
     ForecastResult,
+    TrainingDiverged,
     calendar_features,
     fit,
     forecast_quantile,
@@ -19,6 +20,7 @@ from prb_oracle.forecasters import (
 )
 from prb_oracle.forecasters import base, deepar, lstm, sff, transformer
 from prb_oracle.likelihoods import gaussian_logpdf, project_gaussian, project_studentt
+from prb_oracle.nncore import AdamState, adam_step
 from prb_oracle.traces import PrbSeries, TraceConfig, generate_synthetic
 
 MODULES = {"sff": sff, "deepar": deepar, "transformer": transformer, "lstm": lstm}
@@ -197,6 +199,97 @@ def test_fit_cuts_each_window_and_its_calendar_at_t0(kind):
     mod = MODULES[kind]
     want = mod.loss(mod.build(cfg), cfg, values[:c] / scale, values[c:] / scale, feats).item()
     assert model.final_train_loss == want
+
+
+def _windows(series, t0s, cfg):
+    """Scaled (B, C) contexts, (B, H) targets and their (B, ·, 2) calendar rows."""
+    scale = series.values.mean()
+    ctx = np.stack([series.values[t - cfg.context_len:t] for t in t0s]) / scale
+    tgt = np.stack([series.values[t:t + cfg.horizon] for t in t0s]) / scale
+    feats = {
+        "ctx": np.stack([calendar_features(series.start_time, np.arange(t - cfg.context_len, t))
+                         for t in t0s]),
+        "tgt": np.stack([calendar_features(series.start_time, np.arange(t, t + cfg.horizon))
+                         for t in t0s]),
+    }
+    return ctx, tgt, feats
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_batch_loss_is_the_mean_of_its_window_losses(kind):
+    cfg = tiny_config(kind)
+    mod, series = MODULES[kind], short_series()
+    params = mod.build(cfg)
+    ctx, tgt, feats = _windows(series, [6, 17, 30, 44], cfg)
+    batch = mod.loss(params, cfg, ctx, tgt, feats)
+    assert batch.shape == ()
+    got_value, got = batch.item(), nn.backward(batch, params)
+    values, grads = [], []
+    for b in range(4):  # each window alone, in the 1-D form
+        one = mod.loss(params, cfg, ctx[b], tgt[b], {k: v[b] for k, v in feats.items()})
+        values.append(one.item())
+        grads.append(nn.backward(one, params))
+    assert got_value == pytest.approx(np.mean(values), rel=1e-12, abs=0)
+    for name in params.names():
+        want = np.mean([g[name] for g in grads], axis=0)
+        assert np.max(np.abs(got[name] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), name
+
+
+def _per_window_fit(cfg, series):
+    """The training loop before minibatches: one Adam step per window, each
+    window sliced by hand and passed in the 1-D form."""
+    mod = MODULES[cfg.kind]
+    c, h = cfg.context_len, cfg.horizon
+    t0s = np.arange(c, len(series) - h + 1)
+    scale = series.values.mean()
+    scaled = series.values / scale
+    calendar = calendar_features(series.start_time, np.arange(len(series)))
+    params = mod.build(cfg)
+    state = AdamState.for_params(params, lr=cfg.lr)
+    shuffle_rng = np.random.default_rng([cfg.seed, 1])
+    for _ in range(cfg.epochs):
+        total = 0.0
+        for t0 in t0s[shuffle_rng.permutation(len(t0s))]:
+            feats = {"ctx": calendar[t0 - c:t0], "tgt": calendar[t0:t0 + h]}
+            loss = mod.loss(params, cfg, scaled[t0 - c:t0], scaled[t0:t0 + h], feats)
+            total += loss.item()
+            adam_step(params, nn.backward(loss, params), state)
+    return params, total / len(t0s)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_fit_at_batch_size_one_is_the_per_window_loop(kind):
+    cfg = tiny_config(kind, epochs=2, batch_size=1, seed=4)
+    series = short_series()
+    model = fit(cfg, series)
+    params, final_loss = _per_window_fit(cfg, series)
+    assert model.final_train_loss == final_loss
+    for name in params.names():
+        assert np.array_equal(model.params[name].data, params[name].data), name
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_fit_takes_one_step_per_batch(kind, monkeypatch):
+    # 52 windows at batch 16 are batches of 16, 16, 16 and 4 per epoch.
+    sizes, real = [], MODULES[kind].loss
+
+    def loss(params, cfg, ctx, tgt, feats):
+        sizes.append(len(ctx))
+        return real(params, cfg, ctx, tgt, feats)
+
+    monkeypatch.setattr(MODULES[kind], "loss", loss)
+    model = fit(tiny_config(kind, epochs=2, batch_size=16), short_series())
+    assert sizes == [16, 16, 16, 4] * 2
+    assert np.isfinite(model.final_train_loss)
+
+
+def test_diverged_fit_names_the_batch_windows():
+    # An absurd step size overflows the weights on the first Adam step, so the
+    # second batch's loss is the first non-finite one.
+    cfg = tiny_config("sff", batch_size=8, lr=1e300)
+    message = r"^sff: non-finite loss \S+ at epoch 0, batch of window t0s \[(\d+, ){7}\d+\]$"
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match=message):
+        fit(cfg, short_series())
 
 
 def test_training_loss_recorded_and_finite():

@@ -6,14 +6,19 @@ layout existed, kept here only as an oracle: the new path's value and its
 input gradients must match it to float rounding.
 """
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import max_rel_err
 from prb_oracle import nncore as nn
+from prb_oracle.cli import default_config_path
 from prb_oracle.forecasters import ForecasterConfig, deepar, transformer
+from prb_oracle.nncore import AdamState, adam_step
+from prb_oracle.rapp import ExperimentConfig
 from prb_oracle.nncore.tensor import _LANCZOS_COEFFS, _LANCZOS_G
 
 TOL = 1e-12
@@ -115,6 +120,47 @@ def test_fused_op_shape_errors():
         nn.lstm_cell(ones(2, 3), ones(2, 8), ones(2, 16), ones(4, 16), ones(1, 16))
     with pytest.raises(nn.ShapeMismatch, match="layer_norm"):
         nn.layer_norm(ones(2, 3), ones(1, 4), ones(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# what a taped training step keeps
+# ---------------------------------------------------------------------------
+
+def test_backward_frees_interior_gradients_and_keeps_leaf_ones():
+    rng = np.random.default_rng(8)
+    inputs = _inputs("lstm_cell", rng)
+    leaves = [nn.Tensor(x, requires_grad=True) for x in inputs]
+    x, hc, wx, wh, b = leaves
+    first = nn.lstm_cell(x, hc, wx, wh, b)
+    second = nn.lstm_cell(x, first, wx, wh, b)
+    loss = nn.sum_all(nn.square(second))
+    nn.backward(loss)
+    for interior in (first, second, loss):
+        assert interior.grad is None and interior._parents is None
+    for leaf in leaves:
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape and np.any(leaf.grad != 0.0)
+
+
+def test_a_batch_32_deepar_step_keeps_a_small_tape():
+    # The lstm_cell nodes keep no gate arrays and backward frees each interior
+    # gradient once used: one training step at default.json shapes and batch
+    # size peaks near 3 MB (stored gates and kept gradients: about 12 MB).
+    default = ExperimentConfig.from_dict(json.loads(default_config_path().read_text()))
+    cfg = default.models["deepar"]
+    assert cfg.batch_size == 32
+    rng = np.random.default_rng(9)
+    ctx = rng.uniform(0.5, 1.5, (cfg.batch_size, cfg.context_len))
+    tgt = rng.uniform(0.5, 1.5, (cfg.batch_size, cfg.horizon))
+    feats = {"ctx": rng.uniform(size=(*ctx.shape, 2)), "tgt": rng.uniform(size=(*tgt.shape, 2))}
+    params = deepar.build(cfg)
+    state = AdamState.for_params(params, lr=cfg.lr)
+    tracemalloc.start()
+    try:
+        adam_step(params, nn.backward(deepar.loss(params, cfg, ctx, tgt, feats), params), state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
