@@ -233,6 +233,7 @@ def predict(
     hour right after the training data, the natural continuation); it feeds
     the calendar covariates of the recurrent and attention models. With the
     default rng the result is a pure function of (model, context, start).
+    `fit` froze the parameters into constants, so the forward records nothing.
     """
     config = model.config
     context = np.asarray(context, dtype=np.float64)
@@ -247,8 +248,7 @@ def predict(
     calendar = calendar_features(start, np.arange(-config.context_len, config.horizon))
     feats = {"ctx": calendar[:config.context_len], "tgt": calendar[config.context_len:]}
     mod = _model_module(config.kind)
-    with nncore.no_grad():
-        result = mod.paths(model.params, config, context / model.scale, feats, rng)
+    result = mod.paths(model.params, config, context / model.scale, feats, rng)
     if config.kind == "lstm":
         point = result[0] * model.scale
         return ForecastResult(samples=point[None, :].copy(), origin=origin, point=point)

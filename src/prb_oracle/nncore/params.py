@@ -46,9 +46,10 @@ class ParameterSet:
         return iter(self._params.values())
 
     def freeze(self) -> None:
-        """Make all parameter arrays read-only (trained models are immutable)."""
+        """Make the parameters read-only constants: ops on them record nothing."""
         for t in self._params.values():
             t.data.flags.writeable = False
+            t.requires_grad = False
 
 
 def init_params(layer_sizes: Sequence[int], seed: int | Sequence[int]) -> ParameterSet:

@@ -1,34 +1,21 @@
 """Dense float64 tensors with a taped computation graph and reverse-mode autodiff.
 
-Every operation checks shapes eagerly, computes its forward value with plain
-numpy, and (while gradients are enabled) records a closure that scatters the
-output adjoint back onto its inputs. Nodes go onto a tape of weak references
-in creation order, already a topological order (a Wengert list, Griewank &
-Walther 2008); `backward` runs the closures in reverse tape order.
+Every operation checks shapes eagerly and computes its forward value with plain
+numpy. When one of its inputs requires a gradient, it also records a closure
+that scatters the output adjoint back onto its inputs; an op on constants only
+records nothing. Nodes go onto a tape of weak references in creation order,
+already a topological order (a Wengert list, Griewank & Walther 2008);
+`backward` runs the closures in reverse tape order.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from contextlib import contextmanager
 
 import numpy as np
 
-_grad_enabled = True
-_tape: list = []  # weak refs to the nodes recorded since the last backward, in creation order
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording (prediction-time forward passes)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+_tape: list = []  # weak refs to the nodes that need a gradient, recorded since the last backward
 
 
 class ShapeMismatch(ValueError):
@@ -72,13 +59,16 @@ def constant(data) -> Tensor:
 
 
 def _node(data, op: str, parents: tuple, backprop) -> Tensor:
-    if not _grad_enabled:
-        return Tensor(data, op=op)
-    node = Tensor(data, op=op, parents=parents, backprop=backprop)
-    _tape.append(weakref.ref(node))
-    if len(_tape) % 4096 == 0:  # drop the refs of graphs freed without a backward
-        _tape[:] = [r for r in _tape if r() is not None]
-    return node
+    """Tape the output if some parent requires a gradient; else return a constant."""
+    # A plain loop: `any` over a generator costs several times more per op.
+    for p in parents:
+        if p.requires_grad:
+            node = Tensor(data, True, op, parents, backprop)
+            _tape.append(weakref.ref(node))
+            if len(_tape) % 4096 == 0:  # drop the refs of graphs freed without a backward
+                _tape[:] = [r for r in _tape if r() is not None]
+            return node
+    return Tensor(data, op=op)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

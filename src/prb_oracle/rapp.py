@@ -137,9 +137,9 @@ class ExperimentConfig:
                     raise PipelineError(f"unknown model kind {kind!r}")
                 name = f"models.{kind}"
                 m = _block(name, m)
-                _check_keys(name, m, {"kind", *MODEL_KEYS[kind]})
+                _check_keys(name, m, set(MODEL_KEYS[kind]))
                 _check_types(f"{name}.", m, ForecasterConfig)
-                models[kind] = ForecasterConfig(**{"kind": kind, **m})
+                models[kind] = ForecasterConfig(kind, **m)
             if not models:
                 raise PipelineError("models block names no model")
             kwargs["models"] = models

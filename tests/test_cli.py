@@ -165,7 +165,7 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     ({"models": {"sff": {"epoch": 1}}}, "unknown keys ['epoch'] in models.sff block"),
     ({"trace": {"kind": "csv"}}, "csv trace block needs a 'path' key"),
     ({"trace": {"kind": "csv", "path": "t.csv", "weeks": 2}}, "unknown keys ['weeks'] in trace block"),
-    ({"models": {"sff": {"kind": "lstm"}}}, "models.sff block has kind 'lstm'"),
+    ({"models": {"sff": {"kind": "lstm"}}}, "unknown keys ['kind'] in models.sff block"),
     ({"models": {"sff": {"seed": 12345}}}, "unknown keys ['seed'] in models.sff block"),
     ({"models": {"deepar": {"seed": 1}}}, "unknown keys ['seed'] in models.deepar block"),
     ({"models": {"lstm": {"epochs": 1, "heads": 4}}}, "unknown keys ['heads'] in models.lstm block"),

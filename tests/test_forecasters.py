@@ -20,7 +20,7 @@ from prb_oracle.forecasters import (
 )
 from prb_oracle.forecasters import base, deepar, lstm, sff, transformer
 from prb_oracle.likelihoods import gaussian_logpdf, project_gaussian, project_studentt
-from prb_oracle.nncore import AdamState, adam_step
+from prb_oracle.nncore import AdamState, adam_step, tensor
 from prb_oracle.traces import PrbSeries, TraceConfig, generate_synthetic
 
 MODULES = {"sff": sff, "deepar": deepar, "transformer": transformer, "lstm": lstm}
@@ -133,6 +133,14 @@ def test_predict_shapes_and_determinism(kind):
     assert r1.samples.shape == (expected_rows, 3)
     assert np.array_equal(r1.samples, r2.samples)
     assert np.all(np.isfinite(r1.samples))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_predict_on_a_fitted_model_records_nothing(kind):
+    model = fit(tiny_config(kind), short_series())
+    before = list(tensor._tape)
+    predict(model, short_series(seed=2).values[:6])
+    assert tensor._tape == before
 
 
 def test_default_config_shape_contract():
@@ -316,13 +324,12 @@ def test_deepar_loss_is_sum_of_per_step_gaussian_nll():
 
     # Independent recomputation: one-position steps fed the true previous
     # values, float nll.
-    with nn.no_grad():
-        state = deepar.start(params, cfg, ctx, feats["ctx"], 1)
-        prev = np.concatenate([ctx[-1:], tgt[:-1]])
-        raws = []
-        for t in range(3):
-            raw, state = deepar.step(params, cfg, np.array([[[prev[t], *feats["tgt"][t]]]]), state)
-            raws.append(raw.data[0])
+    state = deepar.start(params, cfg, ctx, feats["ctx"], 1)
+    prev = np.concatenate([ctx[-1:], tgt[:-1]])
+    raws = []
+    for t in range(3):
+        raw, state = deepar.step(params, cfg, np.array([[[prev[t], *feats["tgt"][t]]]]), state)
+        raws.append(raw.data[0])
     assert total == pytest.approx(-gaussian_logpdf(tgt, project_gaussian(raws)).sum(), abs=1e-9)
 
 
@@ -330,8 +337,7 @@ def test_sff_head_layout_projects_to_one_distribution_per_step():
     cfg = tiny_config("sff")
     params = sff.build(cfg)
     ctx = np.linspace(0.5, 1.5, 6)
-    with nn.no_grad():
-        dists = project_studentt(sff._forward(params, cfg, ctx).data)
+    dists = project_studentt(sff._forward(params, cfg, ctx).data)
     assert dists.mu.shape == dists.sigma.shape == dists.nu.shape == (3,)
     assert np.all(dists.sigma > 0) and np.all(dists.nu > 2.0)
 
@@ -343,13 +349,12 @@ def test_transformer_decoder_causality():
     ctx = np.linspace(0.8, 1.2, 6)
     feats = calendar_features(datetime(2024, 1, 1), np.arange(-6, 0))
     tgt_feats = calendar_features(datetime(2024, 1, 1), np.arange(3))
-    with nn.no_grad():
-        state = transformer.start(params, cfg, ctx, feats, 1)
-        base_inp = np.column_stack([[1.0, 1.1, 0.9], tgt_feats])
-        bumped = base_inp.copy()
-        bumped[2, 0] = 5.0
-        raw_a = transformer.step(params, cfg, base_inp[None], state)[0].data
-        raw_b = transformer.step(params, cfg, bumped[None], state)[0].data
+    state = transformer.start(params, cfg, ctx, feats, 1)
+    base_inp = np.column_stack([[1.0, 1.1, 0.9], tgt_feats])
+    bumped = base_inp.copy()
+    bumped[2, 0] = 5.0
+    raw_a = transformer.step(params, cfg, base_inp[None], state)[0].data
+    raw_b = transformer.step(params, cfg, bumped[None], state)[0].data
     assert np.allclose(raw_a[:2], raw_b[:2])
     assert not np.allclose(raw_a[2], raw_b[2])
 
@@ -420,15 +425,16 @@ def _rollout_inputs(kind):
         "tgt": calendar_features(datetime(2024, 1, 1), np.arange(4)),
     }
     noise = np.random.default_rng(21).standard_normal((5, 4))
-    return cfg, MODULES[kind].build(cfg), np.linspace(0.8, 1.2, 6), feats, noise
+    params = MODULES[kind].build(cfg)
+    params.freeze()  # sampled as `predict` samples a fitted model
+    return cfg, params, np.linspace(0.8, 1.2, 6), feats, noise
 
 
 @pytest.mark.parametrize("kind", ["deepar", "transformer"])
 def test_batched_rollouts_equal_one_by_one_rollouts(kind, monkeypatch):
     cfg, params, ctx, feats, noise = _rollout_inputs(kind)
-    with nn.no_grad():
-        want, want_moments = ONE_BY_ONE[kind](params, cfg, ctx, feats, noise)
-        got, got_moments = _batched_rollouts(kind, params, cfg, ctx, feats, noise, monkeypatch)
+    want, want_moments = ONE_BY_ONE[kind](params, cfg, ctx, feats, noise)
+    got, got_moments = _batched_rollouts(kind, params, cfg, ctx, feats, noise, monkeypatch)
     assert got.shape == (5, 4)
     assert np.max(np.abs(got_moments - want_moments)) <= 1e-12
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -439,9 +445,8 @@ def test_batched_rollouts_keep_samples_apart(kind, monkeypatch):
     cfg, params, ctx, feats, noise = _rollout_inputs(kind)
     bumped = noise.copy()
     bumped[2, 1] += 3.0
-    with nn.no_grad():
-        base, _ = _batched_rollouts(kind, params, cfg, ctx, feats, noise, monkeypatch)
-        moved, _ = _batched_rollouts(kind, params, cfg, ctx, feats, bumped, monkeypatch)
+    base, _ = _batched_rollouts(kind, params, cfg, ctx, feats, noise, monkeypatch)
+    moved, _ = _batched_rollouts(kind, params, cfg, ctx, feats, bumped, monkeypatch)
     others = [0, 1, 3, 4]
     assert np.array_equal(moved[others], base[others])
     assert np.array_equal(moved[2, :1], base[2, :1])

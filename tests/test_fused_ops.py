@@ -237,8 +237,9 @@ def test_multi_head_attention_matches_per_head_slices(case, seed):
 
 def test_multi_head_attention_has_no_per_head_nodes():
     rng = np.random.default_rng(4)
-    weights = [nn.constant(rng.normal(size=(DIM, DIM))) for _ in range(4)]
-    out = MHA_CASES["causal_2d"][1](nn.constant(rng.normal(size=(5, DIM))), *weights)
+    shapes = [(5, DIM)] + [(DIM, DIM)] * 4
+    leaves = [nn.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    out = MHA_CASES["causal_2d"][1](*leaves)
     ops, stack = [], [out]
     while stack:
         node = stack.pop()
@@ -259,14 +260,13 @@ def test_step_batches_sequences_and_chains_positions(kind):
     params = mod.build(cfg)
     inp = np.random.default_rng(5).uniform(0.0, 1.0, (3, 4, 3))
     ctx, cov = np.linspace(0.8, 1.2, 4), np.random.default_rng(6).uniform(0.0, 1.0, (4, 2))
-    with nn.no_grad():
-        whole, _ = mod.step(params, cfg, inp, mod.start(params, cfg, ctx, cov, 3))
-        one = mod.start(params, cfg, ctx, cov, 1)
-        singles = [mod.step(params, cfg, seq[None], one)[0].data for seq in inp]
-        state, steps = mod.start(params, cfg, ctx, cov, 3), []
-        for t in range(4):
-            raw, state = mod.step(params, cfg, inp[:, t:t + 1], state)
-            steps.append(raw.data)
+    whole, _ = mod.step(params, cfg, inp, mod.start(params, cfg, ctx, cov, 3))
+    one = mod.start(params, cfg, ctx, cov, 1)
+    singles = [mod.step(params, cfg, seq[None], one)[0].data for seq in inp]
+    state, steps = mod.start(params, cfg, ctx, cov, 3), []
+    for t in range(4):
+        raw, state = mod.step(params, cfg, inp[:, t:t + 1], state)
+        steps.append(raw.data)
     n = whole.shape[1]
     assert whole.shape == (3 * 4, n) and raw.shape == (3, n)
     assert np.max(np.abs(whole.data - np.concatenate(singles))) <= 1e-12

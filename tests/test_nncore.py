@@ -137,8 +137,8 @@ def test_primitive_gradients(name, builder, inputs):
 
 def test_every_exported_op_has_a_gradient_case():
     # Every function nncore exports from its tensor module is an op, except
-    # these four, which record no node of their own.
-    not_ops = {"backward", "causal_mask", "constant", "no_grad"}
+    # these three, which record no node of their own.
+    not_ops = {"backward", "causal_mask", "constant"}
     ops = {name for name in nn.__all__
            if inspect.isfunction(getattr(nn, name))
            and getattr(nn, name).__module__ == tensor.__name__} - not_ops
@@ -192,17 +192,16 @@ def test_unreachable_parameters_get_zero_gradients():
     assert np.all(grads["b0"] == 0.0)
 
 
-def test_no_grad_blocks_recording():
-    x = nn.Tensor(np.ones((2, 2)), requires_grad=True)
-    with nn.no_grad():
-        out = nn.square(x)
-    assert out._parents == ()
-    params = ParameterSet()
-    params.add("x", np.ones((2, 2)))
-    with nn.no_grad():
-        loss = nn.sum_all(nn.square(params["x"]))
-    grads = backward(loss, params)
-    assert np.all(grads["x"] == 0.0)
+def test_an_op_is_taped_only_when_an_input_requires_grad():
+    backward(nn.sum_all(nn.Tensor(np.ones((1, 1)), requires_grad=True)))  # empty the tape
+    a = nn.constant(np.ones((2, 2)))
+    const = nn.mul(a, a)
+    assert const._parents == () and not const.requires_grad
+    assert tensor._tape == []
+    x = nn.Tensor(np.full((2, 2), 3.0), requires_grad=True)
+    out = nn.mul(a, x)
+    assert out.requires_grad and out._parents == (a, x)
+    assert [r() for r in tensor._tape] == [out]
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +218,6 @@ def test_tape_is_empty_after_backward():
     loss = _two_layer_loss(params, np.ones((2, 3)))
     assert len(tensor._tape) >= 7
     backward(loss, params)
-    assert tensor._tape == []
-
-
-def test_no_grad_records_nothing():
-    backward(nn.sum_all(nn.Tensor(np.ones((1, 1)), requires_grad=True)))  # empty the tape
-    params = init_params([3, 4, 2], seed=1)
-    with nn.no_grad():
-        _two_layer_loss(params, np.ones((2, 3)))
     assert tensor._tape == []
 
 
@@ -345,7 +336,14 @@ def test_init_params_rejects_bad_sizes():
 
 
 def test_parameter_freeze_blocks_writes():
-    params = init_params([3, 2], seed=0)
+    params = init_params([3, 4, 2], seed=0)
+    assert all(t.requires_grad for t in params.tensors())
     params.freeze()
-    with pytest.raises(ValueError):
-        params["w0"].data[0, 0] = 1.0
+    assert not any(t.requires_grad for t in params.tensors())
+    for t in params.tensors():
+        with pytest.raises(ValueError):
+            t.data[0, 0] = 1.0
+    # Frozen parameters are constants: a forward on them records nothing.
+    backward(nn.sum_all(nn.Tensor(np.ones((1, 1)), requires_grad=True)))  # empty the tape
+    _two_layer_loss(params, np.ones((2, 3)))
+    assert tensor._tape == []
