@@ -54,7 +54,7 @@ for step in range(1, 101):
     if step % 25 == 0:
         print(f"  step {step:3d}  loss {loss.item():.5f}")
 
-# The attention composite used by the transformer.
+# The one-node attention the transformer uses, here with a single head.
 q = nn.constant(np.random.default_rng(3).normal(size=(4, 8)))
 out = nn.attention(q, q, q, mask=nn.causal_mask(4))
 print(f"\ncausal self-attention output shape: {out.shape}")

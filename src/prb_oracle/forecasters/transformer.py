@@ -6,11 +6,12 @@ self-attention, attention over the encoder output, and a position-wise
 feed-forward layer. `start` encodes the context and `step` decodes new
 positions; `base.teacher_forced_loss` trains with one causally masked `step`
 over the horizon, `base.ancestral_paths` samples one `step` per position with
-the self-attention keys and values cached per sample and head.
+the self-attention keys and values cached per sample.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -63,40 +64,30 @@ def _ln_params(params, prefix, d):
     params.bias(f"{prefix}_b", d)
 
 
+@functools.lru_cache
 def positional_encoding(length: int, d: int, first: int = 0) -> np.ndarray:
-    """Sinusoidal position table of positions first .. length - 1, shape (length - first, d)."""
+    """Sinusoidal position table of positions first .. length - 1, shape (length - first, d).
+
+    Cached, as every step asks for the same few tables; the arrays are read-only."""
     pos = np.arange(first, length, dtype=np.float64)[:, None]
     i = np.arange(d, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / d)
-    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    table.flags.writeable = False
+    return table
 
 
-def split_heads(x: nn.Tensor, heads: int) -> nn.Tensor:
-    """Heads onto the batch axis: (..., t, d) to (B·heads, t, d/heads), B = 1 for 2-D x."""
-    t, d = x.shape[-2:]
-    batch = x.data.size // (t * d) * heads
-    return nn.transpose(nn.reshape(nn.transpose(x), (batch, d // heads, t)))
-
-
-def merge_heads(x: nn.Tensor, shape: tuple[int, ...]) -> nn.Tensor:
-    """Inverse of `split_heads`: (B·heads, t, d/heads) back to `shape` (..., t, d)."""
-    return nn.transpose(nn.reshape(nn.transpose(x), (*shape[:-2], shape[-1], shape[-2])))
-
-
-def project_kv(params, prefix, x_kv, heads) -> tuple[nn.Tensor, nn.Tensor]:
-    """Attention keys and values of `x_kv` (2-D rows or a leading batch axis),
-    split into heads."""
-    return (split_heads(nn.matmul(x_kv, params[f"{prefix}_wk"]), heads),
-            split_heads(nn.matmul(x_kv, params[f"{prefix}_wv"]), heads))
+def project_kv(params, prefix, x_kv) -> tuple[nn.Tensor, nn.Tensor]:
+    """Attention keys and values of `x_kv` (2-D rows or a leading batch axis)."""
+    return nn.matmul(x_kv, params[f"{prefix}_wk"]), nn.matmul(x_kv, params[f"{prefix}_wv"])
 
 
 def multi_head_attention(params, prefix, x_q, k, v, heads, mask=None) -> nn.Tensor:
-    """Attention of the projected queries of `x_q` over split keys `k` and
-    values `v` (from `project_kv`), all heads in one batched call. A 2-D
-    `mask` applies to every head."""
+    """Attention of the projected queries of `x_q` over keys `k` and values `v`
+    (from `project_kv`), all heads in one `attention` node. A 2-D `mask`
+    applies to every head."""
     q = nn.matmul(x_q, params[f"{prefix}_wq"])
-    a = nn.attention(split_heads(q, heads), k, v, mask)
-    return nn.matmul(merge_heads(a, q.shape), params[f"{prefix}_wo"])
+    return nn.matmul(nn.attention(q, k, v, mask, heads), params[f"{prefix}_wo"])
 
 
 def _feed_forward(params, prefix, x) -> nn.Tensor:
@@ -119,8 +110,8 @@ def _embed(params, config, side: str, inp: np.ndarray, positions: np.ndarray) ->
 
 def start(params, config, ctx_scaled, cov_ctx, rows: int):
     """Encode B contexts. The state is (cross_kv, cache): `project_kv` of the
-    encoder output, (B·heads, C, d/heads) each, one memory for any number of
-    `rows` per context, and no cache yet."""
+    encoder output, (B, C, d) each, one memory for any number of `rows` per
+    context, and no cache yet."""
     ctx, cov = as_batch(ctx_scaled, cov_ctx)
     (batch, c), d = ctx.shape, config.model_dim
     inp = np.concatenate([ctx[..., None], cov], axis=2).reshape(batch * c, -1)
@@ -128,11 +119,11 @@ def start(params, config, ctx_scaled, cov_ctx, rows: int):
     # Attention runs per context on (B, C, d); everything else on the (B·C, d) rows.
     for i in range(config.blocks):
         x3 = nn.reshape(x, (batch, c, d))
-        kv = project_kv(params, f"enc{i}_attn", x3, config.heads)
+        kv = project_kv(params, f"enc{i}_attn", x3)
         a = multi_head_attention(params, f"enc{i}_attn", x3, *kv, config.heads)
         x = _sublayer(params, f"enc{i}_ln1", x, nn.reshape(a, (batch * c, d)))
         x = _sublayer(params, f"enc{i}_ln2", x, _feed_forward(params, f"enc{i}", x))
-    return project_kv(params, "dec_cross", nn.reshape(x, (batch, c, d)), config.heads), None
+    return project_kv(params, "dec_cross", nn.reshape(x, (batch, c, d))), None
 
 
 def step(params, config, inp: np.ndarray, state):
@@ -140,7 +131,7 @@ def step(params, config, inp: np.ndarray, state):
     of inp (B, m, 3), and the state with the cache extended by them.
 
     The cache holds the self-attention keys and values of the earlier decoder
-    positions, split as `project_kv` returns them, (B·heads, t, d/heads) each.
+    positions as `project_kv` returns them, (B, t, d) each.
     Each new position attends causally to the cached ones and the new ones up
     to itself. In the cross-attention the B·m rows are grouped by context:
     each of the n_ctx encoded contexts is attended to by its B·m / n_ctx rows,
@@ -152,14 +143,14 @@ def step(params, config, inp: np.ndarray, state):
     first = config.context_len + (0 if cache is None else cache[0].shape[1])
     table = np.tile(positional_encoding(first + m, d, first), (batch, 1))
     y = nn.reshape(_embed(params, config, "dec", inp.reshape(rows, -1), table), (batch, m, d))
-    k, v = project_kv(params, "dec_self", y, config.heads)
+    k, v = project_kv(params, "dec_self", y)
     if cache is not None:
         k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
     mask = nn.causal_mask(k.shape[1])[-m:] if m > 1 else None
     a = multi_head_attention(params, "dec_self", y, k, v, config.heads, mask)
     # Everything but the attention acts on the (B·m, d) rows, one by one.
     y = _sublayer(params, "dec_ln1", nn.reshape(y, (rows, d)), nn.reshape(a, (rows, d)))
-    n_ctx = cross_k.shape[0] // config.heads
+    n_ctx = cross_k.shape[0]
     a2 = multi_head_attention(params, "dec_cross", nn.reshape(y, (n_ctx, rows // n_ctx, d)),
                               cross_k, cross_v, config.heads)
     y = _sublayer(params, "dec_ln2", y, nn.reshape(a2, (rows, d)))

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,31 +12,36 @@ from .params import ParameterSet
 
 @dataclass
 class AdamState:
-    """Per-parameter moment estimates plus the shared step counter."""
+    """Moment estimates of all parameters as flat vectors, in `params.names()`
+    order, plus the shared step counter. `buf` is the step's scratch vector;
+    `views` holds one view of it per parameter, shaped like that parameter."""
 
+    m: np.ndarray
+    v: np.ndarray
+    buf: np.ndarray
+    views: list[np.ndarray]
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: ParameterSet, lr: float = 1e-3) -> "AdamState":
-        state = cls(lr=lr)
-        for name, t in params.items():
-            state.m[name] = np.zeros_like(t.data)
-            state.v[name] = np.zeros_like(t.data)
-        return state
+        shapes = [t.data.shape for t in params.tensors()]
+        offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+        buf = np.empty(offsets[-1])
+        views = [buf[lo:hi].reshape(shape)
+                 for lo, hi, shape in zip(offsets[:-1], offsets[1:], shapes)]
+        return cls(np.zeros_like(buf), np.zeros_like(buf), buf, views, lr=lr)
 
 
 def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """One in-place Adam update; increments the step counter."""
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** state.step
-    bias2 = 1.0 - b2 ** state.step
+    """One in-place Adam update of every parameter; increments the step counter.
+
+    Runs over the flat moment vectors with the per-parameter operation order,
+    so the parameters are those of one update per parameter array."""
+    pieces = []
     for name, t in params.items():
         g = grads[name]
         if g.shape != t.data.shape:
@@ -43,12 +49,22 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], state: AdamSta
                 f"adam_step: gradient shape {g.shape} != parameter shape "
                 f"{t.data.shape} for {name!r}"
             )
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / bias1
-        v_hat = v / bias2
-        t.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        pieces.append(g.ravel())
+    g = np.concatenate(pieces)
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    m, v, buf = state.m, state.v, state.buf
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=buf)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=buf)
+    v += np.multiply(buf, g, out=buf)
+    # g is spent: it takes the denominator, buf the update.
+    np.divide(v, 1.0 - b2 ** state.step, out=g)
+    np.sqrt(g, out=g)
+    g += state.eps
+    np.divide(m, 1.0 - b1 ** state.step, out=buf)
+    buf *= state.lr
+    buf /= g
+    for t, update in zip(params.tensors(), state.views):
+        t.data -= update

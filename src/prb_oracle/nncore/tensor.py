@@ -72,7 +72,9 @@ def _node(data, op: str, parents: tuple, backprop) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    t.grad = g if t.grad is None else t.grad + g
+    """Add g into t's gradient; a tensor that needs no gradient keeps None."""
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +94,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backprop(g):
-        _accumulate(a, g @ _swap_last(b.data))
+        # An operand that needs no gradient (an input row, a constant) gets no product.
+        if a.requires_grad:
+            _accumulate(a, g @ _swap_last(b.data))
+        if not b.requires_grad:
+            return
         if nd_a > nd_b:  # one right operand shared by every batch entry
             _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
         else:
@@ -222,7 +228,7 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise _shape_error(f"reshape to {shape}", a.shape)
     out_data = a.data.reshape(shape)
 
@@ -332,21 +338,58 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
 # attention and fused ops
 # ---------------------------------------------------------------------------
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention softmax(q k^T / sqrt(d) + mask) v.
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
+              heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
 
-    q, k and v are 2-D, or 3-D with one shared leading batch axis; the
-    additive mask broadcasts to the scores' shape (one 2-D mask for all).
+    q (..., tq, d), k (..., tk, d) and v (..., tk, dv) are 2-D, or 3-D with one
+    shared leading batch axis. Head h computes softmax(q_h k_h^T / sqrt(d/heads)
+    + mask) v_h on the h-th column block of each, and the heads' outputs sit
+    side by side in the (..., tq, dv) result. The additive mask broadcasts to
+    one head's scores (..., tq, tk), so one 2-D mask serves every entry and head.
+    The heads are views of the inputs; the node stores only the softmax
+    weights, and its backward is the softmax Jacobian-vector product.
     """
     nd = q.data.ndim
     if nd not in (2, 3) or k.data.ndim != nd or v.data.ndim != nd \
             or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] \
-            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
-        raise _shape_error("attention", q.shape, k.shape, v.shape)
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
+            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2] \
+            or heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
+        raise _shape_error(f"attention(heads={heads})", q.shape, k.shape, v.shape)
+    if mask is not None:  # one head's scores, then a heads axis to broadcast over
+        mask = np.expand_dims(np.broadcast_to(mask, (*q.shape[:-1], k.shape[-2])), -3)
+
+    def split(x):  # (..., t, heads·n) -> (..., heads, t, n), a view
+        return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads).swapaxes(-2, -3)
+
+    def merge(x, shape):  # inverse of split, into a fresh array
+        return x.swapaxes(-2, -3).reshape(shape)
+
+    c = 1.0 / math.sqrt(q.shape[-1] // heads)
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ _swap_last(kh)) * c
     if mask is not None:
-        scores = add(scores, constant(np.broadcast_to(mask, scores.shape)))
-    return matmul(softmax(scores), v)
+        scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    w = np.exp(scores, out=scores)
+    w /= w.sum(axis=-1, keepdims=True)
+    out_data = merge(w @ vh, (*q.shape[:-1], v.shape[-1]))
+
+    def backprop(g):
+        gh = split(g)
+        if v.requires_grad:
+            _accumulate(v, merge(_swap_last(w) @ gh, v.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dw = gh @ _swap_last(vh)
+        ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
+        ds *= c
+        if q.requires_grad:
+            _accumulate(q, merge(ds @ kh, q.shape))
+        if k.requires_grad:
+            _accumulate(k, merge(_swap_last(ds) @ qh, k.shape))
+
+    return _node(out_data, "attention", (q, k, v), backprop)
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -411,11 +454,13 @@ def lstm_cell(x: Tensor, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
         d_act = np.concatenate([dc * g, dc * c, dc * i, gh * tanh_c], axis=1)
         dz = d_act * sig * (1.0 - sig)
         dz[:, 2 * n:3 * n] = d_act[:, 2 * n:3 * n] * (1.0 - g * g)
-        _accumulate(x, dz @ wx.data.T)
+        if x.requires_grad:  # not deepar's input rows
+            _accumulate(x, dz @ wx.data.T)
         _accumulate(wx, x.data.T @ dz)
         _accumulate(wh, h.T @ dz)
         _accumulate(b, dz.sum(axis=0, keepdims=True))
-        _accumulate(hc, np.concatenate([dz @ wh.data.T, dc * f], axis=1))
+        if hc.requires_grad:  # not a zero or repeated starting state
+            _accumulate(hc, np.concatenate([dz @ wh.data.T, dc * f], axis=1))
 
     return _node(out_data, "lstm_cell", (x, hc, wx, wh, b), backprop)
 

@@ -119,9 +119,13 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
         ("attention_batched_masked",
          lambda t: nn.attention(t[0], t[1], t[2], np.broadcast_to(mask, (2, 3, 3))),
          [mat(2, 3, 4), mat(2, 3, 4), mat(2, 3, 2)]),
-        # One 2-D mask broadcast over the batch axis (heads as batch entries).
+        # One 2-D mask broadcast over the batch axis.
         ("attention_batched_mask_2d", lambda t: nn.attention(t[0], t[1], t[2], mask),
          [mat(2, 3, 4), mat(2, 3, 4), mat(2, 3, 2)]),
+        # Four heads split inside the one node, masked and batched.
+        ("attention_batched_masked_heads",
+         lambda t: nn.attention(t[0], t[1], t[2], mask, heads=4),
+         [mat(2, 3, 8), mat(2, 3, 8), mat(2, 3, 4)]),
     ]
 
 

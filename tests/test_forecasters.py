@@ -243,6 +243,29 @@ def test_batch_loss_is_the_mean_of_its_window_losses(kind):
         assert np.max(np.abs(got[name] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), name
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_training_step_leaves_every_constant_without_a_gradient(kind):
+    cfg = tiny_config(kind, batch_size=2)
+    mod = MODULES[kind]
+    params = mod.build(cfg)
+    rng = np.random.default_rng(13)
+    ctx, tgt = rng.uniform(0.5, 1.5, (2, cfg.context_len)), rng.uniform(0.5, 1.5, (2, cfg.horizon))
+    feats = {"ctx": rng.uniform(size=(*ctx.shape, 2)), "tgt": rng.uniform(size=(*tgt.shape, 2))}
+    loss = mod.loss(params, cfg, ctx, tgt, feats)
+    constants, seen, stack = [], set(), [loss]
+    while stack:  # the leaves of the graph that need no gradient
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if not node._parents and not node.requires_grad:
+                constants.append(node)
+    assert constants  # the input rows at least
+    grads = nn.backward(loss, params)
+    assert all(t.grad is None for t in constants)
+    assert any(np.any(g != 0.0) for g in grads.values())
+
+
 def _per_window_fit(cfg, series):
     """The training loop before minibatches: one Adam step per window, each
     window sliced by hand and passed in the 1-D form."""

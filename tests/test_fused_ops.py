@@ -1,5 +1,5 @@
-"""The fused nncore ops, and batched-head attention, against the composites
-of primitives they replace.
+"""The fused nncore ops, multi-head attention among them, against the
+composites of primitives they replace.
 
 Each reference below is the composite the model code used before the op or
 layout existed, kept here only as an oracle: the new path's value and its
@@ -68,6 +68,16 @@ def _value_and_grads(op, inputs, probe):
     return out.data, [leaf.grad for leaf in leaves]
 
 
+def _assert_matches(fused, oracle, inputs, rng):
+    probe = rng.normal(size=oracle(*map(nn.constant, inputs)).shape)
+    want, want_grads = _value_and_grads(oracle, inputs, probe)
+    got, got_grads = _value_and_grads(fused, inputs, probe)
+    assert got.shape == want.shape
+    assert max_rel_err(got, want) <= TOL
+    for g, w in zip(got_grads, want_grads):
+        assert max_rel_err(g, w) <= TOL
+
+
 def _inputs(kind, rng):
     if kind == "lstm_cell":
         b, n, k = 5, 6, 3
@@ -92,14 +102,7 @@ CASES = {
 def test_fused_op_matches_its_composite(kind, seed):
     rng = np.random.default_rng(seed)
     inputs = _inputs(kind, rng)
-    fused, composite = CASES[kind]
-    probe = rng.normal(size=composite(*map(nn.constant, inputs)).shape)
-    want, want_grads = _value_and_grads(composite, inputs, probe)
-    got, got_grads = _value_and_grads(fused, inputs, probe)
-    assert got.shape == want.shape
-    assert max_rel_err(got, want) <= TOL
-    for g, w in zip(got_grads, want_grads):
-        assert max_rel_err(g, w) <= TOL
+    _assert_matches(*CASES[kind], inputs, rng)
 
 
 def test_fused_ops_are_single_nodes():
@@ -164,50 +167,79 @@ def test_a_batch_32_deepar_step_keeps_a_small_tape():
 
 
 # ---------------------------------------------------------------------------
-# multi-head attention: heads on the batch axis against per-head slices
+# multi-head attention: one node against the per-head composite
 # ---------------------------------------------------------------------------
 
 HEADS, DIM = 4, 8
 
 
-def composite_multi_head_attention(params, x_q, x_kv, heads, mask=None):
+def composite_attention(q, k, v, mask=None):
+    """The old six-node attention: matmul, transpose, scale, mask add, softmax, matmul."""
+    scores = nn.scale(nn.matmul(q, nn.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = nn.add(scores, nn.constant(np.broadcast_to(mask, scores.shape)))
+    return nn.matmul(nn.softmax(scores), v)
+
+
+def composite_heads(q, k, v, mask=None, heads=1):
     """The old per-head path: narrow each head out of q, k and v on the last
-    axis, one attention call per head, and a concat to join them."""
-    q, k, v = (nn.matmul(x, params[f"a_{w}"]) for x, w in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
+    axis, one composite attention per head, and a concat to join them."""
+    if heads == 1:
+        return composite_attention(q, k, v, mask)
     axis = q.data.ndim - 1
-    size = q.shape[axis] // heads
-    outs = [nn.attention(*(nn.narrow(t, axis, h * size, size) for t in (q, k, v)), mask)
+    outs = [composite_attention(*(nn.narrow(t, axis, h * t.shape[-1] // heads, t.shape[-1] // heads)
+                                  for t in (q, k, v)), mask)
             for h in range(heads)]
-    return nn.matmul(nn.concat(outs, axis=axis), params["a_wo"])
+    return nn.concat(outs, axis=axis)
 
 
 def _named(weights):
     return dict(zip(("a_wq", "a_wk", "a_wv", "a_wo"), weights))
 
 
+def composite_multi_head_attention(params, x_q, x_kv, heads, mask=None):
+    """Projections around the per-head composite."""
+    q, k, v = (nn.matmul(x, params[f"a_{w}"]) for x, w in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
+    return nn.matmul(composite_heads(q, k, v, mask, heads), params["a_wo"])
+
+
 def _split_cache_attention(x_new, x_prev, *weights):
-    """The cached decoder's layout: earlier positions' keys and values cached split,
+    """The cached decoder's layout: earlier positions' keys and values cached,
     the new position's appended on the time axis."""
     params = _named(weights)
-    cache = transformer.project_kv(params, "a", x_prev, HEADS)
-    k, v = transformer.project_kv(params, "a", x_new, HEADS)
+    cache = transformer.project_kv(params, "a", x_prev)
+    k, v = transformer.project_kv(params, "a", x_new)
     k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
     return transformer.multi_head_attention(params, "a", x_new, k, v, HEADS)
 
 
-MASK = nn.causal_mask(5)
+def _cached_steps(x, *weights):
+    """The sampling decoder: four m=1 steps, each appending its keys and
+    values to the cache and attending over all of it."""
+    params, cache, outs = _named(weights), None, []
+    for t in range(x.shape[1]):
+        x_t = nn.narrow(x, 1, t, 1)
+        k, v = transformer.project_kv(params, "a", x_t)
+        if cache is not None:
+            k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
+        cache = k, v
+        outs.append(transformer.multi_head_attention(params, "a", x_t, k, v, HEADS))
+    return nn.concat(outs, axis=1)
+
+
+CAUSAL = nn.causal_mask(5)
 MHA_CASES = {
-    # name: (input shapes before the four weights, batched-head path, per-head oracle)
+    # name: (input shapes before the four weights, the model's path, per-head oracle)
     "causal_2d": (
         [(5, DIM)],
         lambda x, *w: transformer.multi_head_attention(
-            _named(w), "a", x, *transformer.project_kv(_named(w), "a", x, HEADS), HEADS, MASK),
-        lambda x, *w: composite_multi_head_attention(_named(w), x, x, HEADS, MASK),
+            _named(w), "a", x, *transformer.project_kv(_named(w), "a", x), HEADS, CAUSAL),
+        lambda x, *w: composite_multi_head_attention(_named(w), x, x, HEADS, CAUSAL),
     ),
     "batched_3d": (
         [(3, 2, DIM), (3, 4, DIM)],
         lambda xq, xkv, *w: transformer.multi_head_attention(
-            _named(w), "a", xq, *transformer.project_kv(_named(w), "a", xkv, HEADS), HEADS),
+            _named(w), "a", xq, *transformer.project_kv(_named(w), "a", xkv), HEADS),
         lambda xq, xkv, *w: composite_multi_head_attention(_named(w), xq, xkv, HEADS),
     ),
     "split_cache": (
@@ -216,23 +248,41 @@ MHA_CASES = {
         lambda xn, xp, *w: composite_multi_head_attention(
             _named(w), xn, nn.concat([xp, xn], axis=1), HEADS),
     ),
+    # Four cached m=1 steps against one uncached, causally masked call.
+    "cached_steps": (
+        [(3, 4, DIM)],
+        _cached_steps,
+        lambda x, *w: composite_multi_head_attention(_named(w), x, x, HEADS, nn.causal_mask(4)),
+    ),
 }
+
+ATTENTION_CASES = {
+    # name: (q, k, v shapes, mask)
+    "causal_2d": ([(5, DIM), (5, DIM), (5, DIM)], CAUSAL),
+    "batched_mask_2d": ([(3, 5, DIM), (3, 5, DIM), (3, 5, DIM)], CAUSAL),
+    "cross": ([(3, 2, DIM), (3, 6, DIM), (3, 6, 12)], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+@pytest.mark.parametrize("heads", [1, HEADS])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_attention_matches_the_per_head_composite(case, heads, seed):
+    rng = np.random.default_rng(seed)
+    shapes, mask = ATTENTION_CASES[case]
+    inputs = [rng.normal(size=s) for s in shapes]
+    _assert_matches(lambda q, k, v: nn.attention(q, k, v, mask, heads),
+                    lambda q, k, v: composite_heads(q, k, v, mask, heads), inputs, rng)
 
 
 @pytest.mark.parametrize("case", sorted(MHA_CASES))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_multi_head_attention_matches_per_head_slices(case, seed):
     rng = np.random.default_rng(seed)
-    shapes, batched, per_head = MHA_CASES[case]
+    shapes, model_path, per_head = MHA_CASES[case]
     inputs = [rng.normal(size=s) for s in shapes]
     inputs += [rng.normal(scale=0.5, size=(DIM, DIM)) for _ in range(4)]
-    probe = rng.normal(size=per_head(*map(nn.constant, inputs)).shape)
-    want, want_grads = _value_and_grads(per_head, inputs, probe)
-    got, got_grads = _value_and_grads(batched, inputs, probe)
-    assert got.shape == want.shape
-    assert max_rel_err(got, want) <= TOL
-    for g, w in zip(got_grads, want_grads):
-        assert max_rel_err(g, w) <= TOL
+    _assert_matches(model_path, per_head, inputs, rng)
 
 
 def test_multi_head_attention_has_no_per_head_nodes():
@@ -245,8 +295,8 @@ def test_multi_head_attention_has_no_per_head_nodes():
         node = stack.pop()
         ops.append(node.op)
         stack.extend(node._parents)
-    assert ops.count("softmax") == 1
-    assert "narrow" not in ops and "concat" not in ops
+    assert ops.count("attention") == 1
+    assert not {"softmax", "transpose", "narrow", "concat"} & set(ops)
 
 
 @pytest.mark.parametrize("kind", ["deepar", "transformer"])
@@ -273,4 +323,4 @@ def test_step_batches_sequences_and_chains_positions(kind):
     assert np.max(np.abs(np.stack(steps, axis=1).reshape(-1, n) - whole.data)) <= 1e-12
     if kind == "transformer":
         cache = state[1]
-        assert cache[0].shape == cache[1].shape == (3 * HEADS, 4, DIM // HEADS)
+        assert cache[0].shape == cache[1].shape == (3, 4, DIM)

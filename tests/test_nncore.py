@@ -204,6 +204,18 @@ def test_an_op_is_taped_only_when_an_input_requires_grad():
     assert [r() for r in tensor._tape] == [out]
 
 
+def test_backward_leaves_a_constant_operand_without_a_gradient():
+    rng = np.random.default_rng(12)
+    x, w = nn.constant(rng.normal(size=(4, 3))), nn.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    q = nn.Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+    k, v = nn.constant(rng.normal(size=(2, 5, 4))), nn.constant(rng.normal(size=(2, 5, 4)))
+    loss = nn.add(nn.sum_all(nn.matmul(x, w)), nn.sum_all(nn.attention(q, k, v, heads=2)))
+    backward(loss)
+    assert x.grad is None and k.grad is None and v.grad is None
+    assert np.allclose(w.grad, np.tile(x.data.sum(axis=0)[:, None], (1, 2)), rtol=0, atol=1e-14)
+    assert q.grad.shape == q.shape
+
+
 # ---------------------------------------------------------------------------
 # tape
 # ---------------------------------------------------------------------------
@@ -297,6 +309,40 @@ def test_adam_deterministic():
             adam_step(params, {"p": rng.normal(size=(1, 2))}, state)
         runs.append(params["p"].data.copy())
     assert np.array_equal(runs[0], runs[1])
+
+
+def _per_tensor_adam_step(params, grads, state, m, v):
+    """The update one parameter array at a time, as it was before the flat
+    moment vectors: the reference the flat step must reproduce bit for bit."""
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    bias1 = 1.0 - b1 ** state.step
+    bias2 = 1.0 - b2 ** state.step
+    for name, t in params.items():
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        m_hat = m[name] / bias1
+        v_hat = v[name] / bias2
+        t.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def test_flat_adam_is_the_per_tensor_loop_bit_for_bit():
+    flat, ref = init_params([3, 5, 4, 2], seed=7), init_params([3, 5, 4, 2], seed=7)
+    flat_state, ref_state = AdamState.for_params(flat, lr=1e-2), AdamState.for_params(ref, lr=1e-2)
+    m = {name: np.zeros_like(t.data) for name, t in ref.items()}
+    v = {name: np.zeros_like(t.data) for name, t in ref.items()}
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        grads = {name: rng.normal(scale=rng.uniform(1e-3, 10.0), size=t.shape)
+                 for name, t in flat.items()}
+        adam_step(flat, grads, flat_state)
+        _per_tensor_adam_step(ref, grads, ref_state, m, v)
+    assert flat_state.step == ref_state.step == 500
+    for name in flat.names():
+        assert np.array_equal(flat[name].data, ref[name].data), name
 
 
 def test_adam_shape_mismatch_rejected():
