@@ -26,8 +26,8 @@ target = np.random.default_rng(2).normal(size=(5, 1))
 
 
 def forward():
-    h = nn.tanh(nn.add(nn.matmul(nn.constant(inputs), params["w0"]), params["b0"]))
-    out = nn.add(nn.matmul(h, params["w1"]), params["b1"])
+    h = nn.tanh(nn.affine(nn.constant(inputs), params["w0"], params["b0"]))
+    out = nn.affine(h, params["w1"], params["b1"])
     return nn.mean_all(nn.square(nn.sub(out, nn.constant(target))))
 
 

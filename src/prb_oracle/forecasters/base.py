@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -102,13 +103,19 @@ class ForecastResult:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """Immutable snapshot of a fitted estimator."""
+    """Immutable snapshot of a fitted estimator; `loss_curve` holds each
+    epoch's mean training loss per window."""
 
     config: ForecasterConfig
     params: ParameterSet
     scale: float
     train_end_time: datetime
-    final_train_loss: float | None
+    loss_curve: tuple[float, ...]
+
+    @property
+    def final_train_loss(self) -> float | None:
+        """The last epoch's mean loss; None when no epoch ran."""
+        return self.loss_curve[-1] if self.loss_curve else None
 
 
 def calendar_features(anchor: datetime, offsets: np.ndarray) -> np.ndarray:
@@ -166,16 +173,35 @@ def ancestral_paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
     return out
 
 
+FINAL_LR_FRACTION = 0.1  # of the configured lr, reached at the last step
+
+
+def learning_rate(lr: float, step: int, steps: int) -> float:
+    """The rate of Adam step `step` (0-based) of a fit that takes `steps`.
+
+    A linear warm-up over the first 10 % of the steps (rounded up) reaches
+    `lr` at its last step (Goyal et al. 2017); a cosine decay then brings it
+    to FINAL_LR_FRACTION x `lr` at the fit's last step (Loshchilov & Hutter
+    2017). A one-step fit takes its step at `lr`.
+    """
+    warmup = -(-steps // 10)
+    if step < warmup:
+        return lr * (step + 1) / warmup
+    cosine = 0.5 * (1.0 + math.cos(math.pi * (step + 1 - warmup) / (steps - warmup)))
+    return lr * (FINAL_LR_FRACTION + (1.0 - FINAL_LR_FRACTION) * cosine)
+
+
 def fit(config: ForecasterConfig, train: PrbSeries) -> TrainedModel:
     """Train one estimator on a PRB series.
 
     Runs `epochs` shuffled passes over all sliding windows, one Adam step per
     `batch_size` windows (the last batch of an epoch may be short), minimizing
     the model's loss per window: its likelihood loss, squared error for the
-    lstm baseline. Inputs are divided by the training-series mean;
+    lstm baseline. Each step's rate follows `learning_rate` over all the
+    fit's steps. Inputs are divided by the training-series mean;
     deterministic per config.seed. The scaled series and its calendar table
     are built once; a batch is a fancy index of its windows' t0s into both.
-    The final loss is the last epoch's mean loss per window.
+    The loss curve holds each epoch's mean loss per window.
     """
     mod = _model_module(config.kind)
     t0s = make_windows(train, config.context_len, config.horizon)
@@ -185,16 +211,18 @@ def fit(config: ForecasterConfig, train: PrbSeries) -> TrainedModel:
     scaled = train.values / scale
     calendar = calendar_features(train.start_time, np.arange(len(train)))
     params = mod.build(config)
-    state = AdamState.for_params(params, lr=config.lr)
+    state = AdamState.for_params(params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     ctx_offsets = np.arange(-config.context_len, 0)
     tgt_offsets = np.arange(config.horizon)
+    batch_starts = range(0, len(t0s), config.batch_size)
+    steps = config.epochs * len(batch_starts)
 
-    final_loss = None
+    loss_curve = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(t0s))
         epoch_loss = 0.0
-        for lo in range(0, len(order), config.batch_size):
+        for lo in batch_starts:
             batch = t0s[order[lo:lo + config.batch_size]]
             ctx, tgt = batch[:, None] + ctx_offsets, batch[:, None] + tgt_offsets
             feats = {"ctx": calendar[ctx], "tgt": calendar[tgt]}
@@ -206,9 +234,10 @@ def fit(config: ForecasterConfig, train: PrbSeries) -> TrainedModel:
                     f"batch of window t0s {batch.tolist()}"
                 )
             grads = backward(loss, params)
+            state.lr = learning_rate(config.lr, state.step, steps)
             adam_step(params, grads, state)
             epoch_loss += value * len(batch)
-        final_loss = epoch_loss / len(t0s)
+        loss_curve.append(epoch_loss / len(t0s))
     params.freeze()
     end = train.start_time + timedelta(hours=len(train))
     return TrainedModel(
@@ -216,7 +245,7 @@ def fit(config: ForecasterConfig, train: PrbSeries) -> TrainedModel:
         params=params,
         scale=scale,
         train_end_time=end,
-        final_train_loss=final_loss,
+        loss_curve=tuple(loss_curve),
     )
 
 

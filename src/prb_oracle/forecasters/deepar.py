@@ -63,7 +63,7 @@ def step(params, config, inp: np.ndarray, state):
         state = _step(params, config, nn.constant(inp[:, j]), state)
         tops.append(nn.narrow(state[-1], 1, 0, config.rnn_cells))
     hidden = nn.reshape(nn.concat(tops, axis=1), (batch * m, config.rnn_cells)) if m > 1 else tops[0]
-    return nn.add(nn.matmul(hidden, params["w_head"]), params["b_head"]), state
+    return nn.affine(hidden, params["w_head"], params["b_head"]), state
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:

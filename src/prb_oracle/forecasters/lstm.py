@@ -26,7 +26,7 @@ def _forward(params, config, ctx_scaled: np.ndarray) -> nn.Tensor:
     for t in range(config.context_len):
         hc = lstm_cell(nn.constant(ctx[:, t:t + 1]), hc,
                        params["wx0"], params["wh0"], params["bg0"])
-    return nn.add(nn.matmul(nn.narrow(hc, 1, 0, config.rnn_cells), params["w_head"]), params["b_head"])
+    return nn.affine(nn.narrow(hc, 1, 0, config.rnn_cells), params["w_head"], params["b_head"])
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:

@@ -25,7 +25,7 @@ def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray) -> nn.Tensor:
     h = nn.constant(ctx)
     n_layers = len(config.hidden) + 1
     for i in range(n_layers):
-        h = nn.add(nn.matmul(h, params[f"w{i}"]), params[f"b{i}"])
+        h = nn.affine(h, params[f"w{i}"], params[f"b{i}"])
         if i < n_layers - 1:
             h = nn.relu(h)
     rows = nn.transpose(nn.reshape(h, (len(ctx), 3, config.horizon)))

@@ -57,6 +57,27 @@ def quantile_loss(truth, qpred, q: float) -> float:
     return fsum(2.0 * (q * over + (1.0 - q) * under)) / truth.size
 
 
+def crps(samples, truth) -> float:
+    """Mean continuous ranked probability score of Monte Carlo forecasts.
+
+    samples is (S, n), S draws for each of the n hours in truth. Per hour it
+    is the energy form E|X - y| - E|X - X'| / 2 (Gneiting & Raftery 2007),
+    the second term as a weighted sum of the sorted draws with weights
+    (2i - S - 1) / S^2, i = 1..S, so no S x S table is formed. One draw gives
+    the absolute error.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1:] != truth.shape \
+            or truth.size < 1:
+        raise MetricError(f"crps: need (S, n) samples for n hours, got {samples.shape} and "
+                          f"{truth.shape}")
+    s = samples.shape[0]
+    weights = (2.0 * np.arange(1, s + 1) - s - 1.0) / (s * s)
+    spread = weights @ np.sort(samples, axis=0)
+    return fsum(np.abs(samples - truth).mean(axis=0) - spread) / truth.size
+
+
 def coverage(truth, qpred) -> float:
     """Fraction of hours with truth at or below the quantile forecast."""
     truth, qpred = _pair(truth, qpred, "coverage")

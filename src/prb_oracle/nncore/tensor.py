@@ -107,19 +107,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, "matmul", (a, b), backprop)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x (n, k) @ w (k, m) plus the bias row b (1, m) on every row, as one node.
+
+    The same expressions as `add(matmul(x, w), b)`, so values and gradients
+    are bit for bit those of the pair, while the tape keeps one (n, m) output.
+    """
+    if not (x.data.ndim == 2 and w.data.ndim == 2 and x.shape[1] == w.shape[0]
+            and b.shape == (1, w.shape[1])):
+        raise _shape_error("affine", x.shape, w.shape, b.shape)
+    out_data = x.data @ w.data + b.data
+
+    def backprop(g):
+        if x.requires_grad:  # not an input row
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g)
+        _accumulate(b, g.sum(axis=0, keepdims=True))
+
+    return _node(out_data, "affine", (x, w, b), backprop)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; also accepts a (1, n) bias row broadcast over rows of a."""
-    bias_row = (
-        a.data.ndim == 2 and b.data.ndim == 2
-        and b.shape[0] == 1 and b.shape[1] == a.shape[1] and a.shape[0] != 1
-    )
-    if not bias_row and a.shape != b.shape:
+    if a.shape != b.shape:
         raise _shape_error("add", a.shape, b.shape)
     out_data = a.data + b.data
 
     def backprop(g):
         _accumulate(a, g)
-        _accumulate(b, g.sum(axis=0, keepdims=True) if bias_row else g)
+        _accumulate(b, g)
 
     return _node(out_data, "add", (a, b), backprop)
 
@@ -338,6 +354,28 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
 # attention and fused ops
 # ---------------------------------------------------------------------------
 
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., t, heads·n) -> (..., heads, t, n), a view."""
+    return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads).swapaxes(-2, -3)
+
+
+def _merge_heads(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of `_split_heads`, into a fresh array of `shape`."""
+    return x.swapaxes(-2, -3).reshape(shape)
+
+
+def _attention_weights(qh, kh, mask, c) -> np.ndarray:
+    """Softmax weights (..., heads, tq, tk) of split q and k: the one expression
+    for the forward and for the backward that rebuilds them."""
+    scores = (qh @ _swap_last(kh)) * c
+    if mask is not None:
+        scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    w = np.exp(scores, out=scores)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
               heads: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
@@ -347,8 +385,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
     + mask) v_h on the h-th column block of each, and the heads' outputs sit
     side by side in the (..., tq, dv) result. The additive mask broadcasts to
     one head's scores (..., tq, tk), so one 2-D mask serves every entry and head.
-    The heads are views of the inputs; the node stores only the softmax
-    weights, and its backward is the softmax Jacobian-vector product.
+    The heads are views of the inputs. The node stores no softmax weights: its
+    backward rebuilds them from q and k, its parents, with the forward's own
+    expression (as FlashAttention does, Dao et al. 2022), then applies the
+    softmax Jacobian-vector product.
     """
     nd = q.data.ndim
     if nd not in (2, 3) or k.data.ndim != nd or v.data.ndim != nd \
@@ -358,36 +398,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
         raise _shape_error(f"attention(heads={heads})", q.shape, k.shape, v.shape)
     if mask is not None:  # one head's scores, then a heads axis to broadcast over
         mask = np.expand_dims(np.broadcast_to(mask, (*q.shape[:-1], k.shape[-2])), -3)
-
-    def split(x):  # (..., t, heads·n) -> (..., heads, t, n), a view
-        return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads).swapaxes(-2, -3)
-
-    def merge(x, shape):  # inverse of split, into a fresh array
-        return x.swapaxes(-2, -3).reshape(shape)
-
     c = 1.0 / math.sqrt(q.shape[-1] // heads)
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ _swap_last(kh)) * c
-    if mask is not None:
-        scores += mask
-    scores -= scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores, out=scores)
-    w /= w.sum(axis=-1, keepdims=True)
-    out_data = merge(w @ vh, (*q.shape[:-1], v.shape[-1]))
+    w = _attention_weights(_split_heads(q.data, heads), _split_heads(k.data, heads), mask, c)
+    out_data = _merge_heads(w @ _split_heads(v.data, heads), (*q.shape[:-1], v.shape[-1]))
 
     def backprop(g):
-        gh = split(g)
+        qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+        w = _attention_weights(qh, kh, mask, c)
+        gh = _split_heads(g, heads)
         if v.requires_grad:
-            _accumulate(v, merge(_swap_last(w) @ gh, v.shape))
+            _accumulate(v, _merge_heads(_swap_last(w) @ gh, v.shape))
         if not (q.requires_grad or k.requires_grad):
             return
         dw = gh @ _swap_last(vh)
         ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
         ds *= c
         if q.requires_grad:
-            _accumulate(q, merge(ds @ kh, q.shape))
+            _accumulate(q, _merge_heads(ds @ kh, q.shape))
         if k.requires_grad:
-            _accumulate(k, merge(_swap_last(ds) @ qh, k.shape))
+            _accumulate(k, _merge_heads(_swap_last(ds) @ qh, k.shape))
 
     return _node(out_data, "attention", (q, k, v), backprop)
 

@@ -23,7 +23,7 @@ from .forecasters import (
     fit,
     predict,
 )
-from .metrics import coverage, normalized_deviation, point_errors, quantile_loss, provisioning
+from .metrics import coverage, crps, normalized_deviation, point_errors, quantile_loss, provisioning
 from .power import PowerParams, power_saving
 from .traces import (DEFAULT_MAX_PRB, PrbSeries, TraceConfig, check_capacity, generate_synthetic,
                      load_csv, split)
@@ -291,6 +291,7 @@ def run_pipeline(config: ExperimentConfig) -> dict:
                 "mae": mae,
                 "mape_percent": mape,
                 "nd": normalized_deviation(truth, median),
+                "crps": crps(pooled, truth),
                 "quantile_loss": {p: quantile_loss(truth, qpred[p], p) for p in ps},
                 "coverage": {p: coverage(truth, qpred[p]) for p in ps},
                 "over_percent": {p: over_under[p][0] for p in ps},
@@ -301,6 +302,7 @@ def run_pipeline(config: ExperimentConfig) -> dict:
             "quantiles_pooled": qpred,
             "allocations": alloc,
             "final_train_loss": trained[kind].final_train_loss,
+            "loss_curve": trained[kind].loss_curve,
         }
 
     lstm_baseline = {}
@@ -402,7 +404,7 @@ def _table1_rows(doc: dict) -> list[list]:
     prob = _kinds(doc, PROBABILISTIC_KINDS)
     blanks = [""] * len(ps)
     rows = [["metric", "model", "overall", *map(_plabel, ps)]]
-    for metric in ("mse", "mae", "mape_percent"):
+    for metric in ("mse", "mae", "mape_percent", "crps"):
         rows += [[metric, k, m[metric], *blanks] for k, m in metrics.items()]
     rows += [["nd", k, metrics[k]["nd"], *blanks] for k in prob]
     for metric in ("quantile_loss", "coverage"):

@@ -78,7 +78,7 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
     return [
         ("matmul", lambda t: nn.matmul(t[0], t[1]), [mat(3, 4), mat(4, 2)]),
         ("add", lambda t: nn.add(t[0], t[1]), [a34.copy(), b34.copy()]),
-        ("add_bias", lambda t: nn.add(t[0], t[1]), [mat(3, 4), mat(1, 4)]),
+        ("affine", lambda t: nn.affine(t[0], t[1], t[2]), [mat(3, 4), mat(4, 2), mat(1, 2)]),
         ("sub", lambda t: nn.sub(t[0], t[1]), [a34.copy(), b34.copy()]),
         ("mul", lambda t: nn.mul(t[0], t[1]), [a34.copy(), b34.copy()]),
         ("div", lambda t: nn.div(t[0], t[1]), [mat(3, 4), mat(3, 4, signed=False)]),

@@ -2,8 +2,8 @@
 
 Criteria 6-9 score the shipped benchmark end to end through the CLI
 (`run --config default.json --seed 7`), so this module runs the full
-pipeline twice and takes several minutes. A one-line PASS/FAIL per
-criterion is printed in the terminal summary (see conftest).
+pipeline twice, both runs at once. A one-line PASS/FAIL per criterion is
+printed in the terminal summary (see conftest).
 """
 
 import json
@@ -77,23 +77,39 @@ def _child_env() -> dict[str, str]:
     return env
 
 
-def _cli_run(workdir: Path) -> float:
-    """Execute `run --config default.json --seed 7` in workdir; returns seconds."""
-    workdir.mkdir(parents=True, exist_ok=True)
+# The two pipeline runs share the host, so each gets one BLAS thread: the
+# models' matmuls gain nothing from more, and two runs with a thread per core
+# each oversubscribe the cores (on 2 cores: 50 s per run against 24 s).
+ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS")}
+
+
+def _cli_start(workdir: Path) -> tuple[subprocess.Popen, float]:
+    """Start `run --config default.json --seed 7` in workdir, its stderr into
+    workdir/stderr.txt; returns the process and its start time."""
     write_default_config(workdir / "default.json")
-    started = time.time()
-    proc = subprocess.run(
-        [sys.executable, "-m", "prb_oracle", "run", "--config", "default.json",
-         "--seed", "7"],
-        cwd=workdir, env=_child_env(), capture_output=True, text=True, timeout=1800,
-    )
+    with (workdir / "stderr.txt").open("w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "prb_oracle", "run", "--config", "default.json",
+             "--seed", "7"],
+            cwd=workdir, env={**_child_env(), **ONE_BLAS_THREAD},
+            stdout=subprocess.DEVNULL, stderr=err,
+        )
+    return proc, time.time()
+
+
+def _cli_finish(name: str, workdir: Path, proc: subprocess.Popen, started: float) -> float:
+    """Wait for a run from `_cli_start`; returns its wall-clock seconds."""
+    proc.wait(timeout=1800)
     elapsed = time.time() - started
-    assert proc.returncode == 0, f"pipeline failed: {proc.stderr}"
+    assert proc.returncode == 0, (
+        f"pipeline run {name} failed: {(workdir / 'stderr.txt').read_text()}"
+    )
     return elapsed
 
 
 def test_cli_child_imports_the_package_under_test(tmp_path):
-    """A child started as `_cli_run` starts it, from a directory without
+    """A child started as `_cli_start` starts it, from a directory without
     `src/`, imports the same prb_oracle as this process, not another copy."""
     proc = subprocess.run(
         [sys.executable, "-c", "import prb_oracle; print(prb_oracle.__file__)"],
@@ -105,11 +121,22 @@ def test_cli_child_imports_the_package_under_test(tmp_path):
 
 @pytest.fixture(scope="session")
 def bench(tmp_path_factory):
-    """First benchmark run: report document plus wall-clock seconds."""
-    workdir = tmp_path_factory.mktemp("bench_a")
-    elapsed = _cli_run(workdir)
-    doc = json.loads((workdir / "out" / "report.json").read_text())
-    return {"dir": workdir, "doc": doc, "seconds": elapsed}
+    """Both benchmark runs, started at once. Holds run a's report document
+    and its own wall-clock seconds, and run b, which criterion 9 finishes;
+    a run still going at teardown is killed."""
+    runs = {}
+    try:
+        for name in ("a", "b"):
+            workdir = tmp_path_factory.mktemp(f"bench_{name}")
+            runs[name] = (name, workdir, *_cli_start(workdir))
+        elapsed = _cli_finish(*runs["a"])
+        doc = json.loads((runs["a"][1] / "out" / "report.json").read_text())
+        yield {"dir": runs["a"][1], "doc": doc, "seconds": elapsed, "run_b": runs["b"]}
+    finally:
+        for _, _, proc, _ in runs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
 
 def test_criterion_1_no_external_reference_values(bench):
@@ -261,9 +288,9 @@ def test_criterion_8_skill_floor_vs_seasonal_persistence(bench):
         )
 
 
-def test_criterion_9_cli_determinism(bench, tmp_path_factory):
-    workdir_b = tmp_path_factory.mktemp("bench_b")
-    _cli_run(workdir_b)
+def test_criterion_9_cli_determinism(bench):
+    _cli_finish(*bench["run_b"])
+    workdir_b = bench["run_b"][1]
     bytes_a = (bench["dir"] / "out" / "report.json").read_bytes()
     bytes_b = (workdir_b / "out" / "report.json").read_bytes()
     assert bytes_a == bytes_b

@@ -50,9 +50,9 @@ def test_bundled_default_config_is_valid():
     assert sorted(doc["models"]) == ["deepar", "lstm", "sff", "transformer"]
     for m in doc["models"].values():
         assert m["epochs"] == 5
-    # Minibatches of 32 at lr 1e-2, but the transformer still at batch 1.
+    # Minibatches of 32 at lr 1e-2; the transformer at batch 8 and lr 3e-3.
     recipe = {kind: (m["batch_size"], m["lr"]) for kind, m in doc["models"].items()}
-    assert recipe == {"sff": (32, 0.01), "deepar": (32, 0.01), "transformer": (1, 0.001),
+    assert recipe == {"sff": (32, 0.01), "deepar": (32, 0.01), "transformer": (8, 0.003),
                       "lstm": (32, 0.01)}
     assert doc["percentiles"] == [0.05, 0.25, 0.5, 0.75, 0.9, 0.99]
 

@@ -109,7 +109,7 @@ def test_epochs_zero_keeps_initialization(kind):
     assert sorted(model.params.names()) == sorted(fresh.names())
     for name in fresh.names():
         assert np.array_equal(model.params[name].data, fresh[name].data)
-    assert model.final_train_loss is None
+    assert model.loss_curve == () and model.final_train_loss is None
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -276,7 +276,7 @@ def _per_window_fit(cfg, series):
     scaled = series.values / scale
     calendar = calendar_features(series.start_time, np.arange(len(series)))
     params = mod.build(cfg)
-    state = AdamState.for_params(params, lr=cfg.lr)
+    state = AdamState.for_params(params)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     for _ in range(cfg.epochs):
         total = 0.0
@@ -284,6 +284,7 @@ def _per_window_fit(cfg, series):
             feats = {"ctx": calendar[t0 - c:t0], "tgt": calendar[t0:t0 + h]}
             loss = mod.loss(params, cfg, scaled[t0 - c:t0], scaled[t0:t0 + h], feats)
             total += loss.item()
+            state.lr = base.learning_rate(cfg.lr, state.step, cfg.epochs * len(t0s))
             adam_step(params, nn.backward(loss, params), state)
     return params, total / len(t0s)
 
@@ -312,6 +313,53 @@ def test_fit_takes_one_step_per_batch(kind, monkeypatch):
     model = fit(tiny_config(kind, epochs=2, batch_size=16), short_series())
     assert sizes == [16, 16, 16, 4] * 2
     assert np.isfinite(model.final_train_loss)
+
+
+def test_learning_rate_warms_up_then_decays_to_a_tenth():
+    lr, steps = 3e-3, 200  # warm-up: the first 20 steps
+    rates = [base.learning_rate(lr, s, steps) for s in range(steps)]
+    assert rates[0] == lr / 20
+    assert rates[19] == lr  # the end of the warm-up
+    assert rates[-1] == pytest.approx(0.1 * lr, rel=1e-15)
+    assert np.all(np.diff(rates[:20]) > 0) and np.all(np.diff(rates[19:]) < 0)
+    # The warm-up rounds up: 11 steps warm up over two.
+    assert [base.learning_rate(1.0, s, 11) for s in range(2)] == [0.5, 1.0]
+
+
+def _recorded_rates(monkeypatch):
+    rates, real = [], base.adam_step
+
+    def adam_step(params, grads, state):
+        rates.append(state.lr)
+        real(params, grads, state)
+
+    monkeypatch.setattr(base, "adam_step", adam_step)
+    return rates
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_fit_steps_at_the_scheduled_rates(kind, monkeypatch):
+    # 52 windows at batch 16 and 3 epochs: 12 steps, warming up over two.
+    rates = _recorded_rates(monkeypatch)
+    cfg = tiny_config(kind, epochs=3, batch_size=16, lr=2e-3)
+    model = fit(cfg, short_series())
+    assert rates == [base.learning_rate(cfg.lr, s, 12) for s in range(12)]
+    assert rates[0] == cfg.lr / 2 and rates[1] == cfg.lr
+    assert rates[-1] == pytest.approx(0.1 * cfg.lr, rel=1e-15)
+    assert len(model.loss_curve) == 3 and model.final_train_loss == model.loss_curve[-1]
+
+
+def test_a_one_step_fit_steps_at_the_full_rate(monkeypatch):
+    rates = _recorded_rates(monkeypatch)
+    model = fit(tiny_config("sff", batch_size=64), short_series())  # 52 windows, one batch
+    assert rates == [tiny_config("sff").lr]
+    assert len(model.loss_curve) == 1
+
+
+def test_a_zero_epoch_fit_takes_no_step(monkeypatch):
+    rates = _recorded_rates(monkeypatch)
+    model = fit(tiny_config("transformer", epochs=0, batch_size=8), short_series())
+    assert rates == [] and model.loss_curve == ()
 
 
 def test_diverged_fit_names_the_batch_windows():

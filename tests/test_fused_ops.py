@@ -17,18 +17,27 @@ from conftest import max_rel_err
 from prb_oracle import nncore as nn
 from prb_oracle.cli import default_config_path
 from prb_oracle.forecasters import ForecasterConfig, deepar, transformer
-from prb_oracle.nncore import AdamState, adam_step
+from prb_oracle.nncore import AdamState, adam_step, tensor
 from prb_oracle.rapp import ExperimentConfig
 from prb_oracle.nncore.tensor import _LANCZOS_COEFFS, _LANCZOS_G
 
 TOL = 1e-12
 
 
+def bias_row_add(a, b):
+    """The old `add` branch that broadcast a (1, n) bias row b over the rows of a."""
+    def backprop(g):
+        tensor._accumulate(a, g)
+        tensor._accumulate(b, g.sum(axis=0, keepdims=True))
+
+    return tensor._node(a.data + b.data, "add", (a, b), backprop)
+
+
 def composite_lstm_cell(x, hc, wx, wh, b):
     """The old deepar cell on separate h and c, repacked as [h | c]."""
     n = wh.shape[0]
     h, c = nn.narrow(hc, 1, 0, n), nn.narrow(hc, 1, n, n)
-    gates = nn.add(nn.add(nn.matmul(x, wx), nn.matmul(h, wh)), b)
+    gates = bias_row_add(nn.add(nn.matmul(x, wx), nn.matmul(h, wh)), b)
     i = nn.sigmoid(nn.narrow(gates, 1, 0, n))
     f = nn.sigmoid(nn.narrow(gates, 1, n, n))
     g = nn.tanh(nn.narrow(gates, 1, 2 * n, n))
@@ -47,7 +56,7 @@ def composite_layer_norm(x, gain, bias, eps=1e-5):
     var_col = nn.matmul(nn.square(centered), nn.constant(np.full((d, 1), 1.0 / d)))
     inv_std = nn.div(nn.constant(np.ones((n, 1))), nn.sqrt(nn.add_const(var_col, eps)))
     normed = nn.mul(centered, nn.matmul(inv_std, ones_row))
-    return nn.add(nn.mul(normed, nn.matmul(nn.constant(np.ones((n, 1))), gain)), bias)
+    return bias_row_add(nn.mul(normed, nn.matmul(nn.constant(np.ones((n, 1))), gain)), bias)
 
 
 def composite_log_gamma(z):
@@ -59,6 +68,11 @@ def composite_log_gamma(z):
                                        nn.add_const(z, float(k - 1))))
     lead = nn.mul(nn.add_const(z, -0.5), nn.log(t))
     return nn.add_const(nn.add(nn.sub(lead, t), nn.log(series)), 0.5 * math.log(2.0 * math.pi))
+
+
+def composite_affine(x, w, b):
+    """The old bias layer: `add(matmul(x, w), b)` with the bias-row add."""
+    return bias_row_add(nn.matmul(x, w), b)
 
 
 def _value_and_grads(op, inputs, probe):
@@ -87,10 +101,13 @@ def _inputs(kind, rng):
     if kind == "layer_norm":
         return [rng.normal(loc=2.0, scale=3.0, size=(7, 8)), rng.normal(size=(1, 8)),
                 rng.normal(size=(1, 8))]
+    if kind == "affine":
+        return [rng.normal(size=(7, 5)), rng.normal(size=(5, 4)), rng.normal(size=(1, 4))]
     return [rng.uniform(0.5, 40.0, size=(6, 3))]
 
 
 CASES = {
+    "affine": (nn.affine, composite_affine),
     "lstm_cell": (nn.lstm_cell, composite_lstm_cell),
     "layer_norm": (nn.layer_norm, composite_layer_norm),
     "lgamma": (nn.lgamma, composite_log_gamma),
@@ -123,6 +140,32 @@ def test_fused_op_shape_errors():
         nn.lstm_cell(ones(2, 3), ones(2, 8), ones(2, 16), ones(4, 16), ones(1, 16))
     with pytest.raises(nn.ShapeMismatch, match="layer_norm"):
         nn.layer_norm(ones(2, 3), ones(1, 4), ones(1, 3))
+    with pytest.raises(nn.ShapeMismatch, match="affine"):
+        nn.affine(ones(2, 3), ones(3, 4), ones(1, 3))
+    with pytest.raises(nn.ShapeMismatch, match="affine"):
+        nn.affine(ones(2, 2, 3), ones(3, 4), ones(1, 4))
+    # add takes equal shapes only: a bias row goes through affine.
+    with pytest.raises(nn.ShapeMismatch, match="add"):
+        nn.add(ones(2, 4), ones(1, 4))
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("x_needs_grad", [True, False])
+def test_affine_is_its_composite_bit_for_bit(rows, x_needs_grad):
+    # The models swapped add(matmul(x, w), b) for affine with no change in any
+    # number, so values and gradients must be equal, not merely close.
+    rng = np.random.default_rng(rows)
+    x, w, b = rng.normal(size=(rows, 5)), rng.normal(size=(5, 4)), rng.normal(size=(1, 4))
+    probe = nn.constant(rng.normal(size=(rows, 4)))
+    results = []
+    for op in (composite_affine, nn.affine):
+        leaves = [nn.Tensor(x, requires_grad=x_needs_grad), nn.Tensor(w, requires_grad=True),
+                  nn.Tensor(b, requires_grad=True)]
+        out = op(*leaves)
+        nn.backward(nn.sum_all(nn.mul(nn.tanh(out), probe)))
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for got, want in zip(results[1], results[0]):
+        assert (got is None and want is None) or np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +207,29 @@ def test_a_batch_32_deepar_step_keeps_a_small_tape():
     finally:
         tracemalloc.stop()
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_a_default_transformer_step_keeps_a_lean_tape():
+    # affine keeps one output per bias layer and attention keeps no softmax
+    # weights, so the forward of one default.json training step keeps about
+    # 3.9 MB alive for its backward (the add(matmul) pairs and stored weights
+    # kept 5.9 MB at batch 8).
+    default = ExperimentConfig.from_dict(json.loads(default_config_path().read_text()))
+    cfg = default.models["transformer"]
+    assert cfg.batch_size == 8
+    rng = np.random.default_rng(10)
+    ctx = rng.uniform(0.5, 1.5, (cfg.batch_size, cfg.context_len))
+    tgt = rng.uniform(0.5, 1.5, (cfg.batch_size, cfg.horizon))
+    feats = {"ctx": rng.uniform(size=(*ctx.shape, 2)), "tgt": rng.uniform(size=(*tgt.shape, 2))}
+    params = transformer.build(cfg)
+    tracemalloc.start()
+    try:
+        loss = transformer.loss(params, cfg, ctx, tgt, feats)
+        taped, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nn.backward(loss, params)
+    assert taped < 4.5e6, f"taped {taped / 1e6:.2f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +363,21 @@ def test_multi_head_attention_has_no_per_head_nodes():
         stack.extend(node._parents)
     assert ops.count("attention") == 1
     assert not {"softmax", "transpose", "narrow", "concat"} & set(ops)
+
+
+@pytest.mark.parametrize("mask", [None, CAUSAL], ids=["cross", "causal"])
+def test_attention_keeps_no_softmax_weights(mask):
+    # The backward rebuilds the (..., heads, tq, tk) weights from q and k, so
+    # the node's closure holds no array of that shape.
+    rng = np.random.default_rng(11)
+    tk = 6 if mask is None else 5
+    q, k, v = (nn.Tensor(rng.normal(size=s), requires_grad=True)
+               for s in ((2, 5, DIM), (2, tk, DIM), (2, tk, 12)))
+    out = nn.attention(q, k, v, mask, HEADS)
+    held = [c.cell_contents for c in out._backprop.__closure__]
+    arrays = [x for x in held if isinstance(x, np.ndarray)]
+    arrays += [t.data for t in held if isinstance(t, nn.Tensor)]
+    assert not [a.shape for a in arrays if a.shape[-3:] == (HEADS, 5, tk)]
 
 
 @pytest.mark.parametrize("kind", ["deepar", "transformer"])

@@ -1,5 +1,8 @@
 """Evaluation metrics against hand values and literal loop oracles."""
 
+import math
+from math import fsum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from conftest import (
 from prb_oracle.metrics import (
     MetricError,
     coverage,
+    crps,
     normalized_deviation,
     point_errors,
     provisioning,
@@ -154,3 +158,57 @@ def test_metric_properties(data, truth):
     over, under = provisioning(truth, alloc)
     assert over + under == 100.0
     assert quantile_loss(truth, pred, 0.5) == point_errors(truth, pred)[1]
+
+
+# ---------------------------------------------------------------------------
+# CRPS
+# ---------------------------------------------------------------------------
+
+def brute_crps(samples, truth):
+    """Per hour, (1/S) sum_i |x_i - y| - (1/2S^2) sum_i sum_j |x_i - x_j|, then the mean."""
+    scores = []
+    for xs, y in zip(np.asarray(samples).T, truth):
+        s = len(xs)
+        skill = fsum(abs(x - y) for x in xs) / s
+        spread = fsum(abs(a - b) for a in xs for b in xs) / (2 * s * s)
+        scores.append(skill - spread)
+    return fsum(scores) / len(scores)
+
+
+@pytest.mark.parametrize("draws", [1, 2, 7, 100])
+def test_crps_is_the_energy_form_double_sum(draws):
+    rng = np.random.default_rng(draws)
+    samples = rng.gamma(3.0, 10.0, size=(draws, 24))
+    truth = rng.uniform(5.0, 80.0, size=24)
+    assert crps(samples, truth) == pytest.approx(brute_crps(samples, truth), rel=1e-12, abs=1e-12)
+
+
+def test_crps_of_gaussian_draws_is_the_closed_form():
+    # CRPS(N(mu, sigma^2), y) = sigma [z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi)],
+    # z = (y - mu) / sigma (Gneiting & Raftery 2007).
+    mu, sigma = 50.0, 8.0
+    truth = np.array([38.0, 47.5, 50.0, 61.0])
+    samples = np.random.default_rng(5).normal(mu, sigma, size=(40_000, len(truth)))
+
+    def closed(y):
+        z = (y - mu) / sigma
+        cdf = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return sigma * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / math.sqrt(math.pi))
+
+    want = fsum(closed(y) for y in truth) / len(truth)
+    assert crps(samples, truth) == pytest.approx(want, rel=5e-3)
+
+
+def test_crps_of_one_draw_is_the_absolute_error():
+    rng = np.random.default_rng(2)
+    truth = rng.uniform(1.0, 100.0, size=30)
+    point = truth + rng.normal(scale=5.0, size=30)
+    assert crps(point[None, :], truth) == point_errors(truth, point)[1]
+
+
+def test_crps_rejects_mismatched_shapes():
+    with pytest.raises(MetricError, match="crps"):
+        crps(np.ones((5, 3)), np.ones(4))
+    with pytest.raises(MetricError, match="crps"):
+        crps(np.ones(3), np.ones(3))

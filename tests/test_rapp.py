@@ -207,6 +207,17 @@ def test_report_self_consistency(small_report):
             assert m["power_saving_percent"][p] == pytest.approx(mean_saving, abs=1e-9)
 
 
+def test_report_carries_crps_and_loss_curves(small_report):
+    rep = small_report
+    for kind, m in rep["models"].items():
+        assert np.isfinite(m["metrics"]["crps"]) and m["metrics"]["crps"] > 0.0, kind
+        curve = m["loss_curve"]
+        assert len(curve) == 1 and curve[-1] == m["final_train_loss"], kind
+    # The point-only lstm's CRPS is its MAE.
+    lstm = rep["models"]["lstm"]["metrics"]
+    assert lstm["crps"] == lstm["mae"]
+
+
 def test_last_window_slice_matches_pooled(small_report):
     rep = small_report
     last = rep["last_window"]
