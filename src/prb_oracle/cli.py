@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .forecasters import TrainingDiverged
-from .rapp import ExperimentConfig, PipelineError, _is_a, _type_name, emit_report, run_pipeline
+from .rapp import ExperimentConfig, PipelineError, _is_a, _plabel, _type_name, emit_report, run_pipeline
 from .traces import TraceError, generate_synthetic, save_csv
 
 DEFAULT_CONFIG_NAME = "default.json"
@@ -140,7 +140,7 @@ def _cmd_inspect(args) -> int:
         return value
 
     percentiles = field("percentiles", like=(0.0,))
-    labels = [f"p{100 * p:g}" for p in percentiles]
+    labels = [_plabel(p) for p in percentiles]
     name_w, stat_w = 12, 16
     # Every cell is looked up before anything is printed, so a broken report
     # prints its error line alone.

@@ -278,7 +278,7 @@ def predict(
     feats = {"ctx": calendar[:config.context_len], "tgt": calendar[config.context_len:]}
     mod = _model_module(config.kind)
     result = mod.paths(model.params, config, context / model.scale, feats, rng)
-    if config.kind == "lstm":
+    if config.kind not in PROBABILISTIC_KINDS:
         point = result[0] * model.scale
         return ForecastResult(samples=point[None, :].copy(), origin=origin, point=point)
     return ForecastResult(samples=result * model.scale, origin=origin)

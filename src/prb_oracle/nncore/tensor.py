@@ -3,19 +3,19 @@
 Every operation checks shapes eagerly and computes its forward value with plain
 numpy. When one of its inputs requires a gradient, it also records a closure
 that scatters the output adjoint back onto its inputs; an op on constants only
-records nothing. Nodes go onto a tape of weak references in creation order,
-already a topological order (a Wengert list, Griewank & Walther 2008);
-`backward` runs the closures in reverse tape order.
+records nothing. Each taped node gets a creation number, and creation order is
+a topological order (a Wengert list, Griewank & Walther 2008): `backward`
+gathers the loss's own graph and runs its closures in reverse creation order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import weakref
 
 import numpy as np
 
-_tape: list = []  # weak refs to the nodes that need a gradient, recorded since the last backward
+_creation = itertools.count()  # numbers the taped nodes in the order they are made
 
 
 class ShapeMismatch(ValueError):
@@ -29,7 +29,7 @@ def _shape_error(op: str, *shapes) -> ShapeMismatch:
 class Tensor:
     """A node in the computation graph: value, adjoint slot, and provenance."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backprop", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backprop", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = (), backprop=None):
@@ -64,9 +64,7 @@ def _node(data, op: str, parents: tuple, backprop) -> Tensor:
     for p in parents:
         if p.requires_grad:
             node = Tensor(data, True, op, parents, backprop)
-            _tape.append(weakref.ref(node))
-            if len(_tape) % 4096 == 0:  # drop the refs of graphs freed without a backward
-                _tape[:] = [r for r in _tape if r() is not None]
+            node._seq = next(_creation)
             return node
     return Tensor(data, op=op)
 
@@ -542,34 +540,36 @@ _CONSUMED = "backward: graph already consumed by an earlier backward; rebuild th
 def backward(loss: Tensor, params=None):
     """Run reverse-mode accumulation from a scalar loss.
 
-    Populates `.grad` on every leaf the loss depends on, and consumes every
-    node taped since the last backward: a later backward through one raises.
-    Each taped node drops its gradient, closure and parents as soon as its
-    backprop has run, so interior nodes end with `grad` None and a graph
-    frees what it no longer needs while the pass runs.
+    Populates `.grad` on every leaf the loss depends on. A walk over parents
+    gathers the loss's own graph, which runs in reverse creation order and is
+    consumed: a later backward through it raises; other graphs stay untouched.
+    Each node drops its gradient, closure and parents once its backprop has
+    run, so interior nodes end with `grad` None and the graph frees as it goes.
     When a ParameterSet is given, returns {name: gradient array}, with zeros
     for parameters the loss does not depend on.
     """
     if loss.data.size != 1:
         raise ShapeMismatch(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._parents is None:
-        raise RuntimeError(_CONSUMED)
+    tape, stack, seen = [], [loss], {id(loss)}  # ids, so the set keeps no node alive
+    while stack:
+        node = stack.pop()
+        if node._parents is None:
+            raise RuntimeError(_CONSUMED)
+        node.grad = None
+        if node._parents:  # taped; a leaf has no parents
+            tape.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    tape.sort(key=lambda node: node._seq)
     if params is not None:
         for p in params.tensors():
             p.grad = None
-    tape = [node for node in (r() for r in _tape) if node is not None]
-    for node in tape:
-        node.grad = None
-        for parent in node._parents:
-            if parent._parents is None:
-                raise RuntimeError(_CONSUMED)
-            parent.grad = None
-    _tape.clear()
     loss.grad = np.ones_like(loss.data)
     while tape:  # each node is dropped from the tape once its backprop has run
         node = tape.pop()
-        if node.grad is not None:  # nodes the loss does not depend on stay None
-            node._backprop(node.grad)
+        node._backprop(node.grad)
         node.grad = node._backprop = node._parents = None
     if params is not None:
         return {

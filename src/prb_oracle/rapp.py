@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise PipelineError(f"seed must be >= 0, got {self.seed}")
         if self.max_prb < 1:
             raise PipelineError(f"max_prb must be >= 1, got {self.max_prb}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise PipelineError(f"train_fraction must be in (0,1), got {self.train_fraction}")
         if isinstance(self.trace, TraceConfig):
             check_capacity(self.trace, self.max_prb)
         ps = tuple(float(p) for p in self.percentiles)
@@ -223,8 +225,9 @@ def run_pipeline(config: ExperimentConfig) -> dict:
     ctx_len, horizon = config.context_len, config.horizon
     if len(test) < ctx_len + horizon:
         raise PipelineError(
-            f"test segment of {len(test)} hours shorter than context+horizon "
-            f"({ctx_len}+{horizon})"
+            f"test segment of {len(test)} hours ({len(series)}-hour trace at train_fraction "
+            f"{config.train_fraction}) shorter than context+horizon ({ctx_len}+{horizon}); "
+            "lower train_fraction or lengthen the trace"
         )
     n_windows = len(test) // horizon
     n_train = len(train)

@@ -194,6 +194,7 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     ({"trace": {"base_load": 130.0}}, "trace.base_load + trace.daily_amplitude = 170.0 exceeds max_prb 160"),
     ({"models": {}}, "models block names no model"),
     ({"models": {"deepar": {"batch_size": 0}}}, "models.deepar.batch_size must be positive, got 0"),
+    ({"train_fraction": 1.5}, "train_fraction must be in (0,1), got 1.5"),
 ])
 def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, message):
     monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
@@ -202,6 +203,29 @@ def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, m
     assert dispatch(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_trace_rejects_a_bad_train_fraction(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"train_fraction": 1.5}))
+    out = tmp_path / "t.csv"
+    assert dispatch(["gen-trace", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: train_fraction must be in (0,1), got 1.5\n"
+    assert not out.exists()
+    with pytest.raises(ValueError, match=r"train_fraction must be in \(0,1\), got 1.5"):
+        ExperimentConfig(train_fraction=1.5)
+
+
+def test_too_short_test_segment_names_the_settings_that_fix_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rapp, "fit", None)  # training would raise
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"train_fraction": 0.98, "trace": {"weeks": 2}}))
+    assert dispatch(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: test segment of 7 hours (336-hour trace at train_fraction 0.98) shorter than "
+        "context+horizon (24+24); lower train_fraction or lengthen the trace\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
