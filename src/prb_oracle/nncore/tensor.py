@@ -10,6 +10,7 @@ gathers the loss's own graph and runs its closures in reverse creation order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -362,16 +363,40 @@ def _merge_heads(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return x.swapaxes(-2, -3).reshape(shape)
 
 
-def _attention_weights(qh, kh, mask, c) -> np.ndarray:
-    """Softmax weights (..., heads, tq, tk) of split q and k: the one expression
-    for the forward and for the backward that rebuilds them."""
-    scores = (qh @ _swap_last(kh)) * c
+def _transposed(x: np.ndarray, c: float = 1.0) -> np.ndarray:
+    """c * x with its last two axes swapped, as a fresh C-contiguous array."""
+    out = np.empty((*x.shape[:-2], x.shape[-1], x.shape[-2]))
+    return np.multiply(_swap_last(x), c, out=out)
+
+
+def _key_major(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """a (..., tk, n) @ bt (..., n, tq) into a fresh key-major (tk, ..., tq) array.
+
+    bt is C-contiguous: numpy's matmul into the strided key-major view runs
+    about twice as long with a transposed right operand."""
+    out = np.empty((a.shape[-2], *a.shape[:-2], bt.shape[-1]))
+    np.matmul(a, bt, out=np.moveaxis(out, 0, -2))
+    return out
+
+
+def _attention_scores(kh, qt, mask) -> np.ndarray:
+    """Masked scores (tk, ..., heads, tq) of split k and qt = c * q^T, the
+    scaled and transposed split q: the one expression for the forward and for
+    the backward that rebuilds the weights."""
+    s = _key_major(kh, qt)
     if mask is not None:
-        scores += mask
-    scores -= scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores, out=scores)
-    w /= w.sum(axis=-1, keepdims=True)
-    return w
+        s += mask
+    return s
+
+
+def _head_row_sums(a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
+    """Sum of a * b (..., t, heads·n) over each head's n columns, (..., heads, t).
+
+    A product with a ones vector: numpy's sum over a short last axis takes
+    several times longer."""
+    n = a.shape[-1] // heads
+    sums = (a * b).reshape(-1, n) @ np.ones(n)
+    return np.ascontiguousarray(_swap_last(sums.reshape(*a.shape[:-1], heads)))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
@@ -383,10 +408,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
     + mask) v_h on the h-th column block of each, and the heads' outputs sit
     side by side in the (..., tq, dv) result. The additive mask broadcasts to
     one head's scores (..., tq, tk), so one 2-D mask serves every entry and head.
-    The heads are views of the inputs. The node stores no softmax weights: its
-    backward rebuilds them from q and k, its parents, with the forward's own
-    expression (as FlashAttention does, Dao et al. 2022), then applies the
-    softmax Jacobian-vector product.
+    The heads are views of the inputs.
+
+    The scores are laid out key-major, (tk, ..., heads, tq), so the softmax's
+    max and sum reduce over the leading axis, not over many short rows; the
+    scale c = 1/sqrt(d/heads) rides on the transposed copy of q the product
+    needs. The node stores no softmax weights: when some input requires a
+    gradient it keeps one log-sum-exp per query row, lse (..., heads, tq), and
+    its backward rebuilds the weights as exp(s - lse) from q and k, its
+    parents, with no max, sum or divide (as FlashAttention-2 does, Dao 2023).
+    The softmax Jacobian-vector product takes its row term D = rowsum(dO * O)
+    per head from the node's own output O, which equals rowsum(dW * W).
     """
     nd = q.data.ndim
     if nd not in (2, 3) or k.data.ndim != nd or v.data.ndim != nd \
@@ -394,27 +426,49 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
             or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2] \
             or heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
         raise _shape_error(f"attention(heads={heads})", q.shape, k.shape, v.shape)
-    if mask is not None:  # one head's scores, then a heads axis to broadcast over
-        mask = np.expand_dims(np.broadcast_to(mask, (*q.shape[:-1], k.shape[-2])), -3)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        np.broadcast_to(mask, (*q.shape[:-1], k.shape[-2]))  # raises on a mask that does not fit
+        # Key-major in the mask's own shape, contiguous along the query axis
+        # so that adding it runs at the scores' stride, and a heads axis of 1.
+        mask = mask.reshape((1,) * (nd - mask.ndim) + mask.shape)
+        mask = np.ascontiguousarray(np.moveaxis(mask, -1, 0))[..., None, :]
     c = 1.0 / math.sqrt(q.shape[-1] // heads)
-    w = _attention_weights(_split_heads(q.data, heads), _split_heads(k.data, heads), mask, c)
-    out_data = _merge_heads(w @ _split_heads(v.data, heads), (*q.shape[:-1], v.shape[-1]))
+    w = _attention_scores(_split_heads(k.data, heads), _transposed(_split_heads(q.data, heads), c),
+                          mask)
+    row_max = w.max(axis=0)
+    w -= row_max
+    np.exp(w, out=w)
+    row_sum = np.add.reduce(w, axis=0)
+    # Normalise the (..., heads, tq, dv/heads) product, not the tk-times larger weights.
+    out_h = np.moveaxis(w, 0, -1) @ _split_heads(v.data, heads)
+    out_h /= row_sum[..., None]
+    out_data = _merge_heads(out_h, (*q.shape[:-1], v.shape[-1]))
+    if not (q.requires_grad or k.requires_grad or v.requires_grad):
+        return _node(out_data, "attention", (q, k, v), None)
+    lse = np.log(row_sum, out=row_sum)
+    lse += row_max
 
     def backprop(g):
-        qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-        w = _attention_weights(qh, kh, mask, c)
+        kh, vh = _split_heads(k.data, heads), _split_heads(v.data, heads)
+        qt = _transposed(_split_heads(q.data, heads), c)
+        w = _attention_scores(kh, qt, mask)
+        w -= lse
+        np.exp(w, out=w)
         gh = _split_heads(g, heads)
         if v.requires_grad:
-            _accumulate(v, _merge_heads(_swap_last(w) @ gh, v.shape))
+            _accumulate(v, _merge_heads(np.moveaxis(w, 0, -2) @ gh, v.shape))
         if not (q.requires_grad or k.requires_grad):
             return
-        dw = gh @ _swap_last(vh)
-        ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
-        ds *= c
+        ds = _key_major(vh, _transposed(gh))  # dW
+        ds -= _head_row_sums(g, out_data, heads)
+        ds *= w  # the gradient of the scores, s = k (c q)^T
         if q.requires_grad:
-            _accumulate(q, _merge_heads(ds @ kh, q.shape))
+            dq = _merge_heads(np.moveaxis(ds, 0, -1) @ kh, q.shape)
+            dq *= c
+            _accumulate(q, dq)
         if k.requires_grad:
-            _accumulate(k, _merge_heads(_swap_last(ds) @ qh, k.shape))
+            _accumulate(k, _merge_heads(np.moveaxis(ds, 0, -2) @ _swap_last(qt), k.shape))
 
     return _node(out_data, "attention", (q, k, v), backprop)
 
@@ -428,29 +482,53 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Row-wise layer normalization with learned (1, d) gain and bias."""
     if x.data.ndim != 2 or not gain.shape == bias.shape == (1, x.shape[1]):
         raise _shape_error("layer_norm", x.shape, gain.shape, bias.shape)
-    centered = x.data - x.data.mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps)
-    normed = centered * inv_std
-    out_data = normed * gain.data + bias.data
+    d = x.shape[1]
+    # np.add.reduce(...) / d is the arithmetic of .mean, without its dispatch.
+    centered = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / d
+    var = np.add.reduce(centered * centered, axis=1, keepdims=True) / d
+    var += eps
+    inv_std = 1.0 / np.sqrt(var, out=var)
+    normed = centered
+    normed *= inv_std
+    out_data = normed * gain.data
+    out_data += bias.data
 
     def backprop(g):
         gn = g * gain.data
-        inner = gn - gn.mean(axis=1, keepdims=True)
-        _accumulate(x, inv_std * (inner - normed * (gn * normed).mean(axis=1, keepdims=True)))
+        inner = gn - np.add.reduce(gn, axis=1, keepdims=True) / d
+        gn *= normed
+        row = np.add.reduce(gn, axis=1, keepdims=True) / d
+        inner -= normed * row
+        inner *= inv_std
+        _accumulate(x, inner)
         _accumulate(gain, (g * normed).sum(axis=0, keepdims=True))
         _accumulate(bias, g.sum(axis=0, keepdims=True))
 
     return _node(out_data, "layer_norm", (x, gain, bias), backprop)
 
 
+@functools.lru_cache
+def _gate_scale(n: int) -> np.ndarray:
+    """(4n,) factors taking the gate pre-activations to their tanh arguments:
+    v / 2 for the sigmoid gates i, f and o, and v for the cell gate g."""
+    scale = np.full(4 * n, 0.5)
+    scale[2 * n:3 * n] = 1.0
+    scale.flags.writeable = False
+    return scale
+
+
 def _lstm_gates(x, h, wx, wh, b):
     """lstm_cell's gate activations from its inputs: the sigmoid view of all
     four gates, and the gates (i, f, g, o)."""
     n = wh.shape[0]
-    z = x @ wx + h @ wh + b
+    z = x @ wx
+    z += h @ wh
+    z += b
     # One tanh for all four gates, as sigmoid(v) = 0.5 tanh(v / 2) + 0.5.
-    act = np.tanh(np.concatenate([0.5 * z[:, :2 * n], z[:, 2 * n:3 * n], 0.5 * z[:, 3 * n:]], axis=1))
-    sig = 0.5 * act + 0.5
+    z *= _gate_scale(n)
+    act = np.tanh(z, out=z)
+    sig = act * 0.5
+    sig += 0.5
     return sig, (sig[:, :n], sig[:, n:2 * n], act[:, 2 * n:3 * n], sig[:, 3 * n:])
 
 
@@ -469,18 +547,34 @@ def lstm_cell(x: Tensor, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
         raise _shape_error("lstm_cell", x.shape, hc.shape, wx.shape, wh.shape, b.shape)
     h, c = hc.data[:, :n], hc.data[:, n:]
     _, (i, f, g, o) = _lstm_gates(x.data, h, wx.data, wh.data, b.data)
-    c_new = f * c + i * g
-    out_data = np.concatenate([o * np.tanh(c_new), c_new], axis=1)
+    c_new = f * c
+    c_new += i * g
+    h_new = np.tanh(c_new)
+    h_new *= o
+    out_data = np.concatenate([h_new, c_new], axis=1)
 
     def backprop(grad):
         h, c = hc.data[:, :n], hc.data[:, n:]
         sig, (i, f, g, o) = _lstm_gates(x.data, h, wx.data, wh.data, b.data)
         tanh_c = np.tanh(np.ascontiguousarray(out_data[:, n:]))  # contiguous, as in the forward
         gh, gc = grad[:, :n], grad[:, n:]
-        dc = gc + gh * o * (1.0 - tanh_c * tanh_c)
-        d_act = np.concatenate([dc * g, dc * c, dc * i, gh * tanh_c], axis=1)
-        dz = d_act * sig * (1.0 - sig)
-        dz[:, 2 * n:3 * n] = d_act[:, 2 * n:3 * n] * (1.0 - g * g)
+        dc = tanh_c * tanh_c
+        np.subtract(1.0, dc, out=dc)
+        dc *= gh * o
+        dc += gc
+        # dz = d_act * sig * (1 - sig), d_act = [dc g | dc c | dc i | gh tanh_c],
+        # but for g, whose tanh derivative is 1 - g^2.
+        dz = np.empty((x.shape[0], 4 * n))
+        np.multiply(dc, g, out=dz[:, :n])
+        np.multiply(dc, c, out=dz[:, n:2 * n])
+        np.multiply(dc, i, out=dz[:, 2 * n:3 * n])
+        np.multiply(gh, tanh_c, out=dz[:, 3 * n:])
+        dg = g * g
+        np.subtract(1.0, dg, out=dg)
+        dg *= dz[:, 2 * n:3 * n]
+        dz *= sig
+        dz *= 1.0 - sig  # a fresh array: i, f and o are views of sig
+        dz[:, 2 * n:3 * n] = dg
         if x.requires_grad:  # not deepar's input rows
             _accumulate(x, dz @ wx.data.T)
         _accumulate(wx, x.data.T @ dz)

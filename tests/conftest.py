@@ -126,6 +126,10 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
         ("attention_batched_masked_heads",
          lambda t: nn.attention(t[0], t[1], t[2], mask, heads=4),
          [mat(2, 3, 8), mat(2, 3, 8), mat(2, 3, 4)]),
+        # One query against five keys per entry, four heads: a sampling step.
+        ("attention_batched_single_query_heads",
+         lambda t: nn.attention(t[0], t[1], t[2], heads=4),
+         [mat(2, 1, 8), mat(2, 5, 8), mat(2, 5, 4)]),
     ]
 
 

@@ -3,7 +3,9 @@ composites of primitives they replace.
 
 Each reference below is the composite the model code used before the op or
 layout existed, kept here only as an oracle: the new path's value and its
-input gradients must match it to float rounding.
+input gradients must match it to float rounding. The `reference_*` kernels
+are earlier numpy expressions of the fused ops themselves, which the current
+ones must match bit for bit.
 """
 
 import json
@@ -147,6 +149,99 @@ def test_fused_op_shape_errors():
     # add takes equal shapes only: a bias row goes through affine.
     with pytest.raises(nn.ShapeMismatch, match="add"):
         nn.add(ones(2, 4), ones(1, 4))
+
+
+def _reference_gates(x, h, wx, wh, b):
+    n = wh.shape[0]
+    z = x @ wx + h @ wh + b
+    act = np.tanh(np.concatenate([0.5 * z[:, :2 * n], z[:, 2 * n:3 * n], 0.5 * z[:, 3 * n:]], axis=1))
+    sig = 0.5 * act + 0.5
+    return sig, (sig[:, :n], sig[:, n:2 * n], act[:, 2 * n:3 * n], sig[:, 3 * n:])
+
+
+def reference_lstm_cell(x, hc, wx, wh, b):
+    """lstm_cell as out-of-place expressions, with a three-slice concat for the
+    gates' tanh arguments."""
+    n = wh.shape[0]
+    h, c = hc.data[:, :n], hc.data[:, n:]
+    _, (i, f, g, o) = _reference_gates(x.data, h, wx.data, wh.data, b.data)
+    c_new = f * c + i * g
+    out_data = np.concatenate([o * np.tanh(c_new), c_new], axis=1)
+
+    def backprop(grad):
+        sig, (i, f, g, o) = _reference_gates(x.data, h, wx.data, wh.data, b.data)
+        tanh_c = np.tanh(np.ascontiguousarray(out_data[:, n:]))
+        gh, gc = grad[:, :n], grad[:, n:]
+        dc = gc + gh * o * (1.0 - tanh_c * tanh_c)
+        d_act = np.concatenate([dc * g, dc * c, dc * i, gh * tanh_c], axis=1)
+        dz = d_act * sig * (1.0 - sig)
+        dz[:, 2 * n:3 * n] = d_act[:, 2 * n:3 * n] * (1.0 - g * g)
+        tensor._accumulate(x, dz @ wx.data.T)
+        tensor._accumulate(wx, x.data.T @ dz)
+        tensor._accumulate(wh, h.T @ dz)
+        tensor._accumulate(b, dz.sum(axis=0, keepdims=True))
+        tensor._accumulate(hc, np.concatenate([dz @ wh.data.T, dc * f], axis=1))
+
+    return tensor._node(out_data, "lstm_cell", (x, hc, wx, wh, b), backprop)
+
+
+def reference_layer_norm(x, gain, bias, eps=1e-5):
+    """layer_norm as out-of-place expressions with `.mean`."""
+    centered = x.data - x.data.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps)
+    normed = centered * inv_std
+    out_data = normed * gain.data + bias.data
+
+    def backprop(g):
+        gn = g * gain.data
+        inner = gn - gn.mean(axis=1, keepdims=True)
+        tensor._accumulate(x, inv_std * (inner - normed * (gn * normed).mean(axis=1, keepdims=True)))
+        tensor._accumulate(gain, (g * normed).sum(axis=0, keepdims=True))
+        tensor._accumulate(bias, g.sum(axis=0, keepdims=True))
+
+    return tensor._node(out_data, "layer_norm", (x, gain, bias), backprop)
+
+
+def _lstm_inputs(rng, rows, k, n):
+    return [rng.normal(size=(rows, k)), rng.normal(size=(rows, 2 * n)),
+            rng.normal(scale=0.5, size=(k, 4 * n)), rng.normal(scale=0.5, size=(n, 4 * n)),
+            rng.normal(scale=0.5, size=(1, 4 * n))]
+
+
+def _layer_norm_inputs(rng, rows, d):
+    return [rng.normal(loc=1.0, scale=2.0, size=(rows, d)), rng.normal(size=(1, d)),
+            rng.normal(size=(1, d))]
+
+
+BIT_CASES = {
+    # deepar's two layers at batch 32 and 40 cells: a 3-wide input, then the
+    # 40-wide hidden rows of the layer below.
+    "lstm_cell_k3": (nn.lstm_cell, reference_lstm_cell, lambda rng: _lstm_inputs(rng, 32, 3, 40)),
+    "lstm_cell_k40": (nn.lstm_cell, reference_lstm_cell, lambda rng: _lstm_inputs(rng, 32, 40, 40)),
+    # The transformer's rows: batch 8 times 24 positions, model width 32.
+    "layer_norm": (nn.layer_norm, reference_layer_norm, lambda rng: _layer_norm_inputs(rng, 192, 32)),
+    # A width that is no power of two, where / d and * (1 / d) round apart.
+    "layer_norm_d40": (nn.layer_norm, reference_layer_norm, lambda rng: _layer_norm_inputs(rng, 7, 40)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIT_CASES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fused_kernel_is_its_reference_bit_for_bit(case, seed):
+    # The in-place kernels keep every output and gradient of the reference
+    # expressions, so fitted parameters do not move by a single bit.
+    op, reference, make_inputs = BIT_CASES[case]
+    rng = np.random.default_rng(seed)
+    inputs = make_inputs(rng)
+    probe = nn.constant(rng.normal(size=reference(*map(nn.constant, inputs)).shape))
+    results = []
+    for fn in (reference, op):
+        leaves = [nn.Tensor(x.copy(), requires_grad=True) for x in inputs]
+        out = fn(*leaves)
+        nn.backward(nn.sum_all(nn.mul(nn.tanh(out), probe)))
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for got, want in zip(results[1], results[0]):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -327,6 +422,8 @@ ATTENTION_CASES = {
     "causal_2d": ([(5, DIM), (5, DIM), (5, DIM)], CAUSAL),
     "batched_mask_2d": ([(3, 5, DIM), (3, 5, DIM), (3, 5, DIM)], CAUSAL),
     "cross": ([(3, 2, DIM), (3, 6, DIM), (3, 6, 12)], None),
+    # One query per row, as each sampling step of the decoder asks.
+    "single_query": ([(3, 1, DIM), (3, 6, DIM), (3, 6, 12)], None),
 }
 
 
@@ -367,17 +464,34 @@ def test_multi_head_attention_has_no_per_head_nodes():
 
 @pytest.mark.parametrize("mask", [None, CAUSAL], ids=["cross", "causal"])
 def test_attention_keeps_no_softmax_weights(mask):
-    # The backward rebuilds the (..., heads, tq, tk) weights from q and k, so
-    # the node's closure holds no array of that shape.
+    # The backward rebuilds the weights from q, k and one log-sum-exp per
+    # query row, so the node's closure holds no array as large as one set of
+    # weights, heads * tq * tk entries, in any layout. q, k, v and the output
+    # are kept smaller than that here, so only a kept score array can trip it.
     rng = np.random.default_rng(11)
     tk = 6 if mask is None else 5
     q, k, v = (nn.Tensor(rng.normal(size=s), requires_grad=True)
-               for s in ((2, 5, DIM), (2, tk, DIM), (2, tk, 12)))
+               for s in ((2, 5, DIM), (2, tk, DIM), (2, tk, DIM)))
     out = nn.attention(q, k, v, mask, HEADS)
     held = [c.cell_contents for c in out._backprop.__closure__]
     arrays = [x for x in held if isinstance(x, np.ndarray)]
     arrays += [t.data for t in held if isinstance(t, nn.Tensor)]
-    assert not [a.shape for a in arrays if a.shape[-3:] == (HEADS, 5, tk)]
+    assert any(a.shape == (2, HEADS, 5) for a in arrays)  # the log-sum-exp
+    assert not [a.shape for a in arrays if a.size >= HEADS * 5 * tk]
+
+
+def test_attention_gives_masked_keys_exactly_nothing():
+    # Query row 0 of a causal attention sees key 0 only. Its weights on keys
+    # 1-4 are exp(-1e9 - lse), which underflows to 0, so a loss that reads
+    # only row 0 sends exactly zero gradient to the rows of k and v after it.
+    rng = np.random.default_rng(12)
+    q, k, v = (nn.Tensor(rng.normal(size=(2, 5, DIM)), requires_grad=True) for _ in range(3))
+    out = nn.attention(q, k, v, nn.causal_mask(5), HEADS)
+    probe = np.zeros(out.shape)
+    probe[:, 0] = rng.normal(size=(2, DIM))
+    nn.backward(nn.sum_all(nn.mul(out, nn.constant(probe))))
+    assert np.all(k.grad[:, 1:] == 0.0) and np.all(v.grad[:, 1:] == 0.0)
+    assert np.all(v.grad[:, 0] != 0.0)
 
 
 @pytest.mark.parametrize("kind", ["deepar", "transformer"])
