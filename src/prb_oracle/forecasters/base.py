@@ -143,19 +143,19 @@ def as_batch(values, calendar) -> tuple[np.ndarray, np.ndarray]:
 # deepar and transformer are autoregressive. Each supplies its network as
 # `start(params, config, ctx_scaled, cov_ctx, rows) -> state`, the state of B
 # contexts (`as_batch`) with `rows` rows each, and
-# `step(params, config, inp (B, m, 3), state) -> (raw rows (B·m, n), state)`,
+# `step(params, config, inp (B, m, 3), state) -> (raw heads (B, m, n), state)`,
 # and its likelihood as HEAD = (training NLL, projection for sampling).
 def teacher_forced_loss(params, config, ctx_scaled, tgt_scaled, feats) -> nncore.Tensor:
     """NLL per window of a batch, for an autoregressive kind: `start` on the B
     contexts, then one `step` over the horizon, each position fed the true
-    previous value; the NLL of all B·H rows divided by B."""
+    previous value; the NLL of all B·H steps divided by B."""
     mod = _model_module(config.kind)
     ctx, cov_ctx = as_batch(ctx_scaled, feats["ctx"])
     tgt, cov_tgt = as_batch(tgt_scaled, feats["tgt"])
     state = mod.start(params, config, ctx, cov_ctx, 1)
     prev = np.concatenate([ctx[:, -1:], tgt[:, :-1]], axis=1)
     raw, _ = mod.step(params, config, np.concatenate([prev[..., None], cov_tgt], axis=2), state)
-    return nncore.scale(mod.HEAD[0](raw, tgt.reshape(-1)), 1.0 / len(tgt))
+    return nncore.scale(mod.HEAD[0](raw, tgt), 1.0 / len(tgt))
 
 
 def ancestral_paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
@@ -169,7 +169,7 @@ def ancestral_paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
     for t in range(config.horizon):
         inp = np.column_stack([prev, np.broadcast_to(feats["tgt"][t], (n, 2))])
         raw, state = mod.step(params, config, inp[:, None], state)
-        prev = out[:, t] = sample(mod.HEAD[1](raw.data), rng, 1)[0]
+        prev = out[:, t] = sample(mod.HEAD[1](raw.data[:, 0]), rng, 1)[0]
     return out
 
 
@@ -270,6 +270,9 @@ def predict(
         raise ForecastError(
             f"context shape {context.shape} != ({config.context_len},)"
         )
+    bad = np.argmin(np.isfinite(context))  # the first non-finite value, if there is one
+    if not math.isfinite(context[bad]):
+        raise ForecastError(f"context must be finite, got {context[bad]} at index {bad}")
     if start is None:
         start = model.train_end_time
     if rng is None:

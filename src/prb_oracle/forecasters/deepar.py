@@ -1,7 +1,7 @@
 """DeepAR-style estimator: stacked LSTM with a Gaussian head.
 
 `start` warms the LSTM state on the context and `step` advances it to raw
-head rows; `base.teacher_forced_loss` and `base.ancestral_paths` drive both.
+heads (B, m, 2); `base.teacher_forced_loss` and `base.ancestral_paths` drive both.
 """
 
 from __future__ import annotations
@@ -55,14 +55,14 @@ def _step(params, config, x: nn.Tensor, state):
 
 
 def step(params, config, inp: np.ndarray, state):
-    """Raw head rows (B·m, 2), sequence by sequence, for the m new positions
-    of inp (B, m, 3), and the state (B rows) after them."""
+    """Raw heads (B, m, 2) for the m new positions of inp (B, m, 3), and the
+    state (B rows) after them."""
     batch, m, _ = inp.shape
     tops = []
     for j in range(m):
         state = _step(params, config, nn.constant(inp[:, j]), state)
         tops.append(nn.narrow(state[-1], 1, 0, config.rnn_cells))
-    hidden = nn.reshape(nn.concat(tops, axis=1), (batch * m, config.rnn_cells)) if m > 1 else tops[0]
+    hidden = nn.reshape(nn.concat(tops, axis=1), (batch, m, config.rnn_cells))
     return nn.affine(hidden, params["w_head"], params["b_head"]), state
 
 

@@ -19,8 +19,8 @@ def build(config) -> ParameterSet:
 
 
 def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray) -> nn.Tensor:
-    """Raw head outputs of (B, C) contexts (a 1-D one is B = 1) as (B·horizon, 3)
-    rows [mu, sigma, nu], window by window."""
+    """Raw heads (B, horizon, 3) [mu, sigma, nu] of (B, C) contexts (a 1-D one
+    is B = 1)."""
     ctx = np.atleast_2d(ctx_scaled)
     h = nn.constant(ctx)
     n_layers = len(config.hidden) + 1
@@ -28,18 +28,16 @@ def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray) -> nn.Tensor:
         h = nn.affine(h, params[f"w{i}"], params[f"b{i}"])
         if i < n_layers - 1:
             h = nn.relu(h)
-    rows = nn.transpose(nn.reshape(h, (len(ctx), 3, config.horizon)))
-    return nn.reshape(rows, (len(ctx) * config.horizon, 3))
+    return nn.transpose(nn.reshape(h, (len(ctx), 3, config.horizon)))
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
-    """Student-t NLL per window: the NLL of all B·H rows divided by B."""
+    """Student-t NLL per window: the NLL of all B·H steps divided by B."""
     tgt = np.atleast_2d(tgt_scaled)
-    return nn.scale(studentt_nll_graph(_forward(params, config, ctx_scaled), tgt.reshape(-1)),
-                    1.0 / len(tgt))
+    return nn.scale(studentt_nll_graph(_forward(params, config, ctx_scaled), tgt), 1.0 / len(tgt))
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
     """num_samples independent draws per step, one row per sample, in one call."""
-    dist = project_studentt(_forward(params, config, ctx_scaled).data)
+    dist = project_studentt(_forward(params, config, ctx_scaled).data[0])
     return sample(dist, rng, config.num_samples)

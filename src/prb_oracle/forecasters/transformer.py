@@ -78,7 +78,7 @@ def positional_encoding(length: int, d: int, first: int = 0) -> np.ndarray:
 
 
 def project_kv(params, prefix, x_kv) -> tuple[nn.Tensor, nn.Tensor]:
-    """Attention keys and values of `x_kv` (2-D rows or a leading batch axis)."""
+    """Attention keys and values of `x_kv` (B, t, d)."""
     return nn.matmul(x_kv, params[f"{prefix}_wk"]), nn.matmul(x_kv, params[f"{prefix}_wv"])
 
 
@@ -100,12 +100,12 @@ def _sublayer(params, ln_prefix, x, out) -> nn.Tensor:
 
 
 def _embed(params, config, side: str, inp: np.ndarray, positions: np.ndarray) -> nn.Tensor:
-    """Embed input rows; `positions` is their positional table."""
+    """Embed inputs (B, t, 3); `positions` is the (t, d) table all B sequences share."""
     x = nn.affine(nn.constant(inp), params[f"{side}_embed"], params[f"{side}_embed_b"])
     # sqrt(d) embedding gain keeps the value signal from drowning in the
     # positional table.
     x = nn.scale(x, math.sqrt(config.model_dim))
-    return nn.add(x, nn.constant(positions))
+    return nn.add(x, nn.constant(np.broadcast_to(positions, x.shape)))
 
 
 def start(params, config, ctx_scaled, cov_ctx, rows: int):
@@ -113,47 +113,42 @@ def start(params, config, ctx_scaled, cov_ctx, rows: int):
     encoder output, (B, C, d) each, one memory for any number of `rows` per
     context, and no cache yet."""
     ctx, cov = as_batch(ctx_scaled, cov_ctx)
-    (batch, c), d = ctx.shape, config.model_dim
-    inp = np.concatenate([ctx[..., None], cov], axis=2).reshape(batch * c, -1)
-    x = _embed(params, config, "enc", inp, np.tile(positional_encoding(c, d), (batch, 1)))
-    # Attention runs per context on (B, C, d); everything else on the (B·C, d) rows.
+    inp = np.concatenate([ctx[..., None], cov], axis=2)
+    x = _embed(params, config, "enc", inp, positional_encoding(ctx.shape[1], config.model_dim))
     for i in range(config.blocks):
-        x3 = nn.reshape(x, (batch, c, d))
-        kv = project_kv(params, f"enc{i}_attn", x3)
-        a = multi_head_attention(params, f"enc{i}_attn", x3, *kv, config.heads)
-        x = _sublayer(params, f"enc{i}_ln1", x, nn.reshape(a, (batch * c, d)))
+        kv = project_kv(params, f"enc{i}_attn", x)
+        a = multi_head_attention(params, f"enc{i}_attn", x, *kv, config.heads)
+        x = _sublayer(params, f"enc{i}_ln1", x, a)
         x = _sublayer(params, f"enc{i}_ln2", x, _feed_forward(params, f"enc{i}", x))
-    return project_kv(params, "dec_cross", nn.reshape(x, (batch, c, d))), None
+    return project_kv(params, "dec_cross", x), None
 
 
 def step(params, config, inp: np.ndarray, state):
-    """Raw head rows (B·m, 3), sequence by sequence, for the m new positions
-    of inp (B, m, 3), and the state with the cache extended by them.
+    """Raw heads (B, m, 3) for the m new positions of inp (B, m, 3), and the
+    state with the cache extended by them.
 
     The cache holds the self-attention keys and values of the earlier decoder
     positions as `project_kv` returns them, (B, t, d) each.
     Each new position attends causally to the cached ones and the new ones up
-    to itself. In the cross-attention the B·m rows are grouped by context:
-    each of the n_ctx encoded contexts is attended to by its B·m / n_ctx rows,
-    (B, m) in training and all (1, S) sample rows of the one context in sampling.
+    to itself. In the cross-attention the B·m positions are grouped by context:
+    each of the n_ctx encoded contexts is attended to by its B·m / n_ctx positions,
+    (B, m) in training and all (1, S) sample positions of the one context in sampling.
     """
     (cross_k, cross_v), cache = state
     batch, m, _ = inp.shape
-    d, rows = config.model_dim, batch * m
+    d = config.model_dim
     first = config.context_len + (0 if cache is None else cache[0].shape[1])
-    table = np.tile(positional_encoding(first + m, d, first), (batch, 1))
-    y = nn.reshape(_embed(params, config, "dec", inp.reshape(rows, -1), table), (batch, m, d))
+    y = _embed(params, config, "dec", inp, positional_encoding(first + m, d, first))
     k, v = project_kv(params, "dec_self", y)
     if cache is not None:
         k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
     mask = nn.causal_mask(k.shape[1])[-m:] if m > 1 else None
     a = multi_head_attention(params, "dec_self", y, k, v, config.heads, mask)
-    # Everything but the attention acts on the (B·m, d) rows, one by one.
-    y = _sublayer(params, "dec_ln1", nn.reshape(y, (rows, d)), nn.reshape(a, (rows, d)))
+    y = _sublayer(params, "dec_ln1", y, a)
     n_ctx = cross_k.shape[0]
-    a2 = multi_head_attention(params, "dec_cross", nn.reshape(y, (n_ctx, rows // n_ctx, d)),
+    a2 = multi_head_attention(params, "dec_cross", nn.reshape(y, (n_ctx, batch // n_ctx * m, d)),
                               cross_k, cross_v, config.heads)
-    y = _sublayer(params, "dec_ln2", y, nn.reshape(a2, (rows, d)))
+    y = _sublayer(params, "dec_ln2", y, nn.reshape(a2, y.shape))
     y = _sublayer(params, "dec_ln3", y, _feed_forward(params, "dec", y))
     return nn.affine(y, params["head"], params["head_b"]), ((cross_k, cross_v), (k, v))
 

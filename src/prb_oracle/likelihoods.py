@@ -161,19 +161,19 @@ def sample(dist, rng: np.random.Generator, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _head_columns(raw: nn.Tensor, targets: np.ndarray, n: int) -> tuple[nn.Tensor, list]:
-    """Targets as an (N, 1) constant and the n (N, 1) columns of (N, n) raw head rows."""
-    y = nn.constant(np.asarray(targets, dtype=np.float64).reshape(-1, 1))
-    if raw.shape != (y.shape[0], n):
-        raise LikelihoodError(f"raw shape {raw.shape} vs targets {y.shape}, expected {(y.shape[0], n)}")
-    return y, [nn.narrow(raw, 1, i, 1) for i in range(n)]
+    """Targets (...) as a (..., 1) constant and the n (..., 1) columns of (..., n) raw heads."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if raw.shape != (want := (*targets.shape, n)):
+        raise LikelihoodError(f"raw shape {raw.shape} vs targets {targets.shape}, expected {want}")
+    return nn.constant(targets[..., None]), [nn.narrow(raw, raw.data.ndim - 1, i, 1) for i in range(n)]
 
 
 def studentt_nll_graph(raw: nn.Tensor, targets: np.ndarray) -> nn.Tensor:
-    """Differentiable Student-t NLL, summed over N rows: one prediction range,
-    or the B·H rows of a batch of them.
+    """Differentiable Student-t NLL, summed over all targets: one prediction
+    range, or the (B, H) steps of a batch of them.
 
-    raw holds (N, 3) raw head rows [mu, sigma, nu], as `project_studentt`
-    takes them; targets is a length-N array in the same (scaled) units as mu.
+    raw holds the (..., 3) raw heads [mu, sigma, nu], as `project_studentt`
+    takes them; targets, shaped (...), is in the same (scaled) units as mu.
     """
     y, (raw_mu, raw_sigma, raw_nu) = _head_columns(raw, targets, 3)
     sigma = nn.softplus(raw_sigma)
@@ -192,8 +192,8 @@ def studentt_nll_graph(raw: nn.Tensor, targets: np.ndarray) -> nn.Tensor:
 
 
 def gaussian_nll_graph(raw: nn.Tensor, targets: np.ndarray) -> nn.Tensor:
-    """Differentiable Gaussian NLL, summed over N rows, from (N, 2) raw head
-    rows [mu, sigma] as `project_gaussian` takes them."""
+    """Differentiable Gaussian NLL, summed over all targets (...), from the
+    (..., 2) raw heads [mu, sigma] as `project_gaussian` takes them."""
     y, (raw_mu, raw_sigma) = _head_columns(raw, targets, 2)
     sigma = nn.softplus(raw_sigma)
     quad = nn.div(nn.square(nn.sub(y, raw_mu)), nn.scale(nn.square(sigma), 2.0))

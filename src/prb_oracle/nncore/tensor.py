@@ -107,24 +107,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x (n, k) @ w (k, m) plus the bias row b (1, m) on every row, as one node.
+    """x (..., k) @ w (k, m) plus the bias row b (1, m) on every row, as one node.
 
-    The same expressions as `add(matmul(x, w), b)`, so values and gradients
-    are bit for bit those of the pair, while the tape keeps one (n, m) output.
+    The leading axes are flattened to rows: on them, the expressions of
+    `add(matmul(x, w), b)`, so values and gradients are bit for bit the pair's.
     """
-    if not (x.data.ndim == 2 and w.data.ndim == 2 and x.shape[1] == w.shape[0]
+    if not (x.data.ndim >= 2 and w.data.ndim == 2 and x.shape[-1] == w.shape[0]
             and b.shape == (1, w.shape[1])):
         raise _shape_error("affine", x.shape, w.shape, b.shape)
-    out_data = x.data @ w.data + b.data
+    rows = x.data.reshape(-1, w.shape[0])
+    out_data = rows @ w.data
+    out_data += b.data
 
     def backprop(g):
+        g = g.reshape(-1, w.shape[1])
         if x.requires_grad:  # not an input row
-            _accumulate(x, g @ w.data.T)
+            _accumulate(x, (g @ w.data.T).reshape(x.shape))
         if w.requires_grad:
-            _accumulate(w, x.data.T @ g)
+            _accumulate(w, rows.T @ g)
         _accumulate(b, g.sum(axis=0, keepdims=True))
 
-    return _node(out_data, "affine", (x, w, b), backprop)
+    return _node(out_data.reshape(x.shape[:-1] + b.shape[1:]), "affine", (x, w, b), backprop)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -201,8 +204,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     if any(t.data.ndim != ndim for t in tensors) or not 0 <= axis < ndim:
         raise _shape_error(f"concat(axis={axis})", *[t.shape for t in tensors])
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate((t.shape[axis] for t in tensors), initial=0))
 
     def backprop(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -479,12 +481,13 @@ def causal_mask(n: int) -> np.ndarray:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization with learned (1, d) gain and bias."""
-    if x.data.ndim != 2 or not gain.shape == bias.shape == (1, x.shape[1]):
+    """Layer normalization over the last axis of x (..., d), learned (1, d) gain and bias."""
+    if x.data.ndim < 2 or not gain.shape == bias.shape == (1, x.shape[-1]):
         raise _shape_error("layer_norm", x.shape, gain.shape, bias.shape)
-    d = x.shape[1]
+    d = x.shape[-1]
+    rows = x.data.reshape(-1, d)
     # np.add.reduce(...) / d is the arithmetic of .mean, without its dispatch.
-    centered = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / d
+    centered = rows - np.add.reduce(rows, axis=1, keepdims=True) / d
     var = np.add.reduce(centered * centered, axis=1, keepdims=True) / d
     var += eps
     inv_std = 1.0 / np.sqrt(var, out=var)
@@ -494,17 +497,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data += bias.data
 
     def backprop(g):
+        g = g.reshape(-1, d)
         gn = g * gain.data
         inner = gn - np.add.reduce(gn, axis=1, keepdims=True) / d
         gn *= normed
         row = np.add.reduce(gn, axis=1, keepdims=True) / d
         inner -= normed * row
         inner *= inv_std
-        _accumulate(x, inner)
+        _accumulate(x, inner.reshape(x.shape))
         _accumulate(gain, (g * normed).sum(axis=0, keepdims=True))
         _accumulate(bias, g.sum(axis=0, keepdims=True))
 
-    return _node(out_data, "layer_norm", (x, gain, bias), backprop)
+    return _node(out_data.reshape(x.shape), "layer_norm", (x, gain, bias), backprop)
 
 
 @functools.lru_cache

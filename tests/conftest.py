@@ -111,6 +111,9 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
         ("lgamma", lambda t: nn.lgamma(t[0]), [mat(3, 4, low=0.6, high=9.0, signed=False)]),
         # Leading batch axis (the batched Monte Carlo decoder's shapes).
         ("matmul_batched", lambda t: nn.matmul(t[0], t[1]), [mat(2, 3, 4), mat(2, 4, 2)]),
+        ("affine_batched", lambda t: nn.affine(t[0], t[1], t[2]), [mat(2, 3, 4), mat(4, 2), mat(1, 2)]),
+        ("layer_norm_batched", lambda t: nn.layer_norm(t[0], t[1], t[2]),
+         [mat(2, 3, 4), mat(1, 4), mat(1, 4)]),
         ("matmul_batched_shared", lambda t: nn.matmul(t[0], t[1]), [mat(2, 3, 4), mat(4, 2)]),
         ("transpose_batched", lambda t: nn.transpose(t[0]), [mat(2, 3, 4)]),
         ("softmax_batched", lambda t: nn.softmax(t[0]), [mat(2, 3, 4)]),

@@ -166,6 +166,16 @@ def test_predict_rejects_wrong_context_length():
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_predict_rejects_a_non_finite_context_before_any_forward_pass(kind, monkeypatch):
+    model = fit(tiny_config(kind, epochs=0), short_series())
+    monkeypatch.setattr(MODULES[kind], "paths", lambda *args: pytest.fail("forward pass ran"))
+    ctx = np.ones(6)
+    ctx[5] = np.nan
+    with pytest.raises(ForecastError, match="context must be finite, got nan at index 5"):
+        predict(model, ctx)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_constant_series_forecast_centers_on_level(kind):
     series = short_series(hours=84, constant=20.0)
     cfg = tiny_config(kind, context_len=12, horizon=6, epochs=8, lr=0.01,
@@ -400,7 +410,7 @@ def test_deepar_loss_is_sum_of_per_step_gaussian_nll():
     raws = []
     for t in range(3):
         raw, state = deepar.step(params, cfg, np.array([[[prev[t], *feats["tgt"][t]]]]), state)
-        raws.append(raw.data[0])
+        raws.append(raw.data[0, 0])
     assert total == pytest.approx(-gaussian_logpdf(tgt, project_gaussian(raws)).sum(), abs=1e-9)
 
 
@@ -408,7 +418,9 @@ def test_sff_head_layout_projects_to_one_distribution_per_step():
     cfg = tiny_config("sff")
     params = sff.build(cfg)
     ctx = np.linspace(0.5, 1.5, 6)
-    dists = project_studentt(sff._forward(params, cfg, ctx).data)
+    raw = sff._forward(params, cfg, ctx).data
+    assert raw.shape == (1, 3, 3)
+    dists = project_studentt(raw[0])
     assert dists.mu.shape == dists.sigma.shape == dists.nu.shape == (3,)
     assert np.all(dists.sigma > 0) and np.all(dists.nu > 2.0)
 
@@ -424,8 +436,8 @@ def test_transformer_decoder_causality():
     base_inp = np.column_stack([[1.0, 1.1, 0.9], tgt_feats])
     bumped = base_inp.copy()
     bumped[2, 0] = 5.0
-    raw_a = transformer.step(params, cfg, base_inp[None], state)[0].data
-    raw_b = transformer.step(params, cfg, bumped[None], state)[0].data
+    raw_a = transformer.step(params, cfg, base_inp[None], state)[0].data[0]
+    raw_b = transformer.step(params, cfg, bumped[None], state)[0].data[0]
     assert np.allclose(raw_a[:2], raw_b[:2])
     assert not np.allclose(raw_a[2], raw_b[2])
 
@@ -455,7 +467,7 @@ def _deepar_one_by_one(params, cfg, ctx, feats, noise):
         state, prev = warm, float(ctx[-1])
         for t in range(cfg.horizon):
             raw, state = deepar.step(params, cfg, np.array([[[prev, *feats["tgt"][t]]]]), state)
-            dist = project_gaussian(raw.data[0])
+            dist = project_gaussian(raw.data[0, 0])
             prev = out[s, t] = dist.mu + dist.sigma * noise[s, t]
             moments[s, t] = dist.mu, dist.sigma
     return out, moments
@@ -470,7 +482,7 @@ def _transformer_one_by_one(params, cfg, ctx, feats, noise):
         prev = [float(ctx[-1])]
         for t in range(cfg.horizon):
             dec_inp = np.column_stack([prev, feats["tgt"][: t + 1]])
-            raw = transformer.step(params, cfg, dec_inp[None], start)[0].data[-1]
+            raw = transformer.step(params, cfg, dec_inp[None], start)[0].data[0, -1]
             dist = project_studentt(raw)
             out[s, t] = dist.mu + dist.sigma * noise[s, t]
             moments[s, t] = dist.mu, dist.sigma

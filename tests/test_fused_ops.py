@@ -18,7 +18,7 @@ import pytest
 from conftest import max_rel_err
 from prb_oracle import nncore as nn
 from prb_oracle.cli import default_config_path
-from prb_oracle.forecasters import ForecasterConfig, deepar, transformer
+from prb_oracle.forecasters import ForecasterConfig, deepar, lstm, sff, transformer
 from prb_oracle.nncore import AdamState, adam_step, tensor
 from prb_oracle.rapp import ExperimentConfig
 from prb_oracle.nncore.tensor import _LANCZOS_COEFFS, _LANCZOS_G
@@ -142,10 +142,14 @@ def test_fused_op_shape_errors():
         nn.lstm_cell(ones(2, 3), ones(2, 8), ones(2, 16), ones(4, 16), ones(1, 16))
     with pytest.raises(nn.ShapeMismatch, match="layer_norm"):
         nn.layer_norm(ones(2, 3), ones(1, 4), ones(1, 3))
+    with pytest.raises(nn.ShapeMismatch, match="layer_norm"):
+        nn.layer_norm(ones(4), ones(1, 4), ones(1, 4))
     with pytest.raises(nn.ShapeMismatch, match="affine"):
         nn.affine(ones(2, 3), ones(3, 4), ones(1, 3))
     with pytest.raises(nn.ShapeMismatch, match="affine"):
-        nn.affine(ones(2, 2, 3), ones(3, 4), ones(1, 4))
+        nn.affine(ones(3), ones(3, 4), ones(1, 4))
+    with pytest.raises(nn.ShapeMismatch, match="affine"):
+        nn.affine(ones(2, 2, 3), ones(4, 4), ones(1, 4))
     # add takes equal shapes only: a bias row goes through affine.
     with pytest.raises(nn.ShapeMismatch, match="add"):
         nn.add(ones(2, 4), ones(1, 4))
@@ -263,9 +267,54 @@ def test_affine_is_its_composite_bit_for_bit(rows, x_needs_grad):
         assert (got is None and want is None) or np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("shape", [(8, 24, 32), (100, 1, 32)])
+@pytest.mark.parametrize("op", ["affine", "layer_norm"])
+def test_leading_axes_are_the_flattened_rows_bit_for_bit(op, shape):
+    # The models keep (B, t, d) batches through affine and layer_norm (the
+    # transformer's training and sampling shapes): the op on them is the op on
+    # their B·t rows, in values and in input gradients.
+    rng = np.random.default_rng(shape[0])
+    x = rng.normal(loc=1.0, scale=2.0, size=shape)
+    rest = [rng.normal(size=s) for s in {"affine": [(32, 3), (1, 3)], "layer_norm": [(1, 32)] * 2}[op]]
+    probe = rng.normal(size=(*shape[:-1], rest[1].shape[1]))
+    results = []
+    for x_shape in (shape, (shape[0] * shape[1], 32)):
+        leaves = [nn.Tensor(a, requires_grad=True) for a in (x.reshape(x_shape), *rest)]
+        out = getattr(nn, op)(*leaves)
+        nn.backward(nn.sum_all(nn.mul(nn.tanh(out), nn.constant(probe.reshape(out.shape)))))
+        results.append([out.data.ravel()] + [leaf.grad.ravel() for leaf in leaves])
+    assert all(np.array_equal(got, want) for got, want in zip(*results))
+
+
 # ---------------------------------------------------------------------------
 # what a taped training step keeps
 # ---------------------------------------------------------------------------
+
+MODULES = {"sff": sff, "deepar": deepar, "transformer": transformer, "lstm": lstm}
+
+
+def _default_step(kind, seed):
+    """default.json's config for `kind` and one random training batch at its
+    batch size: scaled contexts, targets and their calendar features."""
+    default = ExperimentConfig.from_dict(json.loads(default_config_path().read_text()))
+    cfg = default.models[kind]
+    rng = np.random.default_rng(seed)
+    ctx = rng.uniform(0.5, 1.5, (cfg.batch_size, cfg.context_len))
+    tgt = rng.uniform(0.5, 1.5, (cfg.batch_size, cfg.horizon))
+    feats = {"ctx": rng.uniform(size=(*ctx.shape, 2)), "tgt": rng.uniform(size=(*tgt.shape, 2))}
+    return cfg, ctx, tgt, feats
+
+
+@pytest.mark.parametrize("kind, nodes", [("sff", 36), ("deepar", 183), ("transformer", 81),
+                                         ("lstm", 30)])
+def test_a_default_training_step_tapes_a_fixed_number_of_nodes(kind, nodes):
+    # Batches keep their (B, t, ·) layout from input to likelihood, so no row
+    # reshape is taped: with them the transformer taped 89 nodes and sff 37.
+    cfg, ctx, tgt, feats = _default_step(kind, 13)
+    params = MODULES[kind].build(cfg)
+    before = next(tensor._creation)
+    MODULES[kind].loss(params, cfg, ctx, tgt, feats)
+    assert next(tensor._creation) - before - 1 == nodes
 
 def test_backward_frees_interior_gradients_and_keeps_leaf_ones():
     rng = np.random.default_rng(8)
@@ -286,13 +335,8 @@ def test_a_batch_32_deepar_step_keeps_a_small_tape():
     # The lstm_cell nodes keep no gate arrays and backward frees each interior
     # gradient once used: one training step at default.json shapes and batch
     # size peaks near 3 MB (stored gates and kept gradients: about 12 MB).
-    default = ExperimentConfig.from_dict(json.loads(default_config_path().read_text()))
-    cfg = default.models["deepar"]
+    cfg, ctx, tgt, feats = _default_step("deepar", 9)
     assert cfg.batch_size == 32
-    rng = np.random.default_rng(9)
-    ctx = rng.uniform(0.5, 1.5, (cfg.batch_size, cfg.context_len))
-    tgt = rng.uniform(0.5, 1.5, (cfg.batch_size, cfg.horizon))
-    feats = {"ctx": rng.uniform(size=(*ctx.shape, 2)), "tgt": rng.uniform(size=(*tgt.shape, 2))}
     params = deepar.build(cfg)
     state = AdamState.for_params(params, lr=cfg.lr)
     tracemalloc.start()
@@ -309,13 +353,8 @@ def test_a_default_transformer_step_keeps_a_lean_tape():
     # weights, so the forward of one default.json training step keeps about
     # 3.9 MB alive for its backward (the add(matmul) pairs and stored weights
     # kept 5.9 MB at batch 8).
-    default = ExperimentConfig.from_dict(json.loads(default_config_path().read_text()))
-    cfg = default.models["transformer"]
+    cfg, ctx, tgt, feats = _default_step("transformer", 10)
     assert cfg.batch_size == 8
-    rng = np.random.default_rng(10)
-    ctx = rng.uniform(0.5, 1.5, (cfg.batch_size, cfg.context_len))
-    tgt = rng.uniform(0.5, 1.5, (cfg.batch_size, cfg.horizon))
-    feats = {"ctx": rng.uniform(size=(*ctx.shape, 2)), "tgt": rng.uniform(size=(*tgt.shape, 2))}
     params = transformer.build(cfg)
     tracemalloc.start()
     try:
@@ -497,8 +536,8 @@ def test_attention_gives_masked_keys_exactly_nothing():
 @pytest.mark.parametrize("kind", ["deepar", "transformer"])
 def test_step_batches_sequences_and_chains_positions(kind):
     # One network step for training and sampling: a batch of B sequences
-    # gives the rows of B single-sequence calls, and chained one-position
-    # steps give the rows of one multi-position (teacher-forced) step.
+    # gives the heads of B single-sequence calls, and chained one-position
+    # steps give the heads of one multi-position (teacher-forced) step.
     cfg = ForecasterConfig(kind=kind, context_len=4, horizon=4, num_samples=3, rnn_cells=DIM,
                            model_dim=DIM, ff_scale=2, heads=HEADS, blocks=1)
     mod = {"deepar": deepar, "transformer": transformer}[kind]
@@ -507,15 +546,15 @@ def test_step_batches_sequences_and_chains_positions(kind):
     ctx, cov = np.linspace(0.8, 1.2, 4), np.random.default_rng(6).uniform(0.0, 1.0, (4, 2))
     whole, _ = mod.step(params, cfg, inp, mod.start(params, cfg, ctx, cov, 3))
     one = mod.start(params, cfg, ctx, cov, 1)
-    singles = [mod.step(params, cfg, seq[None], one)[0].data for seq in inp]
+    singles = [mod.step(params, cfg, seq[None], one)[0].data[0] for seq in inp]
     state, steps = mod.start(params, cfg, ctx, cov, 3), []
     for t in range(4):
         raw, state = mod.step(params, cfg, inp[:, t:t + 1], state)
         steps.append(raw.data)
-    n = whole.shape[1]
-    assert whole.shape == (3 * 4, n) and raw.shape == (3, n)
-    assert np.max(np.abs(whole.data - np.concatenate(singles))) <= 1e-12
-    assert np.max(np.abs(np.stack(steps, axis=1).reshape(-1, n) - whole.data)) <= 1e-12
+    n = whole.shape[2]
+    assert whole.shape == (3, 4, n) and raw.shape == (3, 1, n)
+    assert np.max(np.abs(whole.data - np.stack(singles))) <= 1e-12
+    assert np.max(np.abs(np.concatenate(steps, axis=1) - whole.data)) <= 1e-12
     if kind == "transformer":
         cache = state[1]
         assert cache[0].shape == cache[1].shape == (3, 4, DIM)

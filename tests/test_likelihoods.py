@@ -349,6 +349,26 @@ def test_graph_nll_takes_one_raw_row_per_target():
         studentt_nll_graph(nn.constant(np.zeros((4, 2))), np.zeros(4))
     with pytest.raises(LikelihoodError, match=r"expected \(4, 2\)"):
         gaussian_nll_graph(nn.constant(np.zeros((3, 2))), np.zeros(4))
+    # Batched heads need targets of their leading shape; the error names both.
+    with pytest.raises(LikelihoodError,
+                       match=r"raw shape \(2, 4, 3\) vs targets \(2, 3\), expected \(2, 3, 3\)"):
+        studentt_nll_graph(nn.constant(np.zeros((2, 4, 3))), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("builder, n", [(studentt_nll_graph, 3), (gaussian_nll_graph, 2)])
+def test_graph_nll_of_batched_heads_is_the_nll_of_their_rows(builder, n):
+    # Models hand the builders (B, m, n) heads and (B, m) targets: the NLL and
+    # its gradient on the heads are those of the B·m flattened rows, bit for bit.
+    rng = np.random.default_rng(23)
+    raw, targets = rng.normal(size=(4, 6, n)), rng.normal(size=(4, 6))
+    results = []
+    for shape in ((4, 6), (24,)):
+        leaf = nn.Tensor(raw.reshape(*shape, n), requires_grad=True)
+        nll = builder(leaf, targets.reshape(shape))
+        nn.backward(nll)
+        results.append((nll.item(), leaf.grad.reshape(raw.shape)))
+    (got, got_grad), (want, want_grad) = results
+    assert got == want and np.array_equal(got_grad, want_grad)
 
 
 def test_logpdfs_take_array_parameters():
