@@ -141,8 +141,8 @@ def as_batch(values, calendar) -> tuple[np.ndarray, np.ndarray]:
 
 
 # deepar and transformer are autoregressive. Each supplies its network as
-# `start(params, config, ctx_scaled, cov_ctx, rows) -> state`, the state of B
-# contexts (`as_batch`) with `rows` rows each, and
+# `start(params, config, ctx_scaled, cov_ctx, rows) -> state`, the state of B contexts
+# (`as_batch`) with `rows` rows each (deepar: one (B·rows, 1, 2n) [h | c] per layer), and
 # `step(params, config, inp (B, m, 3), state) -> (raw heads (B, m, n), state)`,
 # and its likelihood as HEAD = (training NLL, projection for sampling).
 def teacher_forced_loss(params, config, ctx_scaled, tgt_scaled, feats) -> nncore.Tensor:

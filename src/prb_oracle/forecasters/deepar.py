@@ -1,7 +1,8 @@
 """DeepAR-style estimator: stacked LSTM with a Gaussian head.
 
-`start` warms the LSTM state on the context and `step` advances it to raw
-heads (B, m, 2); `base.teacher_forced_loss` and `base.ancestral_paths` drive both.
+`start` warms each layer's packed [h | c] state (B, 1, 2n) on the context and
+`step` advances it to raw heads (B, m, 2), each with one `lstm_cell` node per
+layer; `base.teacher_forced_loss` and `base.ancestral_paths` drive both.
 """
 
 from __future__ import annotations
@@ -30,39 +31,33 @@ def build(config) -> ParameterSet:
 
 
 def start(params, config, ctx_scaled, cov_ctx, rows: int):
-    """Each layer's packed [h | c] state, one row per context, warmed on the
-    contexts; `rows` > 1 repeats each context's row as constants, so only the
-    one-row state keeps its graph."""
+    """Each layer's [h | c] state (B, 1, 2n), warmed on the B contexts (a one-hour
+    context leaves nothing to warm on); `rows` > 1 repeats each context's row
+    as constants, so only the one-row state keeps its graph."""
     ctx, cov = as_batch(ctx_scaled, cov_ctx)
-    state = [nn.constant(np.zeros((len(ctx), 2 * config.rnn_cells)))
-             for _ in range(config.rnn_layers)]
+    state = [nn.constant(np.zeros((len(ctx), 1, 2 * config.rnn_cells)))] * config.rnn_layers
     warm = np.concatenate([ctx[:, :-1, None], cov[:, 1:]], axis=2)
-    for t in range(warm.shape[1]):
-        state = _step(params, config, nn.constant(warm[:, t]), state)
+    if warm.shape[1]:
+        _, state = _layers(params, config, warm, state)
     if rows > 1:
         state = [nn.constant(np.repeat(hc.data, rows, axis=0)) for hc in state]
     return state
 
 
-def _step(params, config, x: nn.Tensor, state):
-    """Advance all layers one step; returns the new state."""
-    new_state = []
+def _layers(params, config, inp: np.ndarray, state):
+    """Each layer once over inp (B, T, 3): the top h (B, T, n) and the last state."""
+    x, new_state = nn.constant(inp), []
     for layer, hc in enumerate(state):
-        inp = nn.narrow(new_state[-1], 1, 0, config.rnn_cells) if layer else x
-        new_state.append(nn.lstm_cell(inp, hc, params[f"wx{layer}"], params[f"wh{layer}"],
-                                      params[f"bg{layer}"]))
-    return new_state
+        out = nn.lstm_cell(x, hc, params[f"wx{layer}"], params[f"wh{layer}"], params[f"bg{layer}"])
+        new_state.append(nn.narrow(out, 1, inp.shape[1] - 1, 1))
+        x = nn.narrow(out, 2, 0, config.rnn_cells)
+    return x, new_state
 
 
 def step(params, config, inp: np.ndarray, state):
     """Raw heads (B, m, 2) for the m new positions of inp (B, m, 3), and the
-    state (B rows) after them."""
-    batch, m, _ = inp.shape
-    tops = []
-    for j in range(m):
-        state = _step(params, config, nn.constant(inp[:, j]), state)
-        tops.append(nn.narrow(state[-1], 1, 0, config.rnn_cells))
-    hidden = nn.reshape(nn.concat(tops, axis=1), (batch, m, config.rnn_cells))
+    state (B, 1, 2n) per layer after them."""
+    hidden, state = _layers(params, config, inp, state)
     return nn.affine(hidden, params["w_head"], params["b_head"]), state
 
 

@@ -20,21 +20,20 @@ def build(config) -> ParameterSet:
 
 
 def _forward(params, config, ctx_scaled: np.ndarray) -> nn.Tensor:
-    """Point forecasts (B, horizon) of (B, C) contexts; a 1-D context is B = 1."""
+    """Point forecasts (B, 1, horizon) of (B, C) contexts; a 1-D context is B = 1."""
     ctx = np.atleast_2d(ctx_scaled)
-    hc = nn.constant(np.zeros((len(ctx), 2 * config.rnn_cells)))
-    for t in range(config.context_len):
-        hc = lstm_cell(nn.constant(ctx[:, t:t + 1]), hc,
-                       params["wx0"], params["wh0"], params["bg0"])
-    return nn.affine(nn.narrow(hc, 1, 0, config.rnn_cells), params["w_head"], params["b_head"])
+    hc = nn.constant(np.zeros((len(ctx), 1, 2 * config.rnn_cells)))
+    out = lstm_cell(nn.constant(ctx[:, :, None]), hc, params["wx0"], params["wh0"], params["bg0"])
+    h = nn.narrow(nn.narrow(out, 1, config.context_len - 1, 1), 2, 0, config.rnn_cells)
+    return nn.affine(h, params["w_head"], params["b_head"])
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
     """Mean squared error over all B·H values: the mean of the per-window MSEs."""
     pred = _forward(params, config, ctx_scaled)
-    diff = nn.sub(pred, nn.constant(np.atleast_2d(tgt_scaled)))
+    diff = nn.sub(pred, nn.constant(np.atleast_2d(tgt_scaled)[:, None]))
     return nn.mean_all(nn.square(diff))
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
-    return _forward(params, config, ctx_scaled).data.copy()
+    return _forward(params, config, ctx_scaled).data[:, 0].copy()

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nn
-from .nncore.tensor import _lanczos
 
 LOG_2PI = math.log(2.0 * math.pi)
 NU_FLOOR = 2.0  # added to softplus(raw nu): every projected Student-t has finite variance
@@ -80,8 +79,8 @@ def log_gamma(x):
     # Reflection for the (0, 0.5) strip keeps the series well conditioned.
     if np.any(small):
         xs = x[small]
-        out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos(1.0 - xs)
-    out[~small] = _lanczos(x[~small])
+        out[small] = np.log(np.pi / np.sin(np.pi * xs)) - nn.lanczos_lgamma(1.0 - xs)
+    out[~small] = nn.lanczos_lgamma(x[~small])
     return float(out[0]) if scalar else out
 
 

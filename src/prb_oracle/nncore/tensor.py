@@ -10,7 +10,6 @@ gathers the loss's own graph and runs its closures in reverse creation order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -511,25 +510,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(out_data.reshape(x.shape), "layer_norm", (x, gain, bias), backprop)
 
 
-@functools.lru_cache
-def _gate_scale(n: int) -> np.ndarray:
-    """(4n,) factors taking the gate pre-activations to their tanh arguments:
-    v / 2 for the sigmoid gates i, f and o, and v for the cell gate g."""
-    scale = np.full(4 * n, 0.5)
-    scale[2 * n:3 * n] = 1.0
-    scale.flags.writeable = False
-    return scale
-
-
-def _lstm_gates(x, h, wx, wh, b):
+def _lstm_gates(x, h, wx, wh, b, scale):
     """lstm_cell's gate activations from its inputs: the sigmoid view of all
-    four gates, and the gates (i, f, g, o)."""
+    four gates, and the gates (i, f, g, o). `scale` halves i, f and o's inputs."""
     n = wh.shape[0]
     z = x @ wx
     z += h @ wh
     z += b
     # One tanh for all four gates, as sigmoid(v) = 0.5 tanh(v / 2) + 0.5.
-    z *= _gate_scale(n)
+    z *= scale
     act = np.tanh(z, out=z)
     sig = act * 0.5
     sig += 0.5
@@ -537,55 +526,70 @@ def _lstm_gates(x, h, wx, wh, b):
 
 
 def lstm_cell(x: Tensor, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """One LSTM step (Hochreiter & Schmidhuber 1997): x (B, k) and the packed
-    state hc = [h | c] (B, 2n) to the new [h | c]. wx (k, 4n), wh (n, 4n) and
-    the bias row b (1, 4n) lay the gates out as [input, forget, cell, output].
+    """One LSTM layer (Hochreiter & Schmidhuber 1997) as one node: x (B, T, k),
+    T >= 1, and the packed start state hc = [h | c] (B, 1, 2n) to the [h | c]
+    after every position, (B, T, 2n). wx (k, 4n), wh (n, 4n) and the bias row
+    b (1, 4n) lay the gates out as [input, forget, cell, output].
 
-    The node stores no gate arrays: its backward recomputes them from the
-    parents' data, and tanh(c) from the c half of its own output, the same
-    expressions on the same arrays, so the gradients are those of a stored
-    copy while a taped batch keeps only its [h | c] outputs."""
+    The node stores no gate arrays: its backward walks the positions in
+    reverse, recomputes their gates and tanh(c) from the forward's arrays, and
+    sums the weight gradients in the order a chain of one-step cells did."""
     n = wh.shape[0]
-    if not (x.data.ndim == 2 and hc.shape == (x.shape[0], 2 * n) and wh.shape == (n, 4 * n)
-            and wx.shape == (x.shape[1], 4 * n) and b.shape == (1, 4 * n)):
+    if not (x.data.ndim == 3 and x.shape[1] >= 1 and hc.shape == (x.shape[0], 1, 2 * n)
+            and wx.shape == (x.shape[2], 4 * n) and wh.shape == (n, 4 * n)
+            and b.shape == (1, 4 * n)):
         raise _shape_error("lstm_cell", x.shape, hc.shape, wx.shape, wh.shape, b.shape)
-    h, c = hc.data[:, :n], hc.data[:, n:]
-    _, (i, f, g, o) = _lstm_gates(x.data, h, wx.data, wh.data, b.data)
-    c_new = f * c
-    c_new += i * g
-    h_new = np.tanh(c_new)
-    h_new *= o
-    out_data = np.concatenate([h_new, c_new], axis=1)
+    steps = x.shape[1]
+    scale = np.full(4 * n, 0.5)
+    scale[2 * n:3 * n] = 1.0
+    out_data = np.empty((x.shape[0], steps, 2 * n))
+    # The [h | c] rows each position starts from: hc's, then the one before.
+    prev = [hc.data[:, 0]] + [out_data[:, t] for t in range(steps - 1)]
+    for t in range(steps):
+        _, (i, f, g, o) = _lstm_gates(x.data[:, t], prev[t][:, :n], wx.data, wh.data, b.data, scale)
+        c_new = f * prev[t][:, n:]
+        c_new += i * g
+        h_new = np.tanh(c_new)
+        h_new *= o
+        np.concatenate([h_new, c_new], axis=1, out=out_data[:, t])
 
     def backprop(grad):
-        h, c = hc.data[:, :n], hc.data[:, n:]
-        sig, (i, f, g, o) = _lstm_gates(x.data, h, wx.data, wh.data, b.data)
-        tanh_c = np.tanh(np.ascontiguousarray(out_data[:, n:]))  # contiguous, as in the forward
-        gh, gc = grad[:, :n], grad[:, n:]
-        dc = tanh_c * tanh_c
-        np.subtract(1.0, dc, out=dc)
-        dc *= gh * o
-        dc += gc
-        # dz = d_act * sig * (1 - sig), d_act = [dc g | dc c | dc i | gh tanh_c],
-        # but for g, whose tanh derivative is 1 - g^2.
-        dz = np.empty((x.shape[0], 4 * n))
-        np.multiply(dc, g, out=dz[:, :n])
-        np.multiply(dc, c, out=dz[:, n:2 * n])
-        np.multiply(dc, i, out=dz[:, 2 * n:3 * n])
-        np.multiply(gh, tanh_c, out=dz[:, 3 * n:])
-        dg = g * g
-        np.subtract(1.0, dg, out=dg)
-        dg *= dz[:, 2 * n:3 * n]
-        dz *= sig
-        dz *= 1.0 - sig  # a fresh array: i, f and o are views of sig
-        dz[:, 2 * n:3 * n] = dg
-        if x.requires_grad:  # not deepar's input rows
-            _accumulate(x, dz @ wx.data.T)
-        _accumulate(wx, x.data.T @ dz)
-        _accumulate(wh, h.T @ dz)
-        _accumulate(b, dz.sum(axis=0, keepdims=True))
-        if hc.requires_grad:  # not a zero or repeated starting state
-            _accumulate(hc, np.concatenate([dz @ wh.data.T, dc * f], axis=1))
+        dx = np.empty(x.shape)
+        dwx, dwh, db = np.zeros(wx.shape), np.zeros(wh.shape), np.zeros(b.shape)
+        dh = dc_f = 0.0  # what position t + 1 sends back to position t's [h | c]
+        for t in reversed(range(steps)):
+            x_t, h, c = x.data[:, t], prev[t][:, :n], prev[t][:, n:]
+            sig, (i, f, g, o) = _lstm_gates(x_t, h, wx.data, wh.data, b.data, scale)
+            tanh_c = np.tanh(np.ascontiguousarray(out_data[:, t, n:]))  # contiguous, like c_new
+            gh = grad[:, t, :n] + dh
+            dc = tanh_c * tanh_c
+            np.subtract(1.0, dc, out=dc)
+            dc *= gh * o
+            dc += grad[:, t, n:] + dc_f
+            # dz = d_act * sig * (1 - sig), d_act = [dc g | dc c | dc i | gh tanh_c],
+            # but for g, whose tanh derivative is 1 - g^2.
+            dz = np.empty((x.shape[0], 4 * n))
+            np.multiply(dc, g, out=dz[:, :n])
+            np.multiply(dc, c, out=dz[:, n:2 * n])
+            np.multiply(dc, i, out=dz[:, 2 * n:3 * n])
+            np.multiply(gh, tanh_c, out=dz[:, 3 * n:])
+            dg = g * g
+            np.subtract(1.0, dg, out=dg)
+            dg *= dz[:, 2 * n:3 * n]
+            dz *= sig
+            dz *= 1.0 - sig  # a fresh array: i, f and o are views of sig
+            dz[:, 2 * n:3 * n] = dg
+            if x.requires_grad:  # not input rows
+                dx[:, t] = dz @ wx.data.T
+            dwx += x_t.T @ dz
+            dwh += h.T @ dz
+            db += dz.sum(axis=0, keepdims=True)
+            if t or hc.requires_grad:  # not a zero or repeated starting state
+                dh, dc_f = dz @ wh.data.T, np.multiply(dc, f, out=dc)
+        for parent, d in ((x, dx), (wx, dwx), (wh, dwh), (b, db)):
+            _accumulate(parent, d)
+        if hc.requires_grad:
+            _accumulate(hc, np.concatenate([dh, dc_f], axis=1)[:, None])
 
     return _node(out_data, "lstm_cell", (x, hc, wx, wh, b), backprop)
 
@@ -605,7 +609,8 @@ _LANCZOS_COEFFS = (
 )
 
 
-def _lanczos(z: np.ndarray) -> np.ndarray:
+def lanczos_lgamma(z: np.ndarray) -> np.ndarray:
+    """Log-gamma of entries >= 0.5 by the Lanczos series, in numpy."""
     t = z + _LANCZOS_G - 0.5
     series = np.full_like(z, _LANCZOS_COEFFS[0])
     for k, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
@@ -615,7 +620,7 @@ def _lanczos(z: np.ndarray) -> np.ndarray:
 
 def lgamma(a: Tensor) -> Tensor:
     """Lanczos log-gamma of entries >= 0.5; the gradient is the series' exact derivative."""
-    out_data = _lanczos(a.data)
+    out_data = lanczos_lgamma(a.data)
 
     def backprop(g):
         z = a.data

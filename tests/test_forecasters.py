@@ -136,6 +136,17 @@ def test_predict_shapes_and_determinism(kind):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("context_len, horizon", [(1, 4), (4, 1)])
+def test_fit_and_predict_at_one_hour_of_context_or_horizon(kind, context_len, horizon):
+    # A one-hour context leaves deepar no position to warm its state on, and
+    # a one-hour horizon is a single step.
+    model = fit(tiny_config(kind, context_len=context_len, horizon=horizon), short_series())
+    assert len(model.loss_curve) == 1 and np.isfinite(model.final_train_loss)
+    result = predict(model, short_series(seed=2).values[:context_len])
+    assert result.samples.shape == (1 if kind == "lstm" else 8, horizon)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_predict_on_a_fitted_model_records_nothing(kind):
     model = fit(tiny_config(kind), short_series())
     before = next(tensor._creation)
@@ -149,6 +160,18 @@ def test_default_config_shape_contract():
     model = fit(ForecasterConfig(kind="sff", epochs=0), series)
     result = predict(model, series.values[:24])
     assert result.samples.shape == (100, 24)
+
+
+def test_lstm_forecast_reads_the_first_and_the_last_context_hour():
+    # The head reads the state after the last context hour, which every
+    # earlier hour feeds.
+    model = fit(tiny_config("lstm", epochs=0), short_series())
+    ctx = short_series(seed=3).values[:6]
+    point = predict(model, ctx).point
+    for hour in (0, 5):
+        bumped = ctx.copy()
+        bumped[hour] += 10.0
+        assert not np.allclose(predict(model, bumped).point, point)
 
 
 def test_lstm_single_path_equals_point():
@@ -390,6 +413,21 @@ def test_training_loss_recorded_and_finite():
 # ---------------------------------------------------------------------------
 # model-specific structure
 # ---------------------------------------------------------------------------
+
+def test_deepar_start_state_is_the_state_after_the_last_warm_up_position():
+    # start runs each layer once over the context's warm-up positions; its
+    # state must be the one one-position steps reach from a zero state.
+    cfg = tiny_config("deepar")
+    params = deepar.build(cfg)
+    ctx, cov = np.linspace(0.8, 1.2, 6), np.random.default_rng(7).uniform(size=(6, 2))
+    warm = np.column_stack([ctx[:-1], cov[1:]])[None]
+    state = [nn.constant(np.zeros((1, 1, 2 * cfg.rnn_cells)))] * cfg.rnn_layers
+    for t in range(warm.shape[1]):
+        _, state = deepar.step(params, cfg, warm[:, t:t + 1], state)
+    for got, want in zip(deepar.start(params, cfg, ctx, cov, 1), state):
+        assert got.shape == (1, 1, 2 * cfg.rnn_cells)
+        assert np.max(np.abs(got.data - want.data)) <= 1e-12
+
 
 def test_deepar_loss_is_sum_of_per_step_gaussian_nll():
     cfg = tiny_config("deepar")

@@ -5,7 +5,8 @@ Each reference below is the composite the model code used before the op or
 layout existed, kept here only as an oracle: the new path's value and its
 input gradients must match it to float rounding. The `reference_*` kernels
 are earlier numpy expressions of the fused ops themselves, which the current
-ones must match bit for bit.
+ones must match bit for bit. `lstm_cell` runs a whole sequence; its oracles
+are one-step cells chained over the positions, as the models ran them.
 """
 
 import json
@@ -47,6 +48,21 @@ def composite_lstm_cell(x, hc, wx, wh, b):
     c_new = nn.add(nn.mul(f, c), nn.mul(i, g))
     h_new = nn.mul(o, nn.tanh(c_new))
     return nn.concat([h_new, c_new], axis=1)
+
+
+def cell_chain(cell):
+    """A sequence op x (B, T, k), hc (B, 1, 2n) -> (B, T, 2n) from a one-step
+    cell on (B, ·) rows: the chain of T cells deepar and lstm once built, each
+    fed x[:, t] and the state the cell before it made."""
+    def chain(x, hc, wx, wh, b):
+        batch, steps, k = x.shape
+        state, outs = nn.reshape(hc, (batch, hc.shape[2])), []
+        for t in range(steps):
+            state = cell(nn.reshape(nn.narrow(x, 1, t, 1), (batch, k)), state, wx, wh, b)
+            outs.append(state)
+        return nn.reshape(nn.concat(outs, axis=1), (batch, steps, hc.shape[2]))
+
+    return chain
 
 
 def composite_layer_norm(x, gain, bias, eps=1e-5):
@@ -96,10 +112,7 @@ def _assert_matches(fused, oracle, inputs, rng):
 
 def _inputs(kind, rng):
     if kind == "lstm_cell":
-        b, n, k = 5, 6, 3
-        return [rng.normal(size=(b, k)), rng.normal(size=(b, 2 * n)),
-                rng.normal(scale=0.5, size=(k, 4 * n)), rng.normal(scale=0.5, size=(n, 4 * n)),
-                rng.normal(scale=0.5, size=(1, 4 * n))]
+        return _lstm_inputs(rng, 5, 4, 3, 6)
     if kind == "layer_norm":
         return [rng.normal(loc=2.0, scale=3.0, size=(7, 8)), rng.normal(size=(1, 8)),
                 rng.normal(size=(1, 8))]
@@ -110,7 +123,7 @@ def _inputs(kind, rng):
 
 CASES = {
     "affine": (nn.affine, composite_affine),
-    "lstm_cell": (nn.lstm_cell, composite_lstm_cell),
+    "lstm_cell": (nn.lstm_cell, cell_chain(composite_lstm_cell)),
     "layer_norm": (nn.layer_norm, composite_layer_norm),
     "lgamma": (nn.lgamma, composite_log_gamma),
 }
@@ -136,10 +149,12 @@ def test_fused_op_shape_errors():
     def ones(*shape):
         return nn.constant(np.ones(shape))
 
-    with pytest.raises(nn.ShapeMismatch, match="lstm_cell"):
-        nn.lstm_cell(ones(2, 3), ones(2, 6), ones(3, 16), ones(4, 16), ones(1, 16))
-    with pytest.raises(nn.ShapeMismatch, match="lstm_cell"):
-        nn.lstm_cell(ones(2, 3), ones(2, 8), ones(2, 16), ones(4, 16), ones(1, 16))
+    # lstm_cell takes x (B, T, k) with T >= 1 and hc (B, 1, 2n).
+    for x, hc, wx in [((2, 5, 3), (2, 1, 6), (3, 16)), ((2, 5, 3), (2, 1, 8), (2, 16)),
+                      ((2, 3), (2, 1, 8), (3, 16)), ((2, 5, 3), (2, 8), (3, 16)),
+                      ((2, 0, 3), (2, 1, 8), (3, 16))]:
+        with pytest.raises(nn.ShapeMismatch, match="lstm_cell"):
+            nn.lstm_cell(ones(*x), ones(*hc), ones(*wx), ones(4, 16), ones(1, 16))
     with pytest.raises(nn.ShapeMismatch, match="layer_norm"):
         nn.layer_norm(ones(2, 3), ones(1, 4), ones(1, 3))
     with pytest.raises(nn.ShapeMismatch, match="layer_norm"):
@@ -206,8 +221,8 @@ def reference_layer_norm(x, gain, bias, eps=1e-5):
     return tensor._node(out_data, "layer_norm", (x, gain, bias), backprop)
 
 
-def _lstm_inputs(rng, rows, k, n):
-    return [rng.normal(size=(rows, k)), rng.normal(size=(rows, 2 * n)),
+def _lstm_inputs(rng, rows, steps, k, n):
+    return [rng.normal(size=(rows, steps, k)), rng.normal(size=(rows, 1, 2 * n)),
             rng.normal(scale=0.5, size=(k, 4 * n)), rng.normal(scale=0.5, size=(n, 4 * n)),
             rng.normal(scale=0.5, size=(1, 4 * n))]
 
@@ -218,10 +233,16 @@ def _layer_norm_inputs(rng, rows, d):
 
 
 BIT_CASES = {
-    # deepar's two layers at batch 32 and 40 cells: a 3-wide input, then the
-    # 40-wide hidden rows of the layer below.
-    "lstm_cell_k3": (nn.lstm_cell, reference_lstm_cell, lambda rng: _lstm_inputs(rng, 32, 3, 40)),
-    "lstm_cell_k40": (nn.lstm_cell, reference_lstm_cell, lambda rng: _lstm_inputs(rng, 32, 40, 40)),
+    # One lstm_cell node per layer against the chain of one-step cells it
+    # replaced, at batch 32 and 40 cells: deepar's 3-wide input over the
+    # 23-hour warm-up, the 40-wide hidden rows of its upper layer over the
+    # 24-hour horizon, and the lstm baseline's 1-wide context.
+    "lstm_cell_k3": (nn.lstm_cell, cell_chain(reference_lstm_cell),
+                     lambda rng: _lstm_inputs(rng, 32, 23, 3, 40)),
+    "lstm_cell_k40": (nn.lstm_cell, cell_chain(reference_lstm_cell),
+                      lambda rng: _lstm_inputs(rng, 32, 24, 40, 40)),
+    "lstm_cell_k1": (nn.lstm_cell, cell_chain(reference_lstm_cell),
+                     lambda rng: _lstm_inputs(rng, 32, 24, 1, 40)),
     # The transformer's rows: batch 8 times 24 positions, model width 32.
     "layer_norm": (nn.layer_norm, reference_layer_norm, lambda rng: _layer_norm_inputs(rng, 192, 32)),
     # A width that is no power of two, where / d and * (1 / d) round apart.
@@ -233,7 +254,9 @@ BIT_CASES = {
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fused_kernel_is_its_reference_bit_for_bit(case, seed):
     # The in-place kernels keep every output and gradient of the reference
-    # expressions, so fitted parameters do not move by a single bit.
+    # expressions, so fitted parameters do not move by a single bit. The
+    # sequence lstm_cell also sums its weight gradients over the positions in
+    # the order the chain's nodes accumulated them.
     op, reference, make_inputs = BIT_CASES[case]
     rng = np.random.default_rng(seed)
     inputs = make_inputs(rng)
@@ -305,11 +328,15 @@ def _default_step(kind, seed):
     return cfg, ctx, tgt, feats
 
 
-@pytest.mark.parametrize("kind, nodes", [("sff", 36), ("deepar", 183), ("transformer", 81),
-                                         ("lstm", 30)])
+@pytest.mark.parametrize("kind, nodes", [("sff", 36), ("deepar", 28), ("transformer", 81),
+                                         ("lstm", 8)])
 def test_a_default_training_step_tapes_a_fixed_number_of_nodes(kind, nodes):
     # Batches keep their (B, t, ·) layout from input to likelihood, so no row
     # reshape is taped: with them the transformer taped 89 nodes and sff 37.
+    # One lstm_cell node runs a layer over a whole sequence: deepar tapes one
+    # per layer for the warm-up and one for the horizon (its one-step cells,
+    # their narrows and the horizon's concat and reshape taped 183 nodes), and
+    # lstm one for the context (its 24 cells made 30 nodes).
     cfg, ctx, tgt, feats = _default_step(kind, 13)
     params = MODULES[kind].build(cfg)
     before = next(tensor._creation)
@@ -317,24 +344,29 @@ def test_a_default_training_step_tapes_a_fixed_number_of_nodes(kind, nodes):
     assert next(tensor._creation) - before - 1 == nodes
 
 def test_backward_frees_interior_gradients_and_keeps_leaf_ones():
+    # Two sequence calls chained as deepar's warm-up and horizon are: the
+    # second starts from the first's last state.
     rng = np.random.default_rng(8)
     inputs = _inputs("lstm_cell", rng)
     leaves = [nn.Tensor(x, requires_grad=True) for x in inputs]
     x, hc, wx, wh, b = leaves
     first = nn.lstm_cell(x, hc, wx, wh, b)
-    second = nn.lstm_cell(x, first, wx, wh, b)
+    last = nn.narrow(first, 1, x.shape[1] - 1, 1)
+    second = nn.lstm_cell(x, last, wx, wh, b)
     loss = nn.sum_all(nn.square(second))
     nn.backward(loss)
-    for interior in (first, second, loss):
+    for interior in (first, last, second, loss):
         assert interior.grad is None and interior._parents is None
     for leaf in leaves:
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape and np.any(leaf.grad != 0.0)
 
 
 def test_a_batch_32_deepar_step_keeps_a_small_tape():
-    # The lstm_cell nodes keep no gate arrays and backward frees each interior
+    # Each lstm_cell node runs a layer over a sequence and keeps only its
+    # [h | c] states, no gate arrays, and backward frees each interior
     # gradient once used: one training step at default.json shapes and batch
-    # size peaks near 3 MB (stored gates and kept gradients: about 12 MB).
+    # size peaks near 3.2 MB, while its graph holds 2.1 MB (stored gates and
+    # kept gradients: about 12 MB).
     cfg, ctx, tgt, feats = _default_step("deepar", 9)
     assert cfg.batch_size == 32
     params = deepar.build(cfg)
