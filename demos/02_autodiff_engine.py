@@ -19,14 +19,14 @@ backward(loss)
 print(f"softplus(x*y) at (1.5, -0.5) = {loss.item():.6f}")
 print(f"d/dx = {x.grad[0, 0]:+.6f}   d/dy = {y.grad[0, 0]:+.6f}")
 
-# Finite-difference cross-check on a two-layer tanh network.
+# Finite-difference cross-check on a two-layer softplus network.
 params = init_params([3, 8, 1], seed=0)
 inputs = np.random.default_rng(1).normal(size=(5, 3))
 target = np.random.default_rng(2).normal(size=(5, 1))
 
 
 def forward():
-    h = nn.tanh(nn.affine(nn.constant(inputs), params["w0"], params["b0"]))
+    h = nn.softplus(nn.affine(nn.constant(inputs), params["w0"], params["b0"]))
     out = nn.affine(h, params["w1"], params["b1"])
     return nn.mean_all(nn.square(nn.sub(out, nn.constant(target))))
 

@@ -79,30 +79,20 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product over the last two axes; a may carry a leading batch axis.
-
-    (S, m, k) @ (k, n) applies one shared right operand to every batch entry;
-    (S, m, k) @ (S, k, n) multiplies entry by entry.
-    """
-    nd_a, nd_b = a.data.ndim, b.data.ndim
-    if not (2 <= nd_a <= 3 and (nd_b == 2 or (nd_b == 3 and nd_a == 3 and a.shape[0] == b.shape[0]))
-            and a.shape[-1] == b.shape[-2]):
-        raise _shape_error("matmul", a.shape, b.shape)
-    out_data = a.data @ b.data
+def matmul(x: Tensor, w: Tensor) -> Tensor:
+    """x (..., k) @ w (k, m): one right operand shared by every leading row of x."""
+    if not (x.data.ndim >= 2 and w.data.ndim == 2 and x.shape[-1] == w.shape[0]):
+        raise _shape_error("matmul", x.shape, w.shape)
+    out_data = x.data @ w.data
 
     def backprop(g):
         # An operand that needs no gradient (an input row, a constant) gets no product.
-        if a.requires_grad:
-            _accumulate(a, g @ _swap_last(b.data))
-        if not b.requires_grad:
-            return
-        if nd_a > nd_b:  # one right operand shared by every batch entry
-            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        else:
-            _accumulate(b, _swap_last(a.data) @ g)
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
 
-    return _node(out_data, "matmul", (a, b), backprop)
+    return _node(out_data, "matmul", (x, w), backprop)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -267,24 +257,6 @@ def mean_all(a: Tensor) -> Tensor:
     return scale(sum_all(a), 1.0 / a.data.size)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backprop(g):
-        _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _node(out_data, "tanh", (a,), backprop)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = 0.5 * np.tanh(0.5 * a.data) + 0.5  # no overflow, unlike 1 / (1 + e^-x)
-
-    def backprop(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, "sigmoid", (a,), backprop)
-
-
 def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
 
@@ -312,15 +284,6 @@ def log(a: Tensor) -> Tensor:
     return _node(out_data, "log", (a,), backprop)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def backprop(g):
-        _accumulate(a, g / (2.0 * out_data))
-
-    return _node(out_data, "sqrt", (a,), backprop)
-
-
 def square(a: Tensor) -> Tensor:
     out_data = a.data * a.data
 
@@ -328,21 +291,6 @@ def square(a: Tensor) -> Tensor:
         _accumulate(a, g * 2.0 * a.data)
 
     return _node(out_data, "square", (a,), backprop)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis of a 2-D or batched 3-D tensor."""
-    if a.data.ndim not in (2, 3):
-        raise _shape_error("softmax", a.shape)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-
-    def backprop(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(a, out_data * (g - inner))
-
-    return _node(out_data, "softmax", (a,), backprop)
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:

@@ -229,6 +229,14 @@ def run_pipeline(config: ExperimentConfig) -> dict:
             f"{config.train_fraction}) shorter than context+horizon ({ctx_len}+{horizon}); "
             "lower train_fraction or lengthen the trace"
         )
+    # A batch larger than the train split would take one step per epoch.
+    train_windows = max(len(train) - ctx_len - horizon + 1, 0)
+    for kind, model_cfg in config.models.items():
+        if model_cfg.batch_size > train_windows:
+            raise PipelineError(
+                f"models.{kind}.batch_size {model_cfg.batch_size} exceeds the "
+                f"{train_windows} windows of the {len(train)}-hour train split"
+            )
     n_windows = len(test) // horizon
     n_train = len(train)
     truth = test.values[: n_windows * horizon].copy()

@@ -229,6 +229,21 @@ def test_too_short_test_segment_names_the_settings_that_fix_it(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_batch_larger_than_the_train_windows_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # Such a run would take one step per epoch and report its savings
+    # without a warning.
+    monkeypatch.setattr(rapp, "fit", None)  # training would raise
+    path = tmp_path / "big_batch.json"
+    path.write_text(json.dumps({"trace": {"weeks": 2},
+                                "models": {"lstm": {"batch_size": 221},
+                                           "sff": {"batch_size": 100000}}}))
+    assert dispatch(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: models.sff.batch_size 100000 exceeds the 221 windows of the 268-hour train split\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_flag_is_an_error_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
     assert dispatch(["run", "--seed", "-1", "--out", str(tmp_path / "out")]) == 1

@@ -36,17 +36,55 @@ def bias_row_add(a, b):
     return tensor._node(a.data + b.data, "add", (a, b), backprop)
 
 
+# Test-side elementwise and batched ops for the composites below: no model
+# runs them, so nncore does not export them.
+
+def tanh(a):
+    out = np.tanh(a.data)
+    return tensor._node(out, "tanh", (a,), lambda g: tensor._accumulate(a, g * (1.0 - out * out)))
+
+
+def sigmoid(a):
+    out = 0.5 * np.tanh(0.5 * a.data) + 0.5
+    return tensor._node(out, "sigmoid", (a,), lambda g: tensor._accumulate(a, g * out * (1.0 - out)))
+
+
+def sqrt(a):
+    out = np.sqrt(a.data)
+    return tensor._node(out, "sqrt", (a,), lambda g: tensor._accumulate(a, g / (2.0 * out)))
+
+
+def softmax(a):
+    """Softmax over the last axis."""
+    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def backprop(g):
+        tensor._accumulate(a, out * (g - (g * out).sum(axis=-1, keepdims=True)))
+
+    return tensor._node(out, "softmax", (a,), backprop)
+
+
+def entry_matmul(a, b):
+    """Product over the last two axes, entry by entry along a shared batch axis."""
+    def backprop(g):
+        tensor._accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        tensor._accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+
+    return tensor._node(a.data @ b.data, "matmul", (a, b), backprop)
+
+
 def composite_lstm_cell(x, hc, wx, wh, b):
     """The old deepar cell on separate h and c, repacked as [h | c]."""
     n = wh.shape[0]
     h, c = nn.narrow(hc, 1, 0, n), nn.narrow(hc, 1, n, n)
     gates = bias_row_add(nn.add(nn.matmul(x, wx), nn.matmul(h, wh)), b)
-    i = nn.sigmoid(nn.narrow(gates, 1, 0, n))
-    f = nn.sigmoid(nn.narrow(gates, 1, n, n))
-    g = nn.tanh(nn.narrow(gates, 1, 2 * n, n))
-    o = nn.sigmoid(nn.narrow(gates, 1, 3 * n, n))
+    i = sigmoid(nn.narrow(gates, 1, 0, n))
+    f = sigmoid(nn.narrow(gates, 1, n, n))
+    g = tanh(nn.narrow(gates, 1, 2 * n, n))
+    o = sigmoid(nn.narrow(gates, 1, 3 * n, n))
     c_new = nn.add(nn.mul(f, c), nn.mul(i, g))
-    h_new = nn.mul(o, nn.tanh(c_new))
+    h_new = nn.mul(o, tanh(c_new))
     return nn.concat([h_new, c_new], axis=1)
 
 
@@ -72,7 +110,7 @@ def composite_layer_norm(x, gain, bias, eps=1e-5):
     mean_col = nn.matmul(x, nn.constant(np.full((d, 1), 1.0 / d)))
     centered = nn.sub(x, nn.matmul(mean_col, ones_row))
     var_col = nn.matmul(nn.square(centered), nn.constant(np.full((d, 1), 1.0 / d)))
-    inv_std = nn.div(nn.constant(np.ones((n, 1))), nn.sqrt(nn.add_const(var_col, eps)))
+    inv_std = nn.div(nn.constant(np.ones((n, 1))), sqrt(nn.add_const(var_col, eps)))
     normed = nn.mul(centered, nn.matmul(inv_std, ones_row))
     return bias_row_add(nn.mul(normed, nn.matmul(nn.constant(np.ones((n, 1))), gain)), bias)
 
@@ -265,7 +303,7 @@ def test_fused_kernel_is_its_reference_bit_for_bit(case, seed):
     for fn in (reference, op):
         leaves = [nn.Tensor(x.copy(), requires_grad=True) for x in inputs]
         out = fn(*leaves)
-        nn.backward(nn.sum_all(nn.mul(nn.tanh(out), probe)))
+        nn.backward(nn.sum_all(nn.mul(nn.softplus(out), probe)))
         results.append([out.data] + [leaf.grad for leaf in leaves])
     for got, want in zip(results[1], results[0]):
         assert np.array_equal(got, want)
@@ -284,7 +322,7 @@ def test_affine_is_its_composite_bit_for_bit(rows, x_needs_grad):
         leaves = [nn.Tensor(x, requires_grad=x_needs_grad), nn.Tensor(w, requires_grad=True),
                   nn.Tensor(b, requires_grad=True)]
         out = op(*leaves)
-        nn.backward(nn.sum_all(nn.mul(nn.tanh(out), probe)))
+        nn.backward(nn.sum_all(nn.mul(nn.softplus(out), probe)))
         results.append([out.data] + [leaf.grad for leaf in leaves])
     for got, want in zip(results[1], results[0]):
         assert (got is None and want is None) or np.array_equal(got, want)
@@ -304,7 +342,7 @@ def test_leading_axes_are_the_flattened_rows_bit_for_bit(op, shape):
     for x_shape in (shape, (shape[0] * shape[1], 32)):
         leaves = [nn.Tensor(a, requires_grad=True) for a in (x.reshape(x_shape), *rest)]
         out = getattr(nn, op)(*leaves)
-        nn.backward(nn.sum_all(nn.mul(nn.tanh(out), nn.constant(probe.reshape(out.shape)))))
+        nn.backward(nn.sum_all(nn.mul(nn.softplus(out), nn.constant(probe.reshape(out.shape)))))
         results.append([out.data.ravel()] + [leaf.grad.ravel() for leaf in leaves])
     assert all(np.array_equal(got, want) for got, want in zip(*results))
 
@@ -407,10 +445,10 @@ HEADS, DIM = 4, 8
 
 def composite_attention(q, k, v, mask=None):
     """The old six-node attention: matmul, transpose, scale, mask add, softmax, matmul."""
-    scores = nn.scale(nn.matmul(q, nn.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
+    scores = nn.scale(entry_matmul(q, nn.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
         scores = nn.add(scores, nn.constant(np.broadcast_to(mask, scores.shape)))
-    return nn.matmul(nn.softmax(scores), v)
+    return entry_matmul(softmax(scores), v)
 
 
 def composite_heads(q, k, v, mask=None, heads=1):
