@@ -62,9 +62,14 @@ def _load_raw_config(path: str | None) -> dict:
     if not config_path.exists():
         raise PipelineError(f"config file not found: {config_path}")
     try:
-        return json.loads(config_path.read_text())
+        doc = json.loads(config_path.read_text())
     except json.JSONDecodeError as exc:
         raise PipelineError(f"config {config_path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        got = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}.get(
+            type(doc), "a number")
+        raise PipelineError(f"config {config_path} must be a JSON object, got {got}")
+    return doc
 
 
 def _resolve_run_config(args) -> ExperimentConfig:

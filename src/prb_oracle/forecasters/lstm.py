@@ -32,7 +32,8 @@ def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
     """Mean squared error over all B·H values: the mean of the per-window MSEs."""
     pred = _forward(params, config, ctx_scaled)
     diff = nn.sub(pred, nn.constant(np.atleast_2d(tgt_scaled)[:, None]))
-    return nn.mean_all(nn.square(diff))
+    sq = nn.square(diff)
+    return nn.scale(nn.sum_all(sq), 1.0 / sq.data.size)
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Simple feed-forward estimator: context window in, per-step Student-t out.
 
 One pass maps the scaled conditioning window through two hidden layers to
-horizon x 3 raw outputs, laid out as [all mu | all sigma | all nu].
+horizon x 3 raw outputs, laid out step-major: [mu, sigma, nu] per step.
 """
 
 from __future__ import annotations
@@ -14,8 +14,12 @@ from ..nncore import ParameterSet
 
 
 def build(config) -> ParameterSet:
-    return nn.init_params([config.context_len, *config.hidden, 3 * config.horizon],
-                          seed=[config.seed, 0])
+    params = nn.init_params([config.context_len, *config.hidden, 3 * config.horizon],
+                            seed=[config.seed, 0])
+    w = params[f"w{len(config.hidden)}"]
+    # Step-major columns permute the head-major Glorot draw: fits match it up to rounding.
+    w.data = w.data.reshape(-1, 3, config.horizon).swapaxes(1, 2).reshape(w.shape)
+    return params
 
 
 def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray) -> nn.Tensor:
@@ -28,7 +32,7 @@ def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray) -> nn.Tensor:
         h = nn.affine(h, params[f"w{i}"], params[f"b{i}"])
         if i < n_layers - 1:
             h = nn.relu(h)
-    return nn.transpose(nn.reshape(h, (len(ctx), 3, config.horizon)))
+    return nn.reshape(h, (len(ctx), config.horizon, 3))
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:

@@ -128,7 +128,7 @@ def step(params, config, inp: np.ndarray, state):
     state with the cache extended by them.
 
     The cache holds the self-attention keys and values of the earlier decoder
-    positions as `project_kv` returns them, (B, t, d) each.
+    positions as plain (B, t, d) arrays: sampling extends it and takes no gradient.
     Each new position attends causally to the cached ones and the new ones up
     to itself. In the cross-attention the B·m positions are grouped by context:
     each of the n_ctx encoded contexts is attended to by its B·m / n_ctx positions,
@@ -141,7 +141,8 @@ def step(params, config, inp: np.ndarray, state):
     y = _embed(params, config, "dec", inp, positional_encoding(first + m, d, first))
     k, v = project_kv(params, "dec_self", y)
     if cache is not None:
-        k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
+        k = nn.constant(np.concatenate([cache[0], k.data], axis=1))
+        v = nn.constant(np.concatenate([cache[1], v.data], axis=1))
     mask = nn.causal_mask(k.shape[1])[-m:] if m > 1 else None
     a = multi_head_attention(params, "dec_self", y, k, v, config.heads, mask)
     y = _sublayer(params, "dec_ln1", y, a)
@@ -150,7 +151,7 @@ def step(params, config, inp: np.ndarray, state):
                               cross_k, cross_v, config.heads)
     y = _sublayer(params, "dec_ln2", y, nn.reshape(a2, y.shape))
     y = _sublayer(params, "dec_ln3", y, _feed_forward(params, "dec", y))
-    return nn.affine(y, params["head"], params["head_b"]), ((cross_k, cross_v), (k, v))
+    return nn.affine(y, params["head"], params["head_b"]), ((cross_k, cross_v), (k.data, v.data))
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 _creation = itertools.count()  # numbers the taped nodes in the order they are made
+_LAYER_NORM_EPS = 1e-5  # added to each row's variance in layer_norm
 
 
 class ShapeMismatch(ValueError):
@@ -186,24 +187,6 @@ def add_const(a: Tensor, c: float) -> Tensor:
     return _node(out_data, "add_const", (a,), backprop)
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeMismatch("concat: no inputs")
-    ndim = tensors[0].data.ndim
-    if any(t.data.ndim != ndim for t in tensors) or not 0 <= axis < ndim:
-        raise _shape_error(f"concat(axis={axis})", *[t.shape for t in tensors])
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = list(itertools.accumulate((t.shape[axis] for t in tensors), initial=0))
-
-    def backprop(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
-
-    return _node(out_data, "concat", tuple(tensors), backprop)
-
-
 def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
     """Contiguous slice of length `size` along `axis`."""
     if not 0 <= axis < a.data.ndim or start < 0 or start + size > a.shape[axis]:
@@ -219,18 +202,6 @@ def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
         _accumulate(a, full)
 
     return _node(out_data, "narrow", (a,), backprop)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a 2-D or batched 3-D tensor."""
-    if a.data.ndim not in (2, 3):
-        raise _shape_error("transpose", a.shape)
-    out_data = _swap_last(a.data).copy()
-
-    def backprop(g):
-        _accumulate(a, _swap_last(g))
-
-    return _node(out_data, "transpose", (a,), backprop)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -251,10 +222,6 @@ def sum_all(a: Tensor) -> Tensor:
         _accumulate(a, np.full(a.shape, float(g)))
 
     return _node(out_data, "sum_all", (a,), backprop)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.data.size)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -293,11 +260,6 @@ def square(a: Tensor) -> Tensor:
     return _node(out_data, "square", (a,), backprop)
 
 
-def _swap_last(x: np.ndarray) -> np.ndarray:
-    """View with the last two axes swapped; `.T` is the cheap 2-D case."""
-    return x.T if x.ndim == 2 else x.swapaxes(-1, -2)
-
-
 # ---------------------------------------------------------------------------
 # attention and fused ops
 # ---------------------------------------------------------------------------
@@ -315,7 +277,7 @@ def _merge_heads(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _transposed(x: np.ndarray, c: float = 1.0) -> np.ndarray:
     """c * x with its last two axes swapped, as a fresh C-contiguous array."""
     out = np.empty((*x.shape[:-2], x.shape[-1], x.shape[-2]))
-    return np.multiply(_swap_last(x), c, out=out)
+    return np.multiply(x.swapaxes(-1, -2), c, out=out)
 
 
 def _key_major(a: np.ndarray, bt: np.ndarray) -> np.ndarray:
@@ -345,7 +307,7 @@ def _head_row_sums(a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
     several times longer."""
     n = a.shape[-1] // heads
     sums = (a * b).reshape(-1, n) @ np.ones(n)
-    return np.ascontiguousarray(_swap_last(sums.reshape(*a.shape[:-1], heads)))
+    return np.ascontiguousarray(sums.reshape(*a.shape[:-1], heads).swapaxes(-1, -2))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
@@ -417,7 +379,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
             dq *= c
             _accumulate(q, dq)
         if k.requires_grad:
-            _accumulate(k, _merge_heads(np.moveaxis(ds, 0, -2) @ _swap_last(qt), k.shape))
+            _accumulate(k, _merge_heads(np.moveaxis(ds, 0, -2) @ qt.swapaxes(-1, -2), k.shape))
 
     return _node(out_data, "attention", (q, k, v), backprop)
 
@@ -427,7 +389,7 @@ def causal_mask(n: int) -> np.ndarray:
     return np.triu(np.full((n, n), -1e9), k=1)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last axis of x (..., d), learned (1, d) gain and bias."""
     if x.data.ndim < 2 or not gain.shape == bias.shape == (1, x.shape[-1]):
         raise _shape_error("layer_norm", x.shape, gain.shape, bias.shape)
@@ -436,7 +398,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # np.add.reduce(...) / d is the arithmetic of .mean, without its dispatch.
     centered = rows - np.add.reduce(rows, axis=1, keepdims=True) / d
     var = np.add.reduce(centered * centered, axis=1, keepdims=True) / d
-    var += eps
+    var += _LAYER_NORM_EPS
     inv_std = 1.0 / np.sqrt(var, out=var)
     normed = centered
     normed *= inv_std

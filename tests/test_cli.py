@@ -160,6 +160,18 @@ def test_unreadable_config_nonzero_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "gen-trace"])
+@pytest.mark.parametrize("text, got", [("5", "a number"), ("[1, 2]", "an array"),
+                                       ("null", "null"), ('"ab"', "a string")])
+def test_a_config_that_is_not_a_json_object_is_an_error_line(tmp_path, capsys, command, text, got):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert dispatch([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config {path} must be a JSON object, got {got}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"trace": {"wekes": 2}}, "unknown keys ['wekes'] in trace block"),
     ({"models": {"sff": {"epoch": 1}}}, "unknown keys ['epoch'] in models.sff block"),

@@ -463,6 +463,23 @@ def test_sff_head_layout_projects_to_one_distribution_per_step():
     assert np.all(dists.sigma > 0) and np.all(dists.nu > 2.0)
 
 
+def test_sff_head_is_a_step_major_permutation_of_a_fresh_draw():
+    # build reorders the last layer's [all mu | all sigma | all nu] columns
+    # to [mu, sigma, nu] per step, keeping init_params' own Glorot weights.
+    cfg = tiny_config("sff")
+    last = f"w{len(cfg.hidden)}"
+    fresh = nn.init_params([cfg.context_len, *cfg.hidden, 3 * cfg.horizon], seed=[cfg.seed, 0])
+    params = sff.build(cfg)
+    assert params.names() == fresh.names()
+    for name, p in fresh.items():
+        want = p.data
+        if name == last:  # step j's [mu, sigma, nu] are columns j, H + j and 2H + j
+            want = want[:, [c * cfg.horizon + j for j in range(cfg.horizon) for c in range(3)]]
+        assert np.array_equal(params[name].data, want)
+    # C-ordered like every other parameter, so a flat view of it aliases it.
+    assert params[last].data.flags.c_contiguous
+
+
 def test_transformer_decoder_causality():
     # Changing a later decoder input must not affect earlier outputs.
     cfg = tiny_config("transformer")

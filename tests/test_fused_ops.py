@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import max_rel_err
+from conftest import exported_ops, max_rel_err
 from prb_oracle import nncore as nn
 from prb_oracle.cli import default_config_path
 from prb_oracle.forecasters import ForecasterConfig, deepar, lstm, sff, transformer
@@ -36,8 +36,8 @@ def bias_row_add(a, b):
     return tensor._node(a.data + b.data, "add", (a, b), backprop)
 
 
-# Test-side elementwise and batched ops for the composites below: no model
-# runs them, so nncore does not export them.
+# Test-side ops for the composites below: no training step tapes them, so
+# nncore does not export them.
 
 def tanh(a):
     out = np.tanh(a.data)
@@ -65,6 +65,24 @@ def softmax(a):
     return tensor._node(out, "softmax", (a,), backprop)
 
 
+def concat(tensors, axis):
+    """Join along `axis`; each input's gradient is its slice of the adjoint."""
+    cuts = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+
+    def backprop(g):
+        for t, part in zip(tensors, np.split(g, cuts, axis=axis)):
+            tensor._accumulate(t, part)
+
+    return tensor._node(np.concatenate([t.data for t in tensors], axis=axis), "concat",
+                        tuple(tensors), backprop)
+
+
+def transpose(a):
+    """Swap the last two axes."""
+    return tensor._node(np.swapaxes(a.data, -1, -2).copy(), "transpose", (a,),
+                        lambda g: tensor._accumulate(a, np.swapaxes(g, -1, -2)))
+
+
 def entry_matmul(a, b):
     """Product over the last two axes, entry by entry along a shared batch axis."""
     def backprop(g):
@@ -85,7 +103,7 @@ def composite_lstm_cell(x, hc, wx, wh, b):
     o = sigmoid(nn.narrow(gates, 1, 3 * n, n))
     c_new = nn.add(nn.mul(f, c), nn.mul(i, g))
     h_new = nn.mul(o, tanh(c_new))
-    return nn.concat([h_new, c_new], axis=1)
+    return concat([h_new, c_new], axis=1)
 
 
 def cell_chain(cell):
@@ -98,7 +116,7 @@ def cell_chain(cell):
         for t in range(steps):
             state = cell(nn.reshape(nn.narrow(x, 1, t, 1), (batch, k)), state, wx, wh, b)
             outs.append(state)
-        return nn.reshape(nn.concat(outs, axis=1), (batch, steps, hc.shape[2]))
+        return nn.reshape(concat(outs, axis=1), (batch, steps, hc.shape[2]))
 
     return chain
 
@@ -366,11 +384,13 @@ def _default_step(kind, seed):
     return cfg, ctx, tgt, feats
 
 
-@pytest.mark.parametrize("kind, nodes", [("sff", 36), ("deepar", 28), ("transformer", 81),
+@pytest.mark.parametrize("kind, nodes", [("sff", 35), ("deepar", 28), ("transformer", 81),
                                          ("lstm", 8)])
 def test_a_default_training_step_tapes_a_fixed_number_of_nodes(kind, nodes):
     # Batches keep their (B, t, ·) layout from input to likelihood, so no row
     # reshape is taped: with them the transformer taped 89 nodes and sff 37.
+    # sff's step-major head reshapes straight to (B, horizon, 3), with no
+    # transpose (36 nodes).
     # One lstm_cell node runs a layer over a whole sequence: deepar tapes one
     # per layer for the warm-up and one for the horizon (its one-step cells,
     # their narrows and the horizon's concat and reshape taped 183 nodes), and
@@ -380,6 +400,24 @@ def test_a_default_training_step_tapes_a_fixed_number_of_nodes(kind, nodes):
     before = next(tensor._creation)
     MODULES[kind].loss(params, cfg, ctx, tgt, feats)
     assert next(tensor._creation) - before - 1 == nodes
+
+
+def test_default_training_steps_tape_exactly_the_exported_ops():
+    # nncore exports what the four estimators' training losses tape: an op
+    # that no default.json training step runs has no place in it.
+    taped = {}
+    for kind, mod in MODULES.items():
+        cfg, ctx, tgt, feats = _default_step(kind, 13)
+        stack = [mod.loss(mod.build(cfg), cfg, ctx, tgt, feats)]
+        while stack:
+            node = stack.pop()
+            if node._parents and id(node) not in taped:
+                taped[id(node)] = node.op
+                stack.extend(node._parents)
+    ops = set(taped.values())
+    assert ops == exported_ops(), (f"exported, never taped: {sorted(exported_ops() - ops)}; "
+                                   f"taped, not exported: {sorted(ops - exported_ops())}")
+
 
 def test_backward_frees_interior_gradients_and_keeps_leaf_ones():
     # Two sequence calls chained as deepar's warm-up and horizon are: the
@@ -445,7 +483,7 @@ HEADS, DIM = 4, 8
 
 def composite_attention(q, k, v, mask=None):
     """The old six-node attention: matmul, transpose, scale, mask add, softmax, matmul."""
-    scores = nn.scale(entry_matmul(q, nn.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
+    scores = nn.scale(entry_matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
         scores = nn.add(scores, nn.constant(np.broadcast_to(mask, scores.shape)))
     return entry_matmul(softmax(scores), v)
@@ -460,7 +498,7 @@ def composite_heads(q, k, v, mask=None, heads=1):
     outs = [composite_attention(*(nn.narrow(t, axis, h * t.shape[-1] // heads, t.shape[-1] // heads)
                                   for t in (q, k, v)), mask)
             for h in range(heads)]
-    return nn.concat(outs, axis=axis)
+    return concat(outs, axis=axis)
 
 
 def _named(weights):
@@ -479,7 +517,7 @@ def _split_cache_attention(x_new, x_prev, *weights):
     params = _named(weights)
     cache = transformer.project_kv(params, "a", x_prev)
     k, v = transformer.project_kv(params, "a", x_new)
-    k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
+    k, v = concat([cache[0], k], axis=1), concat([cache[1], v], axis=1)
     return transformer.multi_head_attention(params, "a", x_new, k, v, HEADS)
 
 
@@ -491,10 +529,10 @@ def _cached_steps(x, *weights):
         x_t = nn.narrow(x, 1, t, 1)
         k, v = transformer.project_kv(params, "a", x_t)
         if cache is not None:
-            k, v = nn.concat([cache[0], k], axis=1), nn.concat([cache[1], v], axis=1)
+            k, v = concat([cache[0], k], axis=1), concat([cache[1], v], axis=1)
         cache = k, v
         outs.append(transformer.multi_head_attention(params, "a", x_t, k, v, HEADS))
-    return nn.concat(outs, axis=1)
+    return concat(outs, axis=1)
 
 
 CAUSAL = nn.causal_mask(5)
@@ -516,7 +554,7 @@ MHA_CASES = {
         [(3, 1, DIM), (3, 4, DIM)],
         _split_cache_attention,
         lambda xn, xp, *w: composite_multi_head_attention(
-            _named(w), xn, nn.concat([xp, xn], axis=1), HEADS),
+            _named(w), xn, concat([xp, xn], axis=1), HEADS),
     ),
     # Four cached m=1 steps against one uncached, causally masked call.
     "cached_steps": (
@@ -626,5 +664,5 @@ def test_step_batches_sequences_and_chains_positions(kind):
     assert np.max(np.abs(whole.data - np.stack(singles))) <= 1e-12
     assert np.max(np.abs(np.concatenate(steps, axis=1) - whole.data)) <= 1e-12
     if kind == "transformer":
-        cache = state[1]
-        assert cache[0].shape == cache[1].shape == (3, 4, DIM)
+        # The sampling cache is plain keys and values, no graph nodes.
+        assert all(isinstance(a, np.ndarray) and a.shape == (3, 4, DIM) for a in state[1])

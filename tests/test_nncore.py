@@ -1,17 +1,14 @@
 """Autodiff core: forward oracles, gradient checks, Adam, init."""
 
-import ast
 import gc
-import inspect
 import sys
 import threading
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import check_op_gradients, max_rel_err, numeric_grad, primitive_cases
+from conftest import check_op_gradients, exported_ops, max_rel_err, numeric_grad, primitive_cases
 from prb_oracle import nncore as nn
 from prb_oracle.nncore import (
     AdamState,
@@ -21,7 +18,6 @@ from prb_oracle.nncore import (
     backward,
     init_params,
 )
-from prb_oracle.nncore import tensor
 
 
 # ---------------------------------------------------------------------------
@@ -129,39 +125,11 @@ def test_primitive_gradients(name, builder, inputs):
     check_op_gradients(builder, inputs)
 
 
-def _exported_ops() -> set[str]:
-    # Every function nncore exports from its tensor module is an op, except
-    # these four, which record no node of their own.
-    not_ops = {"backward", "causal_mask", "constant", "lanczos_lgamma"}
-    return {name for name in nn.__all__
-            if inspect.isfunction(getattr(nn, name))
-            and getattr(nn, name).__module__ == tensor.__name__} - not_ops
-
-
 def test_every_exported_op_has_a_gradient_case():
-    ops = _exported_ops()
+    ops = exported_ops()
     cases = [c[0] for c in primitive_cases()]
     missing = sorted(op for op in ops if not any(c == op or c.startswith(op + "_") for c in cases))
     assert ops and not missing, f"ops without a finite-difference case: {missing}"
-
-
-def test_every_exported_op_is_called_outside_nncore():
-    # nncore keeps only the ops the models and likelihoods run: an op is
-    # referenced as `nn.<op>` or `nncore.<op>`, or imported from nncore, by a
-    # prb_oracle module outside the nncore package.
-    engine = Path(nn.__file__).resolve().parent
-    used = set()
-    for path in engine.parent.rglob("*.py"):
-        if engine in path.parents:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in ("nn", "nncore")):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "nncore":
-                used.update(alias.name for alias in node.names)
-    unused = sorted(_exported_ops() - used)
-    assert not unused, f"nncore ops no prb_oracle module calls: {unused}"
 
 
 def test_backward_square():
