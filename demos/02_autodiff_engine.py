@@ -47,11 +47,11 @@ print(f"\nanalytic dL/dw0[1,2] = {grads['w0'][flat_index]:+.8f}")
 print(f"numeric  dL/dw0[1,2] = {numeric:+.8f}")
 
 # Adam drives the toy loss down.
-state = AdamState.for_params(params, lr=0.05)
+state = AdamState.for_params(params)
 print("\nAdam on the toy regression:")
 for step in range(1, 101):
     loss = forward()
-    adam_step(params, backward(loss, params), state)
+    adam_step(params, backward(loss, params), state, 0.05)
     if step % 25 == 0:
         print(f"  step {step:3d}  loss {loss.item():.5f}")
 

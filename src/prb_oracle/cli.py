@@ -15,7 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .forecasters import TrainingDiverged
-from .rapp import ExperimentConfig, PipelineError, _is_a, _plabel, _type_name, emit_report, run_pipeline
+from .rapp import (ExperimentConfig, PipelineError, _is_a, _plabel, _type_name, check_output_dir,
+                   emit_report, run_pipeline)
 from .traces import TraceError, generate_synthetic, save_csv
 
 DEFAULT_CONFIG_NAME = "default.json"
@@ -112,6 +113,7 @@ def _cmd_gen_trace(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _resolve_run_config(args)
+    check_output_dir(config.output_dir)  # before any training, not after every fit
     report = run_pipeline(config)
     written = emit_report(report, config.output_dir)
     for path in written:

@@ -16,8 +16,8 @@ from ..traces import PrbSeries, make_windows
 MODEL_KINDS = ("sff", "deepar", "transformer", "lstm")
 PROBABILISTIC_KINDS = ("sff", "deepar", "transformer")
 
-# The hyperparameters each kind reads: the only keys its config block holds.
-_COMMON_KEYS = ("context_len", "horizon", "epochs", "batch_size", "lr")
+# The only keys each kind's config block holds; context_len and horizon are top-level.
+_COMMON_KEYS = ("epochs", "batch_size", "lr")
 MODEL_KEYS = {
     "sff": (*_COMMON_KEYS, "num_samples", "hidden"),
     "deepar": (*_COMMON_KEYS, "num_samples", "rnn_layers", "rnn_cells"),
@@ -76,7 +76,7 @@ class ForecasterConfig:
             )
 
     def settings(self) -> dict:
-        """The hyperparameters this kind reads, keyed as in its config block."""
+        """This kind's config block: its `MODEL_KEYS` and their values."""
         return {key: getattr(self, key) for key in MODEL_KEYS[self.kind]}
 
 
@@ -234,8 +234,7 @@ def fit(config: ForecasterConfig, train: PrbSeries) -> TrainedModel:
                     f"batch of window t0s {batch.tolist()}"
                 )
             grads = backward(loss, params)
-            state.lr = learning_rate(config.lr, state.step, steps)
-            adam_step(params, grads, state)
+            adam_step(params, grads, state, learning_rate(config.lr, state.step, steps))
             epoch_loss += value * len(batch)
         loss_curve.append(epoch_loss / len(t0s))
     params.freeze()

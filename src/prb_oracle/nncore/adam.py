@@ -9,6 +9,8 @@ import numpy as np
 
 from .params import ParameterSet
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -20,24 +22,20 @@ class AdamState:
     v: np.ndarray
     buf: np.ndarray
     views: list[np.ndarray]
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: ParameterSet, lr: float = 1e-3) -> "AdamState":
+    def for_params(cls, params: ParameterSet) -> "AdamState":
         shapes = [t.data.shape for t in params.tensors()]
         offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
         buf = np.empty(offsets[-1])
         views = [buf[lo:hi].reshape(shape)
                  for lo, hi, shape in zip(offsets[:-1], offsets[1:], shapes)]
-        return cls(np.zeros_like(buf), np.zeros_like(buf), buf, views, lr=lr)
+        return cls(np.zeros_like(buf), np.zeros_like(buf), buf, views)
 
 
-def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """One in-place Adam update of every parameter; increments the step counter.
+def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
+    """One in-place Adam update of every parameter at rate `lr`; increments the step counter.
 
     Runs over the flat moment vectors with the per-parameter operation order,
     so the parameters are those of one update per parameter array."""
@@ -52,19 +50,18 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], state: AdamSta
         pieces.append(g.ravel())
     g = np.concatenate(pieces)
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
     m, v, buf = state.m, state.v, state.buf
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=buf)
-    v *= b2
-    np.multiply(g, 1.0 - b2, out=buf)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=buf)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=buf)
     v += np.multiply(buf, g, out=buf)
     # g is spent: it takes the denominator, buf the update.
-    np.divide(v, 1.0 - b2 ** state.step, out=g)
+    np.divide(v, 1.0 - BETA2 ** state.step, out=g)
     np.sqrt(g, out=g)
-    g += state.eps
-    np.divide(m, 1.0 - b1 ** state.step, out=buf)
-    buf *= state.lr
+    g += EPS
+    np.divide(m, 1.0 - BETA1 ** state.step, out=buf)
+    buf *= lr
     buf /= g
     for t, update in zip(params.tensors(), state.views):
         t.data -= update

@@ -19,7 +19,7 @@ class ParameterSet:
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+        t = Tensor(np.array(data, dtype=np.float64, order="C"), requires_grad=True)
         self._params[name] = t
         return t
 

@@ -45,13 +45,16 @@ class ExperimentConfig:
     """One end-to-end experiment: trace source, PRB capacity, models, policies.
 
     `max_prb` is the only capacity: traces are bounded by it, allocations are
-    clamped to it and power savings are measured against it.
+    clamped to it and power savings are measured against it. `context_len`
+    and `horizon` are the one window geometry that every model reads.
     """
 
     trace: TraceConfig | str = field(default_factory=TraceConfig)
     max_prb: int = DEFAULT_MAX_PRB
     train_fraction: float = 0.8
     percentiles: tuple[float, ...] = DEFAULT_PERCENTILES
+    context_len: int = ForecasterConfig.context_len
+    horizon: int = ForecasterConfig.horizon
     models: dict[str, ForecasterConfig] = field(default_factory=dict)
     output_dir: str = "out"
     seed: int = 0
@@ -59,8 +62,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise PipelineError(f"seed must be >= 0, got {self.seed}")
-        if self.max_prb < 1:
-            raise PipelineError(f"max_prb must be >= 1, got {self.max_prb}")
+        for key in ("max_prb", "context_len", "horizon"):
+            if (value := getattr(self, key)) < 1:
+                raise PipelineError(f"{key} must be >= 1, got {value}")
         if not 0.0 < self.train_fraction < 1.0:
             raise PipelineError(f"train_fraction must be in (0,1), got {self.train_fraction}")
         if isinstance(self.trace, TraceConfig):
@@ -77,24 +81,12 @@ class ExperimentConfig:
                 raise PipelineError(f"unknown model kind {kind!r}")
             if m.kind != kind:
                 raise PipelineError(f"models.{kind} block has kind {m.kind!r}")
-        # Keep only what each model reads; its seed follows the top-level one.
+        # Keep only what each model reads; its geometry and seed follow the top-level ones.
         object.__setattr__(self, "models", {
-            kind: ForecasterConfig(kind, **m.settings(), seed=self.seed * 100 + MODEL_SEED_OFFSETS[kind])
+            kind: ForecasterConfig(kind, **m.settings(), context_len=self.context_len,
+                                   horizon=self.horizon, seed=self.seed * 100 + MODEL_SEED_OFFSETS[kind])
             for kind, m in models.items()
         })
-        geometries = {(m.context_len, m.horizon) for m in self.models.values()}
-        if len(geometries) != 1:
-            raise PipelineError(
-                f"all models must share context_len and horizon, got {geometries}"
-            )
-
-    @property
-    def context_len(self) -> int:
-        return next(iter(self.models.values())).context_len
-
-    @property
-    def horizon(self) -> int:
-        return next(iter(self.models.values())).horizon
 
     def to_dict(self) -> dict:
         if isinstance(self.trace, TraceConfig):
@@ -106,6 +98,8 @@ class ExperimentConfig:
             "max_prb": self.max_prb,
             "train_fraction": self.train_fraction,
             "percentiles": list(self.percentiles),
+            "context_len": self.context_len,
+            "horizon": self.horizon,
             "models": {k: m.settings() for k, m in self.models.items()},
             "output_dir": self.output_dir,
             "seed": self.seed,
@@ -145,9 +139,8 @@ class ExperimentConfig:
             if not models:
                 raise PipelineError("models block names no model")
             kwargs["models"] = models
-        if "percentiles" in doc:
-            kwargs["percentiles"] = tuple(doc.pop("percentiles"))
-        for key in ("max_prb", "train_fraction", "output_dir", "seed"):
+        for key in ("max_prb", "train_fraction", "percentiles", "context_len", "horizon",
+                    "output_dir", "seed"):
             if key in doc:
                 kwargs[key] = doc.pop(key)
         if doc:
@@ -364,6 +357,14 @@ def _jsonify(obj):
     return obj
 
 
+def check_output_dir(out_dir: str | Path) -> Path:
+    """`out_dir` as a Path; an error if it names an existing file."""
+    out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise PipelineError(f"cannot create output directory {out}: it is a file")
+    return out
+
+
 def emit_report(doc: dict, out_dir: str | Path) -> list[Path]:
     """Write report.json plus the table/plot CSVs; returns the written paths.
 
@@ -372,9 +373,7 @@ def emit_report(doc: dict, out_dir: str | Path) -> list[Path]:
     partway leaves no partial report behind. A new `out_dir` appears whole;
     into an existing one the files move one by one, report.json last.
     """
-    out = Path(out_dir)
-    if out.exists() and not out.is_dir():
-        raise PipelineError(f"cannot create output directory {out}: it is a file")
+    out = check_output_dir(out_dir)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         tmp = out.parent / f".{out.name}.{os.urandom(8).hex()}.tmp"

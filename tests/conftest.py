@@ -17,6 +17,8 @@ from prb_oracle.nncore import tensor
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Central finite differences of scalar f() w.r.t. x, mutated in place."""
+    if not x.flags.c_contiguous:
+        raise ValueError("numeric_grad perturbs x through a flat view: x must be C-contiguous")
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)

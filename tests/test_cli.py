@@ -207,6 +207,12 @@ def test_a_config_that_is_not_a_json_object_is_an_error_line(tmp_path, capsys, c
     ({"models": {}}, "models block names no model"),
     ({"models": {"deepar": {"batch_size": 0}}}, "models.deepar.batch_size must be positive, got 0"),
     ({"train_fraction": 1.5}, "train_fraction must be in (0,1), got 1.5"),
+    ({"models": {"sff": {"horizon": 12}}}, "unknown keys ['horizon'] in models.sff block"),
+    ({"models": {"deepar": {"context_len": 24, "epochs": 1}}},
+     "unknown keys ['context_len'] in models.deepar block"),
+    ({"context_len": 0}, "context_len must be >= 1, got 0"),
+    ({"horizon": 0}, "horizon must be >= 1, got 0"),
+    ({"horizon": 2.5}, "horizon must be an integer, got 2.5"),
 ])
 def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, message):
     monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
@@ -254,6 +260,19 @@ def test_a_batch_larger_than_the_train_windows_is_an_error_line(tmp_path, capsys
         "error: models.sff.batch_size 100000 exceeds the 221 windows of the 268-hour train split\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_an_output_path_that_is_a_file_fails_before_training(tmp_path, tiny_config_file, capsys,
+                                                            monkeypatch):
+    def fit_must_not_run(*args, **kwargs):
+        raise AssertionError("fit called before the output directory was checked")
+
+    monkeypatch.setattr(rapp, "fit", fit_must_not_run)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert dispatch(["run", "--config", str(tiny_config_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot create output directory {out}: it is a file\n"
+    assert out.read_text() == "not a directory"
 
 
 def test_negative_seed_flag_is_an_error_line(tmp_path, capsys, monkeypatch):

@@ -317,8 +317,8 @@ def _per_window_fit(cfg, series):
             feats = {"ctx": calendar[t0 - c:t0], "tgt": calendar[t0:t0 + h]}
             loss = mod.loss(params, cfg, scaled[t0 - c:t0], scaled[t0:t0 + h], feats)
             total += loss.item()
-            state.lr = base.learning_rate(cfg.lr, state.step, cfg.epochs * len(t0s))
-            adam_step(params, nn.backward(loss, params), state)
+            adam_step(params, nn.backward(loss, params), state,
+                      base.learning_rate(cfg.lr, state.step, cfg.epochs * len(t0s)))
     return params, total / len(t0s)
 
 
@@ -362,9 +362,9 @@ def test_learning_rate_warms_up_then_decays_to_a_tenth():
 def _recorded_rates(monkeypatch):
     rates, real = [], base.adam_step
 
-    def adam_step(params, grads, state):
-        rates.append(state.lr)
-        real(params, grads, state)
+    def adam_step(params, grads, state, lr):
+        rates.append(lr)
+        real(params, grads, state, lr)
 
     monkeypatch.setattr(base, "adam_step", adam_step)
     return rates

@@ -446,10 +446,11 @@ def test_a_batch_32_deepar_step_keeps_a_small_tape():
     cfg, ctx, tgt, feats = _default_step("deepar", 9)
     assert cfg.batch_size == 32
     params = deepar.build(cfg)
-    state = AdamState.for_params(params, lr=cfg.lr)
+    state = AdamState.for_params(params)
     tracemalloc.start()
     try:
-        adam_step(params, nn.backward(deepar.loss(params, cfg, ctx, tgt, feats), params), state)
+        adam_step(params, nn.backward(deepar.loss(params, cfg, ctx, tgt, feats), params), state,
+                  cfg.lr)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -14,6 +14,7 @@ from prb_oracle.nncore import (
     AdamState,
     ParameterSet,
     ShapeMismatch,
+    adam,
     adam_step,
     backward,
     init_params,
@@ -324,16 +325,16 @@ def _one_param(value):
 def test_adam_zero_gradient_fixed_point():
     params = _one_param(np.array([[1.5, -2.0]]))
     before = params["p"].data.copy()
-    state = AdamState.for_params(params, lr=0.1)
-    adam_step(params, {"p": np.zeros((1, 2))}, state)
+    state = AdamState.for_params(params)
+    adam_step(params, {"p": np.zeros((1, 2))}, state, 0.1)
     assert np.array_equal(params["p"].data, before)
     assert state.step == 1
 
 
 def test_adam_first_step_magnitude_is_lr():
     params = _one_param(np.array([[1.0]]))
-    state = AdamState.for_params(params, lr=1e-3)
-    adam_step(params, {"p": np.array([[0.37]])}, state)
+    state = AdamState.for_params(params)
+    adam_step(params, {"p": np.array([[0.37]])}, state, 1e-3)
     # Bias-corrected first step is lr * g / (|g| + eps) ~= lr * sign(g).
     assert params["p"].data[0, 0] == pytest.approx(1.0 - 1e-3, abs=1e-8)
 
@@ -342,19 +343,19 @@ def test_adam_deterministic():
     runs = []
     for _ in range(2):
         params = _one_param(np.array([[0.3, -0.7]]))
-        state = AdamState.for_params(params, lr=0.01)
+        state = AdamState.for_params(params)
         rng = np.random.default_rng(42)
         for _ in range(20):
-            adam_step(params, {"p": rng.normal(size=(1, 2))}, state)
+            adam_step(params, {"p": rng.normal(size=(1, 2))}, state, 0.01)
         runs.append(params["p"].data.copy())
     assert np.array_equal(runs[0], runs[1])
 
 
-def _per_tensor_adam_step(params, grads, state, m, v):
+def _per_tensor_adam_step(params, grads, state, lr, m, v):
     """The update one parameter array at a time, as it was before the flat
     moment vectors: the reference the flat step must reproduce bit for bit."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = adam.BETA1, adam.BETA2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
     for name, t in params.items():
@@ -365,20 +366,20 @@ def _per_tensor_adam_step(params, grads, state, m, v):
         v[name] += (1.0 - b2) * g * g
         m_hat = m[name] / bias1
         v_hat = v[name] / bias2
-        t.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        t.data -= lr * m_hat / (np.sqrt(v_hat) + adam.EPS)
 
 
 def test_flat_adam_is_the_per_tensor_loop_bit_for_bit():
     flat, ref = init_params([3, 5, 4, 2], seed=7), init_params([3, 5, 4, 2], seed=7)
-    flat_state, ref_state = AdamState.for_params(flat, lr=1e-2), AdamState.for_params(ref, lr=1e-2)
+    flat_state, ref_state = AdamState.for_params(flat), AdamState.for_params(ref)
     m = {name: np.zeros_like(t.data) for name, t in ref.items()}
     v = {name: np.zeros_like(t.data) for name, t in ref.items()}
     rng = np.random.default_rng(11)
     for _ in range(500):
         grads = {name: rng.normal(scale=rng.uniform(1e-3, 10.0), size=t.shape)
                  for name, t in flat.items()}
-        adam_step(flat, grads, flat_state)
-        _per_tensor_adam_step(ref, grads, ref_state, m, v)
+        adam_step(flat, grads, flat_state, 1e-2)
+        _per_tensor_adam_step(ref, grads, ref_state, 1e-2, m, v)
     assert flat_state.step == ref_state.step == 500
     for name in flat.names():
         assert np.array_equal(flat[name].data, ref[name].data), name
@@ -388,7 +389,7 @@ def test_adam_shape_mismatch_rejected():
     params = _one_param(np.ones((2, 2)))
     state = AdamState.for_params(params)
     with pytest.raises(ValueError, match="shape"):
-        adam_step(params, {"p": np.ones((1, 2))}, state)
+        adam_step(params, {"p": np.ones((1, 2))}, state, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +419,21 @@ def test_init_params_rejects_bad_sizes():
         init_params([5], seed=0)
     with pytest.raises(ValueError):
         init_params([5, 0, 3], seed=0)
+
+
+def test_a_parameter_is_a_c_ordered_float64_copy():
+    data = np.asfortranarray(np.arange(6, dtype=np.int64).reshape(2, 3))
+    t = ParameterSet().add("w", data)
+    assert t.data.flags.c_contiguous and t.data.dtype == np.float64
+    assert np.array_equal(t.data, data) and not np.shares_memory(t.data, data)
+
+
+def test_numeric_grad_rejects_an_array_it_cannot_perturb_in_place():
+    # reshape(-1) of an F-ordered array is a copy: perturbing it would leave
+    # x alone and read a zero gradient.
+    x = np.asfortranarray(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        numeric_grad(lambda: float(np.sum(x ** 2)), x)
 
 
 def test_parameter_freeze_blocks_writes():

@@ -60,12 +60,16 @@ def test_config_defaults_cover_all_models():
     assert cfg.percentiles == (0.05, 0.25, 0.50, 0.75, 0.90, 0.99)
 
 
-def test_config_rejects_mixed_window_geometry():
-    with pytest.raises(PipelineError, match="share context_len"):
-        ExperimentConfig(models={
-            "sff": ForecasterConfig(kind="sff", horizon=24),
-            "lstm": ForecasterConfig(kind="lstm", horizon=12),
-        })
+def test_every_model_reads_the_one_top_level_window_geometry():
+    models = {kind: ForecasterConfig(kind=kind) for kind in MODEL_KINDS}
+    models["lstm"] = ForecasterConfig(kind="lstm", context_len=48, horizon=3)
+    cfg = ExperimentConfig(context_len=12, horizon=6, models=models)
+    assert {(m.context_len, m.horizon) for m in cfg.models.values()} == {(12, 6)}
+    doc = cfg.to_dict()
+    assert (doc["context_len"], doc["horizon"]) == (12, 6)
+    assert not any({"context_len", "horizon"} & set(block) for block in doc["models"].values())
+    assert ExperimentConfig.from_dict(doc) == cfg
+    assert replace(cfg, horizon=2).models["sff"].horizon == 2
 
 
 def test_config_rejects_unknown_keys_and_kinds():
