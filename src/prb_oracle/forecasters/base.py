@@ -8,7 +8,6 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .. import nncore
 from ..likelihoods import sample
 from ..nncore import ParameterSet, AdamState, adam_step, backward
 from ..traces import PrbSeries, make_windows
@@ -58,12 +57,14 @@ class ForecasterConfig:
         object.__setattr__(self, "hidden", tuple(self.hidden))
         if self.kind not in MODEL_KINDS:
             raise ForecastError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
-        # Messages name the field as the config file spells it, models.<kind>.<key>.
+        # Messages name the field as the config file spells it: models.<kind>.<key>,
+        # but the top-level context_len and horizon.
         where = f"models.{self.kind}."
         for key in ("context_len", "horizon", "batch_size", "num_samples", "rnn_layers",
                     "rnn_cells", "model_dim", "ff_scale", "heads", "blocks"):
             if (value := getattr(self, key)) < 1:
-                raise ForecastError(f"{where}{key} must be positive, got {value}")
+                field = key if key in ("context_len", "horizon") else where + key
+                raise ForecastError(f"{field} must be positive, got {value}")
         if any(h < 1 for h in self.hidden):
             raise ForecastError(f"{where}hidden sizes must be positive, got {list(self.hidden)}")
         if self.epochs < 0:
@@ -133,43 +134,23 @@ def _model_module(kind: str):
     return {"sff": sff, "deepar": deepar, "transformer": transformer, "lstm": lstm}[kind]
 
 
-def as_batch(values, calendar) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled values (B, T) and their calendar rows (B, T, 2); one window, a 1-D
-    series with (T, 2) rows, is the batch of one."""
-    values = np.atleast_2d(values)
-    return values, np.reshape(calendar, (*values.shape, 2))
-
-
 # deepar and transformer are autoregressive. Each supplies its network as
-# `start(params, config, ctx_scaled, cov_ctx, rows) -> state`, the state of B contexts
-# (`as_batch`) with `rows` rows each (deepar: one (B·rows, 1, 2n) [h | c] per layer), and
-# `step(params, config, inp (B, m, 3), state) -> (raw heads (B, m, n), state)`,
-# and its likelihood as HEAD = (training NLL, projection for sampling).
-def teacher_forced_loss(params, config, ctx_scaled, tgt_scaled, feats) -> nncore.Tensor:
-    """NLL per window of a batch, for an autoregressive kind: `start` on the B
-    contexts, then one `step` over the horizon, each position fed the true
-    previous value; the NLL of all B·H steps divided by B."""
-    mod = _model_module(config.kind)
-    ctx, cov_ctx = as_batch(ctx_scaled, feats["ctx"])
-    tgt, cov_tgt = as_batch(tgt_scaled, feats["tgt"])
-    state = mod.start(params, config, ctx, cov_ctx, 1)
-    prev = np.concatenate([ctx[:, -1:], tgt[:, :-1]], axis=1)
-    raw, _ = mod.step(params, config, np.concatenate([prev[..., None], cov_tgt], axis=2), state)
-    return nncore.scale(mod.HEAD[0](raw, tgt), 1.0 / len(tgt))
-
-
-def ancestral_paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
-    """Ancestral roll-outs, all num_samples paths as rows of one batch: each
-    one-position `step` is followed by one draw per path, its next input."""
+# `start(params, config, ctx_scaled (B, C), cov_ctx (B, C, 2)) -> state`, the state
+# of B contexts (deepar: one (B·num_samples, 1, 2n) [h | c] array per layer), and
+# `step(params, config, inp (B, m, 3), state) -> (raw heads (B, m, n), state)`.
+def ancestral_paths(params, config, ctx_scaled, feats, rng, project) -> np.ndarray:
+    """Ancestral roll-outs of one context (1, C), all num_samples paths as rows of
+    one batch: each one-position `step` is followed by one draw per path from
+    `project` of its raw heads, the path's next input."""
     mod = _model_module(config.kind)
     n = config.num_samples
-    state = mod.start(params, config, ctx_scaled, feats["ctx"], n)
+    state = mod.start(params, config, ctx_scaled, feats["ctx"])
     out = np.empty((n, config.horizon))
-    prev = np.full(n, float(ctx_scaled[-1]))
+    prev = np.full(n, ctx_scaled[0, -1])
     for t in range(config.horizon):
-        inp = np.column_stack([prev, np.broadcast_to(feats["tgt"][t], (n, 2))])
+        inp = np.column_stack([prev, np.broadcast_to(feats["tgt"][0, t], (n, 2))])
         raw, state = mod.step(params, config, inp[:, None], state)
-        prev = out[:, t] = sample(mod.HEAD[1](raw.data[:, 0]), rng, 1)[0]
+        prev = out[:, t] = sample(project(raw.data[:, 0]), rng, 1)[0]
     return out
 
 
@@ -276,10 +257,10 @@ def predict(
         start = model.train_end_time
     if rng is None:
         rng = np.random.default_rng([config.seed, 2])
-    calendar = calendar_features(start, np.arange(-config.context_len, config.horizon))
-    feats = {"ctx": calendar[:config.context_len], "tgt": calendar[config.context_len:]}
+    calendar = calendar_features(start, np.arange(-config.context_len, config.horizon))[None]
+    feats = {"ctx": calendar[:, :config.context_len], "tgt": calendar[:, config.context_len:]}
     mod = _model_module(config.kind)
-    result = mod.paths(model.params, config, context / model.scale, feats, rng)
+    result = mod.paths(model.params, config, context[None] / model.scale, feats, rng)
     if config.kind not in PROBABILISTIC_KINDS:
         point = result[0] * model.scale
         return ForecastResult(samples=point[None, :].copy(), origin=origin, point=point)

@@ -1,8 +1,9 @@
 """DeepAR-style estimator: stacked LSTM with a Gaussian head.
 
-`start` warms each layer's packed [h | c] state (B, 1, 2n) on the context and
-`step` advances it to raw heads (B, m, 2), each with one `lstm_cell` node per
-layer; `base.teacher_forced_loss` and `base.ancestral_paths` drive both.
+`loss` runs each layer once over the teacher-forced warm-up and horizon, one
+`lstm_cell` node per layer (Salinas et al. 2020). For sampling, `start` warms
+each layer's packed [h | c] state (B, 1, 2n) on the context and `step`
+advances it to raw heads (B, m, 2); `base.ancestral_paths` drives both.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ import numpy as np
 from .. import nncore as nn
 from ..likelihoods import gaussian_nll_graph, project_gaussian
 from ..nncore import ParameterSet
-from .base import ancestral_paths, as_batch, teacher_forced_loss
+from .base import ancestral_paths
 
 N_FEATURES = 3  # previous value, hour-of-day, day-of-week
-HEAD = (gaussian_nll_graph, project_gaussian)
 
 
 def build(config) -> ParameterSet:
@@ -30,28 +30,44 @@ def build(config) -> ParameterSet:
     return params
 
 
-def start(params, config, ctx_scaled, cov_ctx, rows: int):
-    """Each layer's [h | c] state (B, 1, 2n), warmed on the B contexts (a one-hour
-    context leaves nothing to warm on); `rows` > 1 repeats each context's row
-    as constants, so only the one-row state keeps its graph."""
-    ctx, cov = as_batch(ctx_scaled, cov_ctx)
-    state = [nn.constant(np.zeros((len(ctx), 1, 2 * config.rnn_cells)))] * config.rnn_layers
-    warm = np.concatenate([ctx[:, :-1, None], cov[:, 1:]], axis=2)
-    if warm.shape[1]:
-        _, state = _layers(params, config, warm, state)
-    if rows > 1:
-        state = [nn.constant(np.repeat(hc.data, rows, axis=0)) for hc in state]
-    return state
+def _zero_state(config, batch: int) -> list[np.ndarray]:
+    return [np.zeros((batch, 1, 2 * config.rnn_cells))] * config.rnn_layers
 
 
 def _layers(params, config, inp: np.ndarray, state):
-    """Each layer once over inp (B, T, 3): the top h (B, T, n) and the last state."""
-    x, new_state = nn.constant(inp), []
+    """Each layer once over inp (B, T, 3) from its state: the top h (B, T, n)
+    and each layer's last [h | c] (B, 1, 2n), a plain array."""
+    x, last = nn.constant(inp), []
     for layer, hc in enumerate(state):
         out = nn.lstm_cell(x, hc, params[f"wx{layer}"], params[f"wh{layer}"], params[f"bg{layer}"])
-        new_state.append(nn.narrow(out, 1, inp.shape[1] - 1, 1))
+        last.append(out.data[:, -1:])
         x = nn.narrow(out, 2, 0, config.rnn_cells)
-    return x, new_state
+    return x, last
+
+
+def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
+    """Gaussian NLL per window, teacher-forced over one unrolled sequence: the
+    C - 1 warm-up and H horizon positions, each fed the true previous value
+    and the calendar row of the hour it predicts, from a zero state. The NLL
+    of the B·H horizon steps divided by B."""
+    prev = np.concatenate([ctx_scaled, tgt_scaled[:, :-1]], axis=1)
+    cov = np.concatenate([feats["ctx"][:, 1:], feats["tgt"]], axis=1)
+    inp = np.concatenate([prev[..., None], cov], axis=2)
+    hidden, _ = _layers(params, config, inp, _zero_state(config, len(inp)))
+    horizon = nn.narrow(hidden, 1, config.context_len - 1, config.horizon)
+    raw = nn.affine(horizon, params["w_head"], params["b_head"])
+    return nn.scale(gaussian_nll_graph(raw, tgt_scaled), 1.0 / len(tgt_scaled))
+
+
+def start(params, config, ctx_scaled, cov_ctx):
+    """Each layer's [h | c] state warmed on the B contexts (B, C), with their
+    calendar rows (B, C, 2), and repeated to num_samples rows per context:
+    (B·S, 1, 2n) arrays. A one-hour context leaves nothing to warm on."""
+    state = _zero_state(config, len(ctx_scaled))
+    warm = np.concatenate([ctx_scaled[:, :-1, None], cov_ctx[:, 1:]], axis=2)
+    if warm.shape[1]:
+        _, state = _layers(params, config, warm, state)
+    return [np.repeat(hc, config.num_samples, axis=0) for hc in state]
 
 
 def step(params, config, inp: np.ndarray, state):
@@ -61,9 +77,5 @@ def step(params, config, inp: np.ndarray, state):
     return nn.affine(hidden, params["w_head"], params["b_head"]), state
 
 
-def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
-    return teacher_forced_loss(params, config, ctx_scaled, tgt_scaled, feats)
-
-
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
-    return ancestral_paths(params, config, ctx_scaled, feats, rng)
+    return ancestral_paths(params, config, ctx_scaled, feats, rng, project_gaussian)

@@ -20,10 +20,10 @@ def build(config) -> ParameterSet:
 
 
 def _forward(params, config, ctx_scaled: np.ndarray) -> nn.Tensor:
-    """Point forecasts (B, 1, horizon) of (B, C) contexts; a 1-D context is B = 1."""
-    ctx = np.atleast_2d(ctx_scaled)
-    hc = nn.constant(np.zeros((len(ctx), 1, 2 * config.rnn_cells)))
-    out = lstm_cell(nn.constant(ctx[:, :, None]), hc, params["wx0"], params["wh0"], params["bg0"])
+    """Point forecasts (B, 1, horizon) of (B, C) contexts."""
+    hc = np.zeros((len(ctx_scaled), 1, 2 * config.rnn_cells))
+    x = nn.constant(ctx_scaled[:, :, None])
+    out = lstm_cell(x, hc, params["wx0"], params["wh0"], params["bg0"])
     h = nn.narrow(nn.narrow(out, 1, config.context_len - 1, 1), 2, 0, config.rnn_cells)
     return nn.affine(h, params["w_head"], params["b_head"])
 
@@ -31,7 +31,7 @@ def _forward(params, config, ctx_scaled: np.ndarray) -> nn.Tensor:
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
     """Mean squared error over all B·H values: the mean of the per-window MSEs."""
     pred = _forward(params, config, ctx_scaled)
-    diff = nn.sub(pred, nn.constant(np.atleast_2d(tgt_scaled)[:, None]))
+    diff = nn.sub(pred, nn.constant(tgt_scaled[:, None]))
     sq = nn.square(diff)
     return nn.scale(nn.sum_all(sq), 1.0 / sq.data.size)
 

@@ -23,25 +23,23 @@ def build(config) -> ParameterSet:
 
 
 def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray) -> nn.Tensor:
-    """Raw heads (B, horizon, 3) [mu, sigma, nu] of (B, C) contexts (a 1-D one
-    is B = 1)."""
-    ctx = np.atleast_2d(ctx_scaled)
-    h = nn.constant(ctx)
+    """Raw heads (B, horizon, 3) [mu, sigma, nu] of (B, C) contexts."""
+    h = nn.constant(ctx_scaled)
     n_layers = len(config.hidden) + 1
     for i in range(n_layers):
         h = nn.affine(h, params[f"w{i}"], params[f"b{i}"])
         if i < n_layers - 1:
             h = nn.relu(h)
-    return nn.reshape(h, (len(ctx), config.horizon, 3))
+    return nn.reshape(h, (len(ctx_scaled), config.horizon, 3))
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
     """Student-t NLL per window: the NLL of all B·H steps divided by B."""
-    tgt = np.atleast_2d(tgt_scaled)
-    return nn.scale(studentt_nll_graph(_forward(params, config, ctx_scaled), tgt), 1.0 / len(tgt))
+    raw = _forward(params, config, ctx_scaled)
+    return nn.scale(studentt_nll_graph(raw, tgt_scaled), 1.0 / len(tgt_scaled))
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
-    """num_samples independent draws per step, one row per sample, in one call."""
+    """num_samples draws per step of one context (1, C), one row per sample, in one call."""
     dist = project_studentt(_forward(params, config, ctx_scaled).data[0])
     return sample(dist, rng, config.num_samples)

@@ -4,9 +4,9 @@ Student-t head.
 The encoder ingests the embedded context; the decoder applies masked
 self-attention, attention over the encoder output, and a position-wise
 feed-forward layer. `start` encodes the context and `step` decodes new
-positions; `base.teacher_forced_loss` trains with one causally masked `step`
-over the horizon, `base.ancestral_paths` samples one `step` per position with
-the self-attention keys and values cached per sample.
+positions; `loss` trains with one causally masked `step` over the horizon,
+`base.ancestral_paths` samples one `step` per position with the
+self-attention keys and values cached per sample.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import numpy as np
 from .. import nncore as nn
 from ..likelihoods import project_studentt, studentt_nll_graph
 from ..nncore import ParameterSet
-from .base import ancestral_paths, as_batch, teacher_forced_loss
+from .base import ancestral_paths
 
 N_FEATURES = 3  # previous (encoder: current) value, hour-of-day, day-of-week
-HEAD = (studentt_nll_graph, project_studentt)
 
 
 def build(config) -> ParameterSet:
@@ -108,13 +107,12 @@ def _embed(params, config, side: str, inp: np.ndarray, positions: np.ndarray) ->
     return nn.add(x, nn.constant(np.broadcast_to(positions, x.shape)))
 
 
-def start(params, config, ctx_scaled, cov_ctx, rows: int):
-    """Encode B contexts. The state is (cross_kv, cache): `project_kv` of the
-    encoder output, (B, C, d) each, one memory for any number of `rows` per
-    context, and no cache yet."""
-    ctx, cov = as_batch(ctx_scaled, cov_ctx)
-    inp = np.concatenate([ctx[..., None], cov], axis=2)
-    x = _embed(params, config, "enc", inp, positional_encoding(ctx.shape[1], config.model_dim))
+def start(params, config, ctx_scaled, cov_ctx):
+    """Encode B contexts (B, C) with their calendar rows (B, C, 2). The state is
+    (cross_kv, cache): `project_kv` of the encoder output, (B, C, d) each, one
+    memory for any number of decoder rows per context, and no cache yet."""
+    inp = np.concatenate([ctx_scaled[..., None], cov_ctx], axis=2)
+    x = _embed(params, config, "enc", inp, positional_encoding(config.context_len, config.model_dim))
     for i in range(config.blocks):
         kv = project_kv(params, f"enc{i}_attn", x)
         a = multi_head_attention(params, f"enc{i}_attn", x, *kv, config.heads)
@@ -155,8 +153,14 @@ def step(params, config, inp: np.ndarray, state):
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
-    return teacher_forced_loss(params, config, ctx_scaled, tgt_scaled, feats)
+    """Student-t NLL per window, teacher-forced: `start` on the B contexts, then
+    one `step` over the horizon, each position fed the true previous value;
+    the NLL of all B·H steps divided by B."""
+    state = start(params, config, ctx_scaled, feats["ctx"])
+    prev = np.concatenate([ctx_scaled[:, -1:], tgt_scaled[:, :-1]], axis=1)
+    raw, _ = step(params, config, np.concatenate([prev[..., None], feats["tgt"]], axis=2), state)
+    return nn.scale(studentt_nll_graph(raw, tgt_scaled), 1.0 / len(tgt_scaled))
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:
-    return ancestral_paths(params, config, ctx_scaled, feats, rng)
+    return ancestral_paths(params, config, ctx_scaled, feats, rng, project_studentt)

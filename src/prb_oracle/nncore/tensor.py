@@ -435,11 +435,12 @@ def _lstm_gates(x, h, wx, wh, b, scale):
     return sig, (sig[:, :n], sig[:, n:2 * n], act[:, 2 * n:3 * n], sig[:, 3 * n:])
 
 
-def lstm_cell(x: Tensor, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+def lstm_cell(x: Tensor, hc: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     """One LSTM layer (Hochreiter & Schmidhuber 1997) as one node: x (B, T, k),
     T >= 1, and the packed start state hc = [h | c] (B, 1, 2n) to the [h | c]
     after every position, (B, T, 2n). wx (k, 4n), wh (n, 4n) and the bias row
-    b (1, 4n) lay the gates out as [input, forget, cell, output].
+    b (1, 4n) lay the gates out as [input, forget, cell, output]. The start
+    state is a plain array, as `attention`'s mask is: it takes no gradient.
 
     The node stores no gate arrays: its backward walks the positions in
     reverse, recomputes their gates and tanh(c) from the forward's arrays, and
@@ -454,7 +455,7 @@ def lstm_cell(x: Tensor, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
     scale[2 * n:3 * n] = 1.0
     out_data = np.empty((x.shape[0], steps, 2 * n))
     # The [h | c] rows each position starts from: hc's, then the one before.
-    prev = [hc.data[:, 0]] + [out_data[:, t] for t in range(steps - 1)]
+    prev = [hc[:, 0]] + [out_data[:, t] for t in range(steps - 1)]
     for t in range(steps):
         _, (i, f, g, o) = _lstm_gates(x.data[:, t], prev[t][:, :n], wx.data, wh.data, b.data, scale)
         c_new = f * prev[t][:, n:]
@@ -494,14 +495,12 @@ def lstm_cell(x: Tensor, hc: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
             dwx += x_t.T @ dz
             dwh += h.T @ dz
             db += dz.sum(axis=0, keepdims=True)
-            if t or hc.requires_grad:  # not a zero or repeated starting state
+            if t:  # not the start state
                 dh, dc_f = dz @ wh.data.T, np.multiply(dc, f, out=dc)
         for parent, d in ((x, dx), (wx, dwx), (wh, dwh), (b, db)):
             _accumulate(parent, d)
-        if hc.requires_grad:
-            _accumulate(hc, np.concatenate([dh, dc_f], axis=1)[:, None])
 
-    return _node(out_data, "lstm_cell", (x, hc, wx, wh, b), backprop)
+    return _node(out_data, "lstm_cell", (x, wx, wh, b), backprop)
 
 
 # Lanczos approximation, g=7, 9 coefficients; |abs error| < 1e-10 on (0, 1e4].

@@ -216,14 +216,15 @@ def run_pipeline(config: ExperimentConfig) -> dict:
     series = _obtain_trace(config)
     train, test = split(series, config.train_fraction)
     ctx_len, horizon = config.context_len, config.horizon
-    if len(test) < ctx_len + horizon:
-        raise PipelineError(
-            f"test segment of {len(test)} hours ({len(series)}-hour trace at train_fraction "
-            f"{config.train_fraction}) shorter than context+horizon ({ctx_len}+{horizon}); "
-            "lower train_fraction or lengthen the trace"
-        )
+    for name, segment, fix in (("test", test, "lower"), ("train", train, "raise")):
+        if len(segment) < ctx_len + horizon:
+            raise PipelineError(
+                f"{name} segment of {len(segment)} hours ({len(series)}-hour trace at "
+                f"train_fraction {config.train_fraction}) shorter than context+horizon "
+                f"({ctx_len}+{horizon}); {fix} train_fraction or lengthen the trace"
+            )
     # A batch larger than the train split would take one step per epoch.
-    train_windows = max(len(train) - ctx_len - horizon + 1, 0)
+    train_windows = len(train) - ctx_len - horizon + 1
     for kind, model_cfg in config.models.items():
         if model_cfg.batch_size > train_windows:
             raise PipelineError(

@@ -79,6 +79,7 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
 
     a34, b34 = mat(3, 4), mat(3, 4)
     mask = nn.causal_mask(3)
+    hc = mat(3, 1, 8, low=0.1, high=0.9)  # lstm_cell's start state, an array like the mask
     return [
         ("matmul", lambda t: nn.matmul(t[0], t[1]), [mat(3, 4), mat(4, 2)]),
         ("add", lambda t: nn.add(t[0], t[1]), [a34.copy(), b34.copy()]),
@@ -102,9 +103,9 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
          [mat(3, 4), mat(1, 4), mat(1, 4)]),
         # B=3 rows, T=3 positions, k=2 inputs, n=4 cells, from a non-zero
         # [h | c] start state; x needs a gradient, as deepar's upper layer's does.
-        ("lstm_cell", lambda t: nn.lstm_cell(t[0], t[1], t[2], t[3], t[4]),
-         [mat(3, 3, 2), mat(3, 1, 8, low=0.1, high=0.9), mat(2, 16, low=0.1, high=0.8),
-          mat(4, 16, low=0.1, high=0.8), mat(1, 16, low=0.1, high=0.5)]),
+        ("lstm_cell", lambda t: nn.lstm_cell(t[0], hc, t[1], t[2], t[3]),
+         [mat(3, 3, 2), mat(2, 16, low=0.1, high=0.8), mat(4, 16, low=0.1, high=0.8),
+          mat(1, 16, low=0.1, high=0.5)]),
         ("lgamma", lambda t: nn.lgamma(t[0]), [mat(3, 4, low=0.6, high=9.0, signed=False)]),
         # Leading batch axis (the batched Monte Carlo decoder's shapes).
         ("affine_batched", lambda t: nn.affine(t[0], t[1], t[2]), [mat(2, 3, 4), mat(4, 2), mat(1, 2)]),

@@ -193,11 +193,11 @@ def test_criterion_3_gradient_checks():
                 hidden=(8, 8), rnn_layers=2, rnn_cells=8,
                 model_dim=8, ff_scale=2, heads=2, blocks=1, seed=3)
     scale = float(series.values.mean())
-    ctx = series.values[:4] / scale
-    tgt = series.values[4:6] / scale
+    ctx = series.values[None, :4] / scale  # one window, a batch of one
+    tgt = series.values[None, 4:6] / scale
     feats = {
-        "ctx": calendar_features(series.start_time, np.arange(0, 4)),
-        "tgt": calendar_features(series.start_time, np.arange(4, 6)),
+        "ctx": calendar_features(series.start_time, np.arange(0, 4))[None],
+        "tgt": calendar_features(series.start_time, np.arange(4, 6))[None],
     }
     for kind, mod in MODULES.items():
         cfg = ForecasterConfig(kind=kind, **tiny)

@@ -1,5 +1,6 @@
 """Estimator contracts: shapes, determinism, scaling, losses."""
 
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -49,8 +50,11 @@ def short_series(hours=60, seed=0, constant=None):
 def test_config_validation():
     with pytest.raises(ForecastError, match="unknown model kind"):
         ForecasterConfig(kind="gru")
-    with pytest.raises(ForecastError, match="positive"):
+    # The window geometry is top-level in a config file, not a models.sff key.
+    with pytest.raises(ForecastError, match="^horizon must be positive, got 0$"):
         ForecasterConfig(kind="sff", horizon=0)
+    with pytest.raises(ForecastError, match="^context_len must be positive, got 0$"):
+        ForecasterConfig(kind="sff", context_len=0)
     with pytest.raises(ForecastError, match="divisible"):
         ForecasterConfig(kind="transformer", model_dim=30, heads=8)
 
@@ -238,7 +242,8 @@ def test_fit_cuts_each_window_and_its_calendar_at_t0(kind):
         "tgt": calendar_features(start, np.arange(c, c + cfg.horizon)),
     }
     mod = MODULES[kind]
-    want = mod.loss(mod.build(cfg), cfg, values[:c] / scale, values[c:] / scale, feats).item()
+    ctx, tgt = values[None, :c] / scale, values[None, c:] / scale
+    want = mod.loss(mod.build(cfg), cfg, ctx, tgt, {k: v[None] for k, v in feats.items()}).item()
     assert model.final_train_loss == want
 
 
@@ -266,8 +271,9 @@ def test_batch_loss_is_the_mean_of_its_window_losses(kind):
     assert batch.shape == ()
     got_value, got = batch.item(), nn.backward(batch, params)
     values, grads = [], []
-    for b in range(4):  # each window alone, in the 1-D form
-        one = mod.loss(params, cfg, ctx[b], tgt[b], {k: v[b] for k, v in feats.items()})
+    for b in range(4):  # each window alone, a batch of one
+        one = mod.loss(params, cfg, ctx[b:b + 1], tgt[b:b + 1],
+                       {k: v[b:b + 1] for k, v in feats.items()})
         values.append(one.item())
         grads.append(nn.backward(one, params))
     assert got_value == pytest.approx(np.mean(values), rel=1e-12, abs=0)
@@ -301,7 +307,7 @@ def test_a_training_step_leaves_every_constant_without_a_gradient(kind):
 
 def _per_window_fit(cfg, series):
     """The training loop before minibatches: one Adam step per window, each
-    window sliced by hand and passed in the 1-D form."""
+    window sliced by hand and passed as a batch of one."""
     mod = MODULES[cfg.kind]
     c, h = cfg.context_len, cfg.horizon
     t0s = np.arange(c, len(series) - h + 1)
@@ -314,8 +320,8 @@ def _per_window_fit(cfg, series):
     for _ in range(cfg.epochs):
         total = 0.0
         for t0 in t0s[shuffle_rng.permutation(len(t0s))]:
-            feats = {"ctx": calendar[t0 - c:t0], "tgt": calendar[t0:t0 + h]}
-            loss = mod.loss(params, cfg, scaled[t0 - c:t0], scaled[t0:t0 + h], feats)
+            feats = {"ctx": calendar[None, t0 - c:t0], "tgt": calendar[None, t0:t0 + h]}
+            loss = mod.loss(params, cfg, scaled[None, t0 - c:t0], scaled[None, t0:t0 + h], feats)
             total += loss.item()
             adam_step(params, nn.backward(loss, params), state,
                       base.learning_rate(cfg.lr, state.step, cfg.epochs * len(t0s)))
@@ -416,46 +422,47 @@ def test_training_loss_recorded_and_finite():
 
 def test_deepar_start_state_is_the_state_after_the_last_warm_up_position():
     # start runs each layer once over the context's warm-up positions; its
-    # state must be the one one-position steps reach from a zero state.
+    # state, repeated to one row per sample, must be the one one-position
+    # steps reach from a zero state.
     cfg = tiny_config("deepar")
     params = deepar.build(cfg)
-    ctx, cov = np.linspace(0.8, 1.2, 6), np.random.default_rng(7).uniform(size=(6, 2))
-    warm = np.column_stack([ctx[:-1], cov[1:]])[None]
-    state = [nn.constant(np.zeros((1, 1, 2 * cfg.rnn_cells)))] * cfg.rnn_layers
+    ctx, cov = np.linspace(0.8, 1.2, 6)[None], np.random.default_rng(7).uniform(size=(1, 6, 2))
+    warm = np.concatenate([ctx[:, :-1, None], cov[:, 1:]], axis=2)
+    state = [np.zeros((1, 1, 2 * cfg.rnn_cells))] * cfg.rnn_layers
     for t in range(warm.shape[1]):
         _, state = deepar.step(params, cfg, warm[:, t:t + 1], state)
-    for got, want in zip(deepar.start(params, cfg, ctx, cov, 1), state):
-        assert got.shape == (1, 1, 2 * cfg.rnn_cells)
-        assert np.max(np.abs(got.data - want.data)) <= 1e-12
+    for got, want in zip(deepar.start(params, cfg, ctx, cov), state):
+        assert got.shape == (cfg.num_samples, 1, 2 * cfg.rnn_cells)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_deepar_loss_is_sum_of_per_step_gaussian_nll():
-    cfg = tiny_config("deepar")
+    cfg = tiny_config("deepar", num_samples=1)
     params = deepar.build(cfg)
     series = short_series()
-    ctx = series.values[:6] / 50.0
-    tgt = series.values[6:9] / 50.0
+    ctx = series.values[None, :6] / 50.0
+    tgt = series.values[None, 6:9] / 50.0
     feats = {
-        "ctx": calendar_features(series.start_time, np.arange(-6, 0)),
-        "tgt": calendar_features(series.start_time, np.arange(3)),
+        "ctx": calendar_features(series.start_time, np.arange(-6, 0))[None],
+        "tgt": calendar_features(series.start_time, np.arange(3))[None],
     }
     total = deepar.loss(params, cfg, ctx, tgt, feats).item()
 
     # Independent recomputation: one-position steps fed the true previous
     # values, float nll.
-    state = deepar.start(params, cfg, ctx, feats["ctx"], 1)
-    prev = np.concatenate([ctx[-1:], tgt[:-1]])
+    state = deepar.start(params, cfg, ctx, feats["ctx"])
+    prev = np.concatenate([ctx[0, -1:], tgt[0, :-1]])
     raws = []
     for t in range(3):
-        raw, state = deepar.step(params, cfg, np.array([[[prev[t], *feats["tgt"][t]]]]), state)
+        raw, state = deepar.step(params, cfg, np.array([[[prev[t], *feats["tgt"][0, t]]]]), state)
         raws.append(raw.data[0, 0])
-    assert total == pytest.approx(-gaussian_logpdf(tgt, project_gaussian(raws)).sum(), abs=1e-9)
+    assert total == pytest.approx(-gaussian_logpdf(tgt[0], project_gaussian(raws)).sum(), abs=1e-9)
 
 
 def test_sff_head_layout_projects_to_one_distribution_per_step():
     cfg = tiny_config("sff")
     params = sff.build(cfg)
-    ctx = np.linspace(0.5, 1.5, 6)
+    ctx = np.linspace(0.5, 1.5, 6)[None]
     raw = sff._forward(params, cfg, ctx).data
     assert raw.shape == (1, 3, 3)
     dists = project_studentt(raw[0])
@@ -484,10 +491,10 @@ def test_transformer_decoder_causality():
     # Changing a later decoder input must not affect earlier outputs.
     cfg = tiny_config("transformer")
     params = transformer.build(cfg)
-    ctx = np.linspace(0.8, 1.2, 6)
-    feats = calendar_features(datetime(2024, 1, 1), np.arange(-6, 0))
+    ctx = np.linspace(0.8, 1.2, 6)[None]
+    feats = calendar_features(datetime(2024, 1, 1), np.arange(-6, 0))[None]
     tgt_feats = calendar_features(datetime(2024, 1, 1), np.arange(3))
-    state = transformer.start(params, cfg, ctx, feats, 1)
+    state = transformer.start(params, cfg, ctx, feats)
     base_inp = np.column_stack([[1.0, 1.1, 0.9], tgt_feats])
     bumped = base_inp.copy()
     bumped[2, 0] = 5.0
@@ -516,12 +523,12 @@ def _deepar_one_by_one(params, cfg, ctx, feats, noise):
     """Sample by sample, step by step, from one warmed state: the roll-outs
     batching replaced, fed the same draws. Returns the paths and each step's
     (mu, sigma)."""
-    warm = deepar.start(params, cfg, ctx, feats["ctx"], 1)
+    warm = deepar.start(params, replace(cfg, num_samples=1), ctx, feats["ctx"])
     out, moments = np.empty(noise.shape), np.empty(noise.shape + (2,))
     for s in range(noise.shape[0]):
-        state, prev = warm, float(ctx[-1])
+        state, prev = warm, float(ctx[0, -1])
         for t in range(cfg.horizon):
-            raw, state = deepar.step(params, cfg, np.array([[[prev, *feats["tgt"][t]]]]), state)
+            raw, state = deepar.step(params, cfg, np.array([[[prev, *feats["tgt"][0, t]]]]), state)
             dist = project_gaussian(raw.data[0, 0])
             prev = out[s, t] = dist.mu + dist.sigma * noise[s, t]
             moments[s, t] = dist.mu, dist.sigma
@@ -531,12 +538,12 @@ def _deepar_one_by_one(params, cfg, ctx, feats, noise):
 def _transformer_one_by_one(params, cfg, ctx, feats, noise):
     """Each step of each sample is the last row of a full-prefix, uncached
     `step` of that sample's own inputs, as before batching, fed the same draws."""
-    start = transformer.start(params, cfg, ctx, feats["ctx"], 1)
+    start = transformer.start(params, cfg, ctx, feats["ctx"])
     out, moments = np.empty(noise.shape), np.empty(noise.shape + (2,))
     for s in range(noise.shape[0]):
-        prev = [float(ctx[-1])]
+        prev = [float(ctx[0, -1])]
         for t in range(cfg.horizon):
-            dec_inp = np.column_stack([prev, feats["tgt"][: t + 1]])
+            dec_inp = np.column_stack([prev, feats["tgt"][0, : t + 1]])
             raw = transformer.step(params, cfg, dec_inp[None], start)[0].data[0, -1]
             dist = project_studentt(raw)
             out[s, t] = dist.mu + dist.sigma * noise[s, t]
@@ -558,14 +565,14 @@ def _batched_rollouts(kind, params, cfg, ctx, feats, noise, monkeypatch):
 
 def _rollout_inputs(kind):
     cfg = tiny_config(kind, num_samples=5, horizon=4)
-    feats = {
-        "ctx": calendar_features(datetime(2024, 1, 1), np.arange(-6, 0)),
-        "tgt": calendar_features(datetime(2024, 1, 1), np.arange(4)),
+    feats = {  # one window, as `predict` hands it over: a batch of one
+        "ctx": calendar_features(datetime(2024, 1, 1), np.arange(-6, 0))[None],
+        "tgt": calendar_features(datetime(2024, 1, 1), np.arange(4))[None],
     }
     noise = np.random.default_rng(21).standard_normal((5, 4))
     params = MODULES[kind].build(cfg)
     params.freeze()  # sampled as `predict` samples a fitted model
-    return cfg, params, np.linspace(0.8, 1.2, 6), feats, noise
+    return cfg, params, np.linspace(0.8, 1.2, 6)[None], feats, noise
 
 
 @pytest.mark.parametrize("kind", ["deepar", "transformer"])

@@ -6,12 +6,14 @@ layout existed, kept here only as an oracle: the new path's value and its
 input gradients must match it to float rounding. The `reference_*` kernels
 are earlier numpy expressions of the fused ops themselves, which the current
 ones must match bit for bit. `lstm_cell` runs a whole sequence; its oracles
-are one-step cells chained over the positions, as the models ran them.
+are one-step cells chained over the positions, as the models ran them, and
+deepar's one-pass loss has the warm-up-then-horizon pair of calls it replaced.
 """
 
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from conftest import exported_ops, max_rel_err
 from prb_oracle import nncore as nn
 from prb_oracle.cli import default_config_path
 from prb_oracle.forecasters import ForecasterConfig, deepar, lstm, sff, transformer
+from prb_oracle.likelihoods import gaussian_nll_graph
 from prb_oracle.nncore import AdamState, adam_step, tensor
 from prb_oracle.rapp import ExperimentConfig
 from prb_oracle.nncore.tensor import _LANCZOS_COEFFS, _LANCZOS_G
@@ -106,12 +109,26 @@ def composite_lstm_cell(x, hc, wx, wh, b):
     return concat([h_new, c_new], axis=1)
 
 
+def start_state(batch, n):
+    """A non-zero [h | c] start state (batch, 1, 2n), fixed per shape: lstm_cell
+    takes its start state as a plain array, not as an input to differentiate."""
+    return np.random.default_rng([batch, n]).normal(size=(batch, 1, 2 * n))
+
+
+def fused_lstm_cell(x, wx, wh, b):
+    """nn.lstm_cell from `start_state`, as a function of the inputs it differentiates."""
+    return nn.lstm_cell(x, start_state(x.shape[0], wh.shape[0]), wx, wh, b)
+
+
 def cell_chain(cell):
-    """A sequence op x (B, T, k), hc (B, 1, 2n) -> (B, T, 2n) from a one-step
-    cell on (B, ·) rows: the chain of T cells deepar and lstm once built, each
-    fed x[:, t] and the state the cell before it made."""
-    def chain(x, hc, wx, wh, b):
+    """A sequence op x (B, T, k) -> (B, T, 2n) from a one-step cell on (B, ·)
+    rows: the chain of T cells deepar and lstm once built, each fed x[:, t]
+    and the state the cell before it made. The first starts from the tensor
+    hc (B, 1, 2n), which takes a gradient, or else from `start_state`."""
+    def chain(x, wx, wh, b, hc=None):
         batch, steps, k = x.shape
+        if hc is None:
+            hc = nn.constant(start_state(batch, wh.shape[0]))
         state, outs = nn.reshape(hc, (batch, hc.shape[2])), []
         for t in range(steps):
             state = cell(nn.reshape(nn.narrow(x, 1, t, 1), (batch, k)), state, wx, wh, b)
@@ -179,7 +196,7 @@ def _inputs(kind, rng):
 
 CASES = {
     "affine": (nn.affine, composite_affine),
-    "lstm_cell": (nn.lstm_cell, cell_chain(composite_lstm_cell)),
+    "lstm_cell": (fused_lstm_cell, cell_chain(composite_lstm_cell)),
     "layer_norm": (nn.layer_norm, composite_layer_norm),
     "lgamma": (nn.lgamma, composite_log_gamma),
 }
@@ -205,12 +222,12 @@ def test_fused_op_shape_errors():
     def ones(*shape):
         return nn.constant(np.ones(shape))
 
-    # lstm_cell takes x (B, T, k) with T >= 1 and hc (B, 1, 2n).
+    # lstm_cell takes x (B, T, k) with T >= 1 and the array hc (B, 1, 2n).
     for x, hc, wx in [((2, 5, 3), (2, 1, 6), (3, 16)), ((2, 5, 3), (2, 1, 8), (2, 16)),
                       ((2, 3), (2, 1, 8), (3, 16)), ((2, 5, 3), (2, 8), (3, 16)),
                       ((2, 0, 3), (2, 1, 8), (3, 16))]:
         with pytest.raises(nn.ShapeMismatch, match="lstm_cell"):
-            nn.lstm_cell(ones(*x), ones(*hc), ones(*wx), ones(4, 16), ones(1, 16))
+            nn.lstm_cell(ones(*x), np.ones(hc), ones(*wx), ones(4, 16), ones(1, 16))
     with pytest.raises(nn.ShapeMismatch, match="layer_norm"):
         nn.layer_norm(ones(2, 3), ones(1, 4), ones(1, 3))
     with pytest.raises(nn.ShapeMismatch, match="layer_norm"):
@@ -278,9 +295,9 @@ def reference_layer_norm(x, gain, bias, eps=1e-5):
 
 
 def _lstm_inputs(rng, rows, steps, k, n):
-    return [rng.normal(size=(rows, steps, k)), rng.normal(size=(rows, 1, 2 * n)),
-            rng.normal(scale=0.5, size=(k, 4 * n)), rng.normal(scale=0.5, size=(n, 4 * n)),
-            rng.normal(scale=0.5, size=(1, 4 * n))]
+    """x, wx, wh and b of one layer; the start state is `start_state`."""
+    return [rng.normal(size=(rows, steps, k)), rng.normal(scale=0.5, size=(k, 4 * n)),
+            rng.normal(scale=0.5, size=(n, 4 * n)), rng.normal(scale=0.5, size=(1, 4 * n))]
 
 
 def _layer_norm_inputs(rng, rows, d):
@@ -290,14 +307,14 @@ def _layer_norm_inputs(rng, rows, d):
 
 BIT_CASES = {
     # One lstm_cell node per layer against the chain of one-step cells it
-    # replaced, at batch 32 and 40 cells: deepar's 3-wide input over the
-    # 23-hour warm-up, the 40-wide hidden rows of its upper layer over the
-    # 24-hour horizon, and the lstm baseline's 1-wide context.
-    "lstm_cell_k3": (nn.lstm_cell, cell_chain(reference_lstm_cell),
-                     lambda rng: _lstm_inputs(rng, 32, 23, 3, 40)),
-    "lstm_cell_k40": (nn.lstm_cell, cell_chain(reference_lstm_cell),
-                      lambda rng: _lstm_inputs(rng, 32, 24, 40, 40)),
-    "lstm_cell_k1": (nn.lstm_cell, cell_chain(reference_lstm_cell),
+    # replaced, at batch 32 and 40 cells: deepar's 3-wide input and the
+    # 40-wide hidden rows of its upper layer over its 47 teacher-forced
+    # positions (23 warm-up, 24 horizon), and the lstm baseline's 1-wide context.
+    "lstm_cell_k3": (fused_lstm_cell, cell_chain(reference_lstm_cell),
+                     lambda rng: _lstm_inputs(rng, 32, 47, 3, 40)),
+    "lstm_cell_k40": (fused_lstm_cell, cell_chain(reference_lstm_cell),
+                      lambda rng: _lstm_inputs(rng, 32, 47, 40, 40)),
+    "lstm_cell_k1": (fused_lstm_cell, cell_chain(reference_lstm_cell),
                      lambda rng: _lstm_inputs(rng, 32, 24, 1, 40)),
     # The transformer's rows: batch 8 times 24 positions, model width 32.
     "layer_norm": (nn.layer_norm, reference_layer_norm, lambda rng: _layer_norm_inputs(rng, 192, 32)),
@@ -325,6 +342,50 @@ def test_fused_kernel_is_its_reference_bit_for_bit(case, seed):
         results.append([out.data] + [leaf.grad for leaf in leaves])
     for got, want in zip(results[1], results[0]):
         assert np.array_equal(got, want)
+
+
+def two_call_deepar_loss(params, cfg, ctx, tgt, feats):
+    """deepar's loss as two calls per layer: `start` over the C - 1 warm-up
+    positions, then `step` over the horizon from the warm-up's last state,
+    which carries the gradient back into the warm-up. Each call is the chain
+    of one-step cells that lstm_cell matches bit for bit."""
+    layer = cell_chain(reference_lstm_cell)
+
+    def layers(inp, state):
+        x, last = nn.constant(inp), []
+        for i, hc in enumerate(state):
+            out = layer(x, params[f"wx{i}"], params[f"wh{i}"], params[f"bg{i}"], hc)
+            last.append(nn.narrow(out, 1, inp.shape[1] - 1, 1))
+            x = nn.narrow(out, 2, 0, cfg.rnn_cells)
+        return x, last
+
+    state = [nn.constant(np.zeros((len(ctx), 1, 2 * cfg.rnn_cells)))] * cfg.rnn_layers
+    warm = np.concatenate([ctx[:, :-1, None], feats["ctx"][:, 1:]], axis=2)
+    if warm.shape[1]:
+        _, state = layers(warm, state)
+    prev = np.concatenate([ctx[:, -1:], tgt[:, :-1]], axis=1)
+    hidden, _ = layers(np.concatenate([prev[..., None], feats["tgt"]], axis=2), state)
+    raw = nn.affine(hidden, params["w_head"], params["b_head"])
+    return nn.scale(gaussian_nll_graph(raw, tgt), 1.0 / len(tgt))
+
+
+@pytest.mark.parametrize("context_len", [1, 5])
+def test_deepar_one_pass_loss_is_its_warm_up_then_horizon_calls(context_len):
+    # One pass from a zero state runs the same cells on the same inputs as
+    # the two calls, so the loss is equal; the weight gradients are summed in
+    # another order. A one-hour context has no warm-up position.
+    cfg = ForecasterConfig(kind="deepar", context_len=context_len, horizon=4, rnn_cells=6)
+    rng = np.random.default_rng(context_len)
+    ctx, tgt = rng.uniform(0.5, 1.5, (4, context_len)), rng.uniform(0.5, 1.5, (4, 4))
+    feats = {"ctx": rng.uniform(size=(*ctx.shape, 2)), "tgt": rng.uniform(size=(*tgt.shape, 2))}
+    params = deepar.build(cfg)
+    want = two_call_deepar_loss(params, cfg, ctx, tgt, feats)
+    want_value, want_grads = want.item(), nn.backward(want, params)
+    got = deepar.loss(params, cfg, ctx, tgt, feats)
+    assert got.item() == want_value
+    for name, g in nn.backward(got, params).items():
+        want_grad = want_grads[name]
+        assert np.max(np.abs(g - want_grad)) <= TOL * np.max(np.abs(want_grad)), name
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -384,7 +445,7 @@ def _default_step(kind, seed):
     return cfg, ctx, tgt, feats
 
 
-@pytest.mark.parametrize("kind, nodes", [("sff", 35), ("deepar", 28), ("transformer", 81),
+@pytest.mark.parametrize("kind, nodes", [("sff", 35), ("deepar", 21), ("transformer", 81),
                                          ("lstm", 8)])
 def test_a_default_training_step_tapes_a_fixed_number_of_nodes(kind, nodes):
     # Batches keep their (B, t, ·) layout from input to likelihood, so no row
@@ -392,9 +453,9 @@ def test_a_default_training_step_tapes_a_fixed_number_of_nodes(kind, nodes):
     # sff's step-major head reshapes straight to (B, horizon, 3), with no
     # transpose (36 nodes).
     # One lstm_cell node runs a layer over a whole sequence: deepar tapes one
-    # per layer for the warm-up and one for the horizon (its one-step cells,
-    # their narrows and the horizon's concat and reshape taped 183 nodes), and
-    # lstm one for the context (its 24 cells made 30 nodes).
+    # per layer over its warm-up and horizon together (one for each taped 28
+    # nodes; its one-step cells, their narrows and the horizon's concat and
+    # reshape 183), and lstm one for the context (its 24 cells made 30 nodes).
     cfg, ctx, tgt, feats = _default_step(kind, 13)
     params = MODULES[kind].build(cfg)
     before = next(tensor._creation)
@@ -420,18 +481,17 @@ def test_default_training_steps_tape_exactly_the_exported_ops():
 
 
 def test_backward_frees_interior_gradients_and_keeps_leaf_ones():
-    # Two sequence calls chained as deepar's warm-up and horizon are: the
-    # second starts from the first's last state.
+    # Two layers stacked as deepar's are: the second runs on the first's h.
     rng = np.random.default_rng(8)
-    inputs = _inputs("lstm_cell", rng)
+    inputs = _lstm_inputs(rng, 5, 4, 3, 6) + _lstm_inputs(rng, 5, 4, 6, 6)[1:]
     leaves = [nn.Tensor(x, requires_grad=True) for x in inputs]
-    x, hc, wx, wh, b = leaves
-    first = nn.lstm_cell(x, hc, wx, wh, b)
-    last = nn.narrow(first, 1, x.shape[1] - 1, 1)
-    second = nn.lstm_cell(x, last, wx, wh, b)
+    x, wx, wh, b, wx1, wh1, b1 = leaves
+    first = nn.lstm_cell(x, start_state(5, 6), wx, wh, b)
+    h = nn.narrow(first, 2, 0, 6)
+    second = nn.lstm_cell(h, start_state(5, 6), wx1, wh1, b1)
     loss = nn.sum_all(nn.square(second))
     nn.backward(loss)
-    for interior in (first, last, second, loss):
+    for interior in (first, h, second, loss):
         assert interior.grad is None and interior._parents is None
     for leaf in leaves:
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape and np.any(leaf.grad != 0.0)
@@ -441,8 +501,10 @@ def test_a_batch_32_deepar_step_keeps_a_small_tape():
     # Each lstm_cell node runs a layer over a sequence and keeps only its
     # [h | c] states, no gate arrays, and backward frees each interior
     # gradient once used: one training step at default.json shapes and batch
-    # size peaks near 3.2 MB, while its graph holds 2.1 MB (stored gates and
-    # kept gradients: about 12 MB).
+    # size peaks near 3.8 MB, while its graph holds 2.3 MB (stored gates and
+    # kept gradients: about 12 MB). The one-pass loss's narrows zero-fill a
+    # (B, 47, 2n) gradient per layer in the backward, so it peaks higher than
+    # the warm-up-then-horizon pair of calls did, near 3.2 MB.
     cfg, ctx, tgt, feats = _default_step("deepar", 9)
     assert cfg.batch_size == 32
     params = deepar.build(cfg)
@@ -652,11 +714,11 @@ def test_step_batches_sequences_and_chains_positions(kind):
     mod = {"deepar": deepar, "transformer": transformer}[kind]
     params = mod.build(cfg)
     inp = np.random.default_rng(5).uniform(0.0, 1.0, (3, 4, 3))
-    ctx, cov = np.linspace(0.8, 1.2, 4), np.random.default_rng(6).uniform(0.0, 1.0, (4, 2))
-    whole, _ = mod.step(params, cfg, inp, mod.start(params, cfg, ctx, cov, 3))
-    one = mod.start(params, cfg, ctx, cov, 1)
+    ctx, cov = np.linspace(0.8, 1.2, 4)[None], np.random.default_rng(6).uniform(0.0, 1.0, (1, 4, 2))
+    whole, _ = mod.step(params, cfg, inp, mod.start(params, cfg, ctx, cov))
+    one = mod.start(params, replace(cfg, num_samples=1), ctx, cov)
     singles = [mod.step(params, cfg, seq[None], one)[0].data[0] for seq in inp]
-    state, steps = mod.start(params, cfg, ctx, cov, 3), []
+    state, steps = mod.start(params, cfg, ctx, cov), []
     for t in range(4):
         raw, state = mod.step(params, cfg, inp[:, t:t + 1], state)
         steps.append(raw.data)

@@ -119,6 +119,17 @@ def test_pipeline_rejects_short_test_segment():
         run_pipeline(small_config(trace=TraceConfig(weeks=1), train_fraction=0.8))
 
 
+def test_pipeline_rejects_a_train_split_shorter_than_one_window(monkeypatch):
+    # With no train window at all, the error names train_fraction, the
+    # setting that fixes it, and not the batch size that no window could fill.
+    monkeypatch.setattr(rapp, "fit", None)  # training would raise
+    message = (r"^train segment of 16 hours \(1680-hour trace at train_fraction 0\.01\) "
+               r"shorter than context\+horizon \(24\+24\); raise train_fraction or lengthen "
+               r"the trace$")
+    with pytest.raises(PipelineError, match=message):
+        run_pipeline(small_config(trace=TraceConfig(), train_fraction=0.01))
+
+
 def test_pipeline_rejects_zero_load_test_hour_before_training(tmp_path, monkeypatch):
     series = generate_synthetic(TraceConfig(weeks=2, seed=11))
     values = series.values.copy()
