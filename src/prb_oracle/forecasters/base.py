@@ -136,7 +136,7 @@ def _model_module(kind: str):
 
 # deepar and transformer are autoregressive. Each supplies its network as
 # `start(params, config, ctx_scaled (B, C), cov_ctx (B, C, 2)) -> state`, the state
-# of B contexts (deepar: one (B·num_samples, 1, 2n) [h | c] array per layer), and
+# of B contexts (deepar: each layer's last `lstm_cell` [h | c], (B·num_samples, 1, 2n)), and
 # `step(params, config, inp (B, m, 3), state) -> (raw heads (B, m, n), state)`.
 def ancestral_paths(params, config, ctx_scaled, feats, rng, project) -> np.ndarray:
     """Ancestral roll-outs of one context (1, C), all num_samples paths as rows of

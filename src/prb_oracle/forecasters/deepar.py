@@ -1,9 +1,9 @@
 """DeepAR-style estimator: stacked LSTM with a Gaussian head.
 
-`loss` runs each layer once over the teacher-forced warm-up and horizon, one
-`lstm_cell` node per layer (Salinas et al. 2020). For sampling, `start` warms
-each layer's packed [h | c] state (B, 1, 2n) on the context and `step`
-advances it to raw heads (B, m, 2); `base.ancestral_paths` drives both.
+`loss` runs each layer once over the teacher-forced warm-up and horizon: one
+`lstm_cell` node, its h (B, T, n) (Salinas et al. 2020). For sampling, `start`
+warms each layer's last [h | c] (B, 1, 2n), a plain array, on the context and
+`step` advances it to raw heads (B, m, 2); `base.ancestral_paths` drives both.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ def _zero_state(config, batch: int) -> list[np.ndarray]:
     return [np.zeros((batch, 1, 2 * config.rnn_cells))] * config.rnn_layers
 
 
-def _layers(params, config, inp: np.ndarray, state):
-    """Each layer once over inp (B, T, 3) from its state: the top h (B, T, n)
-    and each layer's last [h | c] (B, 1, 2n), a plain array."""
+def _layers(params, inp: np.ndarray, state):
+    """Each layer once over inp (B, T, 3), or the h below, from its state: the
+    top h node (B, T, n) and each layer's last [h | c] (B, 1, 2n) array."""
     x, last = nn.constant(inp), []
     for layer, hc in enumerate(state):
-        out = nn.lstm_cell(x, hc, params[f"wx{layer}"], params[f"wh{layer}"], params[f"bg{layer}"])
-        last.append(out.data[:, -1:])
-        x = nn.narrow(out, 2, 0, config.rnn_cells)
+        x, hc = nn.lstm_cell(x, hc, params[f"wx{layer}"], params[f"wh{layer}"], params[f"bg{layer}"])
+        last.append(hc)
     return x, last
 
 
@@ -53,7 +52,7 @@ def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
     prev = np.concatenate([ctx_scaled, tgt_scaled[:, :-1]], axis=1)
     cov = np.concatenate([feats["ctx"][:, 1:], feats["tgt"]], axis=1)
     inp = np.concatenate([prev[..., None], cov], axis=2)
-    hidden, _ = _layers(params, config, inp, _zero_state(config, len(inp)))
+    hidden, _ = _layers(params, inp, _zero_state(config, len(inp)))
     horizon = nn.narrow(hidden, 1, config.context_len - 1, config.horizon)
     raw = nn.affine(horizon, params["w_head"], params["b_head"])
     return nn.scale(gaussian_nll_graph(raw, tgt_scaled), 1.0 / len(tgt_scaled))
@@ -66,14 +65,14 @@ def start(params, config, ctx_scaled, cov_ctx):
     state = _zero_state(config, len(ctx_scaled))
     warm = np.concatenate([ctx_scaled[:, :-1, None], cov_ctx[:, 1:]], axis=2)
     if warm.shape[1]:
-        _, state = _layers(params, config, warm, state)
+        _, state = _layers(params, warm, state)
     return [np.repeat(hc, config.num_samples, axis=0) for hc in state]
 
 
 def step(params, config, inp: np.ndarray, state):
     """Raw heads (B, m, 2) for the m new positions of inp (B, m, 3), and the
     state (B, 1, 2n) per layer after them."""
-    hidden, state = _layers(params, config, inp, state)
+    hidden, state = _layers(params, inp, state)
     return nn.affine(hidden, params["w_head"], params["b_head"]), state
 
 

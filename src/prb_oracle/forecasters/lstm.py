@@ -23,9 +23,8 @@ def _forward(params, config, ctx_scaled: np.ndarray) -> nn.Tensor:
     """Point forecasts (B, 1, horizon) of (B, C) contexts."""
     hc = np.zeros((len(ctx_scaled), 1, 2 * config.rnn_cells))
     x = nn.constant(ctx_scaled[:, :, None])
-    out = lstm_cell(x, hc, params["wx0"], params["wh0"], params["bg0"])
-    h = nn.narrow(nn.narrow(out, 1, config.context_len - 1, 1), 2, 0, config.rnn_cells)
-    return nn.affine(h, params["w_head"], params["b_head"])
+    h, _ = lstm_cell(x, hc, params["wx0"], params["wh0"], params["bg0"])
+    return nn.affine(nn.narrow(h, 1, config.context_len - 1, 1), params["w_head"], params["b_head"])
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:

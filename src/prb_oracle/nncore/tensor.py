@@ -435,12 +435,12 @@ def _lstm_gates(x, h, wx, wh, b, scale):
     return sig, (sig[:, :n], sig[:, n:2 * n], act[:, 2 * n:3 * n], sig[:, 3 * n:])
 
 
-def lstm_cell(x: Tensor, hc: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+def lstm_cell(x: Tensor, hc: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> tuple[Tensor, np.ndarray]:
     """One LSTM layer (Hochreiter & Schmidhuber 1997) as one node: x (B, T, k),
-    T >= 1, and the packed start state hc = [h | c] (B, 1, 2n) to the [h | c]
-    after every position, (B, T, 2n). wx (k, 4n), wh (n, 4n) and the bias row
-    b (1, 4n) lay the gates out as [input, forget, cell, output]. The start
-    state is a plain array, as `attention`'s mask is: it takes no gradient.
+    T >= 1, and the packed start state hc = [h | c] (B, 1, 2n) to the node h
+    (B, T, n) and the [h | c] after the last position, (B, 1, 2n). wx (k, 4n),
+    wh (n, 4n) and the bias row b (1, 4n) lay the gates out as [input, forget,
+    cell, output]. Both states are plain arrays, as `attention`'s mask is.
 
     The node stores no gate arrays: its backward walks the positions in
     reverse, recomputes their gates and tanh(c) from the forward's arrays, and
@@ -453,16 +453,16 @@ def lstm_cell(x: Tensor, hc: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> T
     steps = x.shape[1]
     scale = np.full(4 * n, 0.5)
     scale[2 * n:3 * n] = 1.0
-    out_data = np.empty((x.shape[0], steps, 2 * n))
+    states = np.empty((x.shape[0], steps, 2 * n))
     # The [h | c] rows each position starts from: hc's, then the one before.
-    prev = [hc[:, 0]] + [out_data[:, t] for t in range(steps - 1)]
+    prev = [hc[:, 0]] + [states[:, t] for t in range(steps - 1)]
     for t in range(steps):
         _, (i, f, g, o) = _lstm_gates(x.data[:, t], prev[t][:, :n], wx.data, wh.data, b.data, scale)
         c_new = f * prev[t][:, n:]
         c_new += i * g
         h_new = np.tanh(c_new)
         h_new *= o
-        np.concatenate([h_new, c_new], axis=1, out=out_data[:, t])
+        np.concatenate([h_new, c_new], axis=1, out=states[:, t])
 
     def backprop(grad):
         dx = np.empty(x.shape)
@@ -471,12 +471,12 @@ def lstm_cell(x: Tensor, hc: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> T
         for t in reversed(range(steps)):
             x_t, h, c = x.data[:, t], prev[t][:, :n], prev[t][:, n:]
             sig, (i, f, g, o) = _lstm_gates(x_t, h, wx.data, wh.data, b.data, scale)
-            tanh_c = np.tanh(np.ascontiguousarray(out_data[:, t, n:]))  # contiguous, like c_new
-            gh = grad[:, t, :n] + dh
+            tanh_c = np.tanh(np.ascontiguousarray(states[:, t, n:]))  # contiguous, like c_new
+            gh = grad[:, t] + dh
             dc = tanh_c * tanh_c
             np.subtract(1.0, dc, out=dc)
             dc *= gh * o
-            dc += grad[:, t, n:] + dc_f
+            dc += dc_f
             # dz = d_act * sig * (1 - sig), d_act = [dc g | dc c | dc i | gh tanh_c],
             # but for g, whose tanh derivative is 1 - g^2.
             dz = np.empty((x.shape[0], 4 * n))
@@ -500,7 +500,7 @@ def lstm_cell(x: Tensor, hc: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> T
         for parent, d in ((x, dx), (wx, dwx), (wh, dwh), (b, db)):
             _accumulate(parent, d)
 
-    return _node(out_data, "lstm_cell", (x, wx, wh, b), backprop)
+    return _node(states[..., :n], "lstm_cell", (x, wx, wh, b), backprop), states[:, -1:]
 
 
 # Lanczos approximation, g=7, 9 coefficients; |abs error| < 1e-10 on (0, 1e4].

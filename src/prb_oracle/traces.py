@@ -71,6 +71,9 @@ class TraceConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("base_load", "daily_amplitude", "noise_std", "floor"):
+            if not np.isfinite(getattr(self, name)):
+                raise TraceError(f"trace.{name} must be finite, got {getattr(self, name)}")
         if self.weeks < 1:
             raise TraceError(f"trace.weeks must be >= 1, got {self.weeks}")
         if not 0.0 <= self.weekly_factor <= 1.0:

@@ -101,9 +101,9 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
          [mat(3, 4), mat(3, 4), mat(3, 2)]),
         ("layer_norm", lambda t: nn.layer_norm(t[0], t[1], t[2]),
          [mat(3, 4), mat(1, 4), mat(1, 4)]),
-        # B=3 rows, T=3 positions, k=2 inputs, n=4 cells, from a non-zero
+        # The h node: B=3 rows, T=3 positions, k=2 inputs, n=4 cells, from a non-zero
         # [h | c] start state; x needs a gradient, as deepar's upper layer's does.
-        ("lstm_cell", lambda t: nn.lstm_cell(t[0], hc, t[1], t[2], t[3]),
+        ("lstm_cell", lambda t: nn.lstm_cell(t[0], hc, t[1], t[2], t[3])[0],
          [mat(3, 3, 2), mat(2, 16, low=0.1, high=0.8), mat(4, 16, low=0.1, high=0.8),
           mat(1, 16, low=0.1, high=0.5)]),
         ("lgamma", lambda t: nn.lgamma(t[0]), [mat(3, 4, low=0.6, high=9.0, signed=False)]),

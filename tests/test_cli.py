@@ -224,6 +224,20 @@ def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, m
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["base_load", "daily_amplitude", "noise_std", "floor"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_trace_float_is_an_error_line_naming_it(tmp_path, capsys, monkeypatch,
+                                                            field, value):
+    # json reads NaN and ±Infinity; such a trace would fail later on
+    # non-finite values without naming the field, or clip to a constant.
+    monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"trace": {field: value}}))
+    assert dispatch(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: trace.{field} must be finite, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_trace_rejects_a_bad_train_fraction(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"train_fraction": 1.5}))

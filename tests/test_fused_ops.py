@@ -6,8 +6,11 @@ layout existed, kept here only as an oracle: the new path's value and its
 input gradients must match it to float rounding. The `reference_*` kernels
 are earlier numpy expressions of the fused ops themselves, which the current
 ones must match bit for bit. `lstm_cell` runs a whole sequence; its oracles
-are one-step cells chained over the positions, as the models ran them, and
-deepar's one-pass loss has the warm-up-then-horizon pair of calls it replaced.
+are one-step cells chained over the positions, as the models ran them, with a
+(B, T, 2n) [h | c] output. The node, h (B, T, n), is checked against the
+chain's h columns, and its last [h | c] array (B, 1, 2n) against the chain's
+final state. deepar's one-pass loss has the warm-up-then-horizon pair of calls
+it replaced.
 """
 
 import json
@@ -116,8 +119,9 @@ def start_state(batch, n):
 
 
 def fused_lstm_cell(x, wx, wh, b):
-    """nn.lstm_cell from `start_state`, as a function of the inputs it differentiates."""
-    return nn.lstm_cell(x, start_state(x.shape[0], wh.shape[0]), wx, wh, b)
+    """nn.lstm_cell's h node from `start_state`, as a function of the inputs it
+    differentiates."""
+    return nn.lstm_cell(x, start_state(x.shape[0], wh.shape[0]), wx, wh, b)[0]
 
 
 def cell_chain(cell):
@@ -136,6 +140,11 @@ def cell_chain(cell):
         return nn.reshape(concat(outs, axis=1), (batch, steps, hc.shape[2]))
 
     return chain
+
+
+def h_columns(chain):
+    """A chain's h columns (B, T, n): what lstm_cell's node holds."""
+    return lambda x, wx, wh, b: nn.narrow(chain(x, wx, wh, b), 2, 0, wh.shape[0])
 
 
 def composite_layer_norm(x, gain, bias, eps=1e-5):
@@ -196,7 +205,7 @@ def _inputs(kind, rng):
 
 CASES = {
     "affine": (nn.affine, composite_affine),
-    "lstm_cell": (fused_lstm_cell, cell_chain(composite_lstm_cell)),
+    "lstm_cell": (fused_lstm_cell, h_columns(cell_chain(composite_lstm_cell))),
     "layer_norm": (nn.layer_norm, composite_layer_norm),
     "lgamma": (nn.lgamma, composite_log_gamma),
 }
@@ -310,11 +319,11 @@ BIT_CASES = {
     # replaced, at batch 32 and 40 cells: deepar's 3-wide input and the
     # 40-wide hidden rows of its upper layer over its 47 teacher-forced
     # positions (23 warm-up, 24 horizon), and the lstm baseline's 1-wide context.
-    "lstm_cell_k3": (fused_lstm_cell, cell_chain(reference_lstm_cell),
+    "lstm_cell_k3": (fused_lstm_cell, h_columns(cell_chain(reference_lstm_cell)),
                      lambda rng: _lstm_inputs(rng, 32, 47, 3, 40)),
-    "lstm_cell_k40": (fused_lstm_cell, cell_chain(reference_lstm_cell),
+    "lstm_cell_k40": (fused_lstm_cell, h_columns(cell_chain(reference_lstm_cell)),
                       lambda rng: _lstm_inputs(rng, 32, 47, 40, 40)),
-    "lstm_cell_k1": (fused_lstm_cell, cell_chain(reference_lstm_cell),
+    "lstm_cell_k1": (fused_lstm_cell, h_columns(cell_chain(reference_lstm_cell)),
                      lambda rng: _lstm_inputs(rng, 32, 24, 1, 40)),
     # The transformer's rows: batch 8 times 24 positions, model width 32.
     "layer_norm": (nn.layer_norm, reference_layer_norm, lambda rng: _layer_norm_inputs(rng, 192, 32)),
@@ -342,6 +351,17 @@ def test_fused_kernel_is_its_reference_bit_for_bit(case, seed):
         results.append([out.data] + [leaf.grad for leaf in leaves])
     for got, want in zip(results[1], results[0]):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("steps, k", [(24, 1), (47, 3), (47, 40)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lstm_cell_last_state_is_the_chains_bit_for_bit(steps, k, seed):
+    # The node holds h only, so its last [h | c] is where c is compared: the
+    # chain's final packed state, to the bit, at the BIT_CASES shapes.
+    x, wx, wh, b = map(nn.constant, _lstm_inputs(np.random.default_rng(seed), 32, steps, k, 40))
+    _, last = nn.lstm_cell(x, start_state(32, 40), wx, wh, b)
+    want = cell_chain(reference_lstm_cell)(x, wx, wh, b).data[:, -1:]
+    assert last.shape == (32, 1, 80) and np.array_equal(last, want)
 
 
 def two_call_deepar_loss(params, cfg, ctx, tgt, feats):
@@ -445,8 +465,8 @@ def _default_step(kind, seed):
     return cfg, ctx, tgt, feats
 
 
-@pytest.mark.parametrize("kind, nodes", [("sff", 35), ("deepar", 21), ("transformer", 81),
-                                         ("lstm", 8)])
+@pytest.mark.parametrize("kind, nodes", [("sff", 35), ("deepar", 19), ("transformer", 81),
+                                         ("lstm", 7)])
 def test_a_default_training_step_tapes_a_fixed_number_of_nodes(kind, nodes):
     # Batches keep their (B, t, ·) layout from input to likelihood, so no row
     # reshape is taped: with them the transformer taped 89 nodes and sff 37.
@@ -456,6 +476,8 @@ def test_a_default_training_step_tapes_a_fixed_number_of_nodes(kind, nodes):
     # per layer over its warm-up and horizon together (one for each taped 28
     # nodes; its one-step cells, their narrows and the horizon's concat and
     # reshape 183), and lstm one for the context (its 24 cells made 30 nodes).
+    # The node is the layer's h, so no narrow drops its c columns: with one per
+    # layer, deepar taped 21 nodes and lstm 8.
     cfg, ctx, tgt, feats = _default_step(kind, 13)
     params = MODULES[kind].build(cfg)
     before = next(tensor._creation)
@@ -486,37 +508,53 @@ def test_backward_frees_interior_gradients_and_keeps_leaf_ones():
     inputs = _lstm_inputs(rng, 5, 4, 3, 6) + _lstm_inputs(rng, 5, 4, 6, 6)[1:]
     leaves = [nn.Tensor(x, requires_grad=True) for x in inputs]
     x, wx, wh, b, wx1, wh1, b1 = leaves
-    first = nn.lstm_cell(x, start_state(5, 6), wx, wh, b)
-    h = nn.narrow(first, 2, 0, 6)
-    second = nn.lstm_cell(h, start_state(5, 6), wx1, wh1, b1)
+    first, _ = nn.lstm_cell(x, start_state(5, 6), wx, wh, b)
+    second, _ = nn.lstm_cell(first, start_state(5, 6), wx1, wh1, b1)
     loss = nn.sum_all(nn.square(second))
     nn.backward(loss)
-    for interior in (first, h, second, loss):
+    for interior in (first, second, loss):
         assert interior.grad is None and interior._parents is None
     for leaf in leaves:
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape and np.any(leaf.grad != 0.0)
+
+
+def _step_peak(kind, seed):
+    """tracemalloc's peak over one default.json training step of `kind`:
+    loss, backward and Adam update, at its batch size of 32."""
+    cfg, ctx, tgt, feats = _default_step(kind, seed)
+    assert cfg.batch_size == 32
+    mod = MODULES[kind]
+    params = mod.build(cfg)
+    state = AdamState.for_params(params)
+    tracemalloc.start()
+    try:
+        adam_step(params, nn.backward(mod.loss(params, cfg, ctx, tgt, feats), params), state,
+                  cfg.lr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_a_batch_32_deepar_step_keeps_a_small_tape():
     # Each lstm_cell node runs a layer over a sequence and keeps only its
     # [h | c] states, no gate arrays, and backward frees each interior
     # gradient once used: one training step at default.json shapes and batch
-    # size peaks near 3.8 MB, while its graph holds 2.3 MB (stored gates and
-    # kept gradients: about 12 MB). The one-pass loss's narrows zero-fill a
-    # (B, 47, 2n) gradient per layer in the backward, so it peaks higher than
-    # the warm-up-then-horizon pair of calls did, near 3.2 MB.
-    cfg, ctx, tgt, feats = _default_step("deepar", 9)
-    assert cfg.batch_size == 32
-    params = deepar.build(cfg)
-    state = AdamState.for_params(params)
-    tracemalloc.start()
-    try:
-        adam_step(params, nn.backward(deepar.loss(params, cfg, ctx, tgt, feats), params), state,
-                  cfg.lr)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # size peaks near 3.3 MB, while its graph holds 2.3 MB (stored gates and
+    # kept gradients: about 12 MB). When the node was the packed (B, 47, 2n)
+    # [h | c] sequence, the narrow to each layer's h zero-filled one of those
+    # in the backward, and the step peaked near 3.8 MB.
+    peak = _step_peak("deepar", 9)
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_a_default_lstm_step_keeps_a_small_tape():
+    # The lstm's node is its h (B, 24, n), and only its last position feeds
+    # the head: one training step peaks near 1.1 MB. A narrow that dropped
+    # the c columns of a packed [h | c] node zero-filled a (B, 24, 2n)
+    # gradient, and the step peaked near 1.34 MB.
+    peak = _step_peak("lstm", 11)
+    assert peak < 1.2e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_a_default_transformer_step_keeps_a_lean_tape():
