@@ -57,5 +57,5 @@ for step in range(1, 101):
 
 # The one-node attention the transformer uses, here with a single head.
 q = nn.constant(np.random.default_rng(3).normal(size=(4, 8)))
-out = nn.attention(q, q, q, mask=nn.causal_mask(4))
+out = nn.attention(q, q, q, causal=True)
 print(f"\ncausal self-attention output shape: {out.shape}")

@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .forecasters import TrainingDiverged
 from .rapp import (ExperimentConfig, PipelineError, _is_a, _plabel, _type_name, check_output_dir,
                    emit_report, run_pipeline)
@@ -179,7 +181,10 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     handlers = {"gen-trace": _cmd_gen_trace, "run": _cmd_run, "inspect": _cmd_inspect}
     try:
-        return handlers[args.command](args)
+        # The run's own checks report a non-finite loss or sample as one error
+        # line; numpy's warnings on the way there would only add noise.
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except (PipelineError, TraceError, TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -81,12 +81,11 @@ def project_kv(params, prefix, x_kv) -> tuple[nn.Tensor, nn.Tensor]:
     return nn.matmul(x_kv, params[f"{prefix}_wk"]), nn.matmul(x_kv, params[f"{prefix}_wv"])
 
 
-def multi_head_attention(params, prefix, x_q, k, v, heads, mask=None) -> nn.Tensor:
+def multi_head_attention(params, prefix, x_q, k, v, heads, causal=False) -> nn.Tensor:
     """Attention of the projected queries of `x_q` over keys `k` and values `v`
-    (from `project_kv`), all heads in one `attention` node. A 2-D `mask`
-    applies to every head."""
+    (from `project_kv`), all heads in one `attention` node, causal or not."""
     q = nn.matmul(x_q, params[f"{prefix}_wq"])
-    return nn.matmul(nn.attention(q, k, v, mask, heads), params[f"{prefix}_wo"])
+    return nn.matmul(nn.attention(q, k, v, heads, causal), params[f"{prefix}_wo"])
 
 
 def _feed_forward(params, prefix, x) -> nn.Tensor:
@@ -127,8 +126,9 @@ def step(params, config, inp: np.ndarray, state):
 
     The cache holds the self-attention keys and values of the earlier decoder
     positions as plain (B, t, d) arrays: sampling extends it and takes no gradient.
-    Each new position attends causally to the cached ones and the new ones up
-    to itself. In the cross-attention the B·m positions are grouped by context:
+    Each new position attends to the cached ones and the new ones up to itself:
+    m = 1 over the cache in sampling, or m > 1 causally with no cache, as `loss`
+    calls it. In the cross-attention the B·m positions are grouped by context:
     each of the n_ctx encoded contexts is attended to by its B·m / n_ctx positions,
     (B, m) in training and all (1, S) sample positions of the one context in sampling.
     """
@@ -141,8 +141,7 @@ def step(params, config, inp: np.ndarray, state):
     if cache is not None:
         k = nn.constant(np.concatenate([cache[0], k.data], axis=1))
         v = nn.constant(np.concatenate([cache[1], v.data], axis=1))
-    mask = nn.causal_mask(k.shape[1])[-m:] if m > 1 else None
-    a = multi_head_attention(params, "dec_self", y, k, v, config.heads, mask)
+    a = multi_head_attention(params, "dec_self", y, k, v, config.heads, causal=m > 1)
     y = _sublayer(params, "dec_ln1", y, a)
     n_ctx = cross_k.shape[0]
     a2 = multi_head_attention(params, "dec_cross", nn.reshape(y, (n_ctx, batch // n_ctx * m, d)),

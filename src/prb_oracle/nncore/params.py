@@ -10,9 +10,9 @@ from .tensor import Tensor
 
 
 class ParameterSet:
-    """Ordered mapping name -> trainable leaf tensor."""
+    """Ordered mapping name -> trainable leaf tensor; `seed` fixes its Glorot draws."""
 
-    def __init__(self, seed: int | None = None):
+    def __init__(self, seed: int | Sequence[int]):
         self._params: dict[str, Tensor] = {}
         self._rng = np.random.default_rng(seed)
 

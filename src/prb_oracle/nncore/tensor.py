@@ -310,16 +310,15 @@ def _head_row_sums(a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
     return np.ascontiguousarray(sums.reshape(*a.shape[:-1], heads).swapaxes(-1, -2))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
-              heads: int = 1) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, causal: bool = False) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     q (..., tq, d), k (..., tk, d) and v (..., tk, dv) are 2-D, or 3-D with one
-    shared leading batch axis. Head h computes softmax(q_h k_h^T / sqrt(d/heads)
-    + mask) v_h on the h-th column block of each, and the heads' outputs sit
-    side by side in the (..., tq, dv) result. The additive mask broadcasts to
-    one head's scores (..., tq, tk), so one 2-D mask serves every entry and head.
-    The heads are views of the inputs.
+    shared leading batch axis. Head h computes softmax(q_h k_h^T / sqrt(d/heads))
+    v_h on the h-th column block of each, and the heads' outputs sit side by
+    side in the (..., tq, dv) result. The heads are views of the inputs. With
+    `causal`, self-attention with tq == tk, query i sees keys 0..i only: a
+    -1e9 added to every later key's score underflows its weight to 0.
 
     The scores are laid out key-major, (tk, ..., heads, tq), so the softmax's
     max and sum reduce over the leading axis, not over many short rows; the
@@ -335,15 +334,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
     if nd not in (2, 3) or k.data.ndim != nd or v.data.ndim != nd \
             or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] \
             or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2] \
-            or heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
-        raise _shape_error(f"attention(heads={heads})", q.shape, k.shape, v.shape)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        np.broadcast_to(mask, (*q.shape[:-1], k.shape[-2]))  # raises on a mask that does not fit
-        # Key-major in the mask's own shape, contiguous along the query axis
-        # so that adding it runs at the scores' stride, and a heads axis of 1.
-        mask = mask.reshape((1,) * (nd - mask.ndim) + mask.shape)
-        mask = np.ascontiguousarray(np.moveaxis(mask, -1, 0))[..., None, :]
+            or heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads \
+            or causal and q.shape[-2] != k.shape[-2]:
+        raise _shape_error(f"attention(heads={heads}, causal={causal})", q.shape, k.shape, v.shape)
+    t = q.shape[-2]
+    # Key-major, (tk, 1, …, 1, tq): query i does not see key j > i.
+    mask = np.tril(np.full((t, t), -1e9), k=-1).reshape(t, *(1,) * (nd - 1), t) if causal else None
     c = 1.0 / math.sqrt(q.shape[-1] // heads)
     w = _attention_scores(_split_heads(k.data, heads), _transposed(_split_heads(q.data, heads), c),
                           mask)
@@ -382,11 +378,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
             _accumulate(k, _merge_heads(np.moveaxis(ds, 0, -2) @ qt.swapaxes(-1, -2), k.shape))
 
     return _node(out_data, "attention", (q, k, v), backprop)
-
-
-def causal_mask(n: int) -> np.ndarray:
-    """Additive mask hiding future positions in self-attention."""
-    return np.triu(np.full((n, n), -1e9), k=1)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -440,7 +431,7 @@ def lstm_cell(x: Tensor, hc: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> t
     T >= 1, and the packed start state hc = [h | c] (B, 1, 2n) to the node h
     (B, T, n) and the [h | c] after the last position, (B, 1, 2n). wx (k, 4n),
     wh (n, 4n) and the bias row b (1, 4n) lay the gates out as [input, forget,
-    cell, output]. Both states are plain arrays, as `attention`'s mask is.
+    cell, output]. Both states are plain arrays and take no gradient.
 
     The node stores no gate arrays: its backward walks the positions in
     reverse, recomputes their gates and tanh(c) from the forward's arrays, and

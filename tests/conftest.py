@@ -78,8 +78,7 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
         return m
 
     a34, b34 = mat(3, 4), mat(3, 4)
-    mask = nn.causal_mask(3)
-    hc = mat(3, 1, 8, low=0.1, high=0.9)  # lstm_cell's start state, an array like the mask
+    hc = mat(3, 1, 8, low=0.1, high=0.9)  # lstm_cell's start state, a plain array
     return [
         ("matmul", lambda t: nn.matmul(t[0], t[1]), [mat(3, 4), mat(4, 2)]),
         ("add", lambda t: nn.add(t[0], t[1]), [a34.copy(), b34.copy()]),
@@ -97,7 +96,7 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
         ("log", lambda t: nn.log(t[0]), [mat(3, 4, signed=False)]),
         ("square", lambda t: nn.square(t[0]), [mat(3, 4)]),
         ("attention", lambda t: nn.attention(t[0], t[1], t[2]), [mat(3, 4), mat(5, 4), mat(5, 2)]),
-        ("attention_masked", lambda t: nn.attention(t[0], t[1], t[2], mask),
+        ("attention_masked", lambda t: nn.attention(t[0], t[1], t[2], causal=True),
          [mat(3, 4), mat(3, 4), mat(3, 2)]),
         ("layer_norm", lambda t: nn.layer_norm(t[0], t[1], t[2]),
          [mat(3, 4), mat(1, 4), mat(1, 4)]),
@@ -114,15 +113,12 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
         ("matmul_batched_shared", lambda t: nn.matmul(t[0], t[1]), [mat(2, 3, 4), mat(4, 2)]),
         ("attention_batched", lambda t: nn.attention(t[0], t[1], t[2]),
          [mat(2, 3, 4), mat(2, 5, 4), mat(2, 5, 2)]),
-        ("attention_batched_masked",
-         lambda t: nn.attention(t[0], t[1], t[2], np.broadcast_to(mask, (2, 3, 3))),
-         [mat(2, 3, 4), mat(2, 3, 4), mat(2, 3, 2)]),
-        # One 2-D mask broadcast over the batch axis.
-        ("attention_batched_mask_2d", lambda t: nn.attention(t[0], t[1], t[2], mask),
+        # One causal mask over every batch entry.
+        ("attention_batched_mask_2d", lambda t: nn.attention(t[0], t[1], t[2], causal=True),
          [mat(2, 3, 4), mat(2, 3, 4), mat(2, 3, 2)]),
         # Four heads split inside the one node, masked and batched.
         ("attention_batched_masked_heads",
-         lambda t: nn.attention(t[0], t[1], t[2], mask, heads=4),
+         lambda t: nn.attention(t[0], t[1], t[2], heads=4, causal=True),
          [mat(2, 3, 8), mat(2, 3, 8), mat(2, 3, 4)]),
         # One query against five keys per entry, four heads: a sampling step.
         ("attention_batched_single_query_heads",
@@ -133,8 +129,8 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
 
 def exported_ops() -> set[str]:
     """The op names nncore exports: every function from its tensor module but
-    these four, which record no node of their own."""
-    not_ops = {"backward", "causal_mask", "constant", "lanczos_lgamma"}
+    these three, which record no node of their own."""
+    not_ops = {"backward", "constant", "lanczos_lgamma"}
     return {name for name in nn.__all__
             if inspect.isfunction(getattr(nn, name))
             and getattr(nn, name).__module__ == tensor.__name__} - not_ops

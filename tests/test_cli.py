@@ -1,6 +1,7 @@
 """CLI: subcommands, override precedence, exit codes."""
 
 import json
+import re
 from argparse import Namespace
 
 import pytest
@@ -304,6 +305,20 @@ def test_diverged_training_is_an_error_line(tmp_path, tiny_config_file, capsys, 
     status = dispatch(["run", "--config", str(tiny_config_file), "--out", str(tmp_path / "out")])
     assert status == 1
     assert capsys.readouterr().err == "error: sff: non-finite loss nan at epoch 0, batch of window t0s [24, 61]\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_fit_that_really_diverges_prints_one_error_line(tmp_path, capsys):
+    # The real path: numpy warns on the way to the nan (div, log, add), and
+    # the test suite turns a RuntimeWarning into an error, so any warning
+    # that escaped `dispatch` would fail this test.
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps({"trace": {"weeks": 1}, "train_fraction": 0.7,
+                                "models": {"sff": {"epochs": 1, "batch_size": 8, "lr": 1e6}}}))
+    status = dispatch(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: sff: non-finite loss nan at epoch 0, batch of window t0s \[[\d, ]+\]\n", err), err
     assert not (tmp_path / "out").exists()
 
 

@@ -582,6 +582,12 @@ def test_a_default_transformer_step_keeps_a_lean_tape():
 HEADS, DIM = 4, 8
 
 
+def causal_mask(n):
+    """The additive causal mask the composite takes: -1e9 on every key after
+    its query, (n queries, n keys)."""
+    return np.triu(np.full((n, n), -1e9), k=1)
+
+
 def composite_attention(q, k, v, mask=None):
     """The old six-node attention: matmul, transpose, scale, mask add, softmax, matmul."""
     scores = nn.scale(entry_matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
@@ -636,13 +642,13 @@ def _cached_steps(x, *weights):
     return concat(outs, axis=1)
 
 
-CAUSAL = nn.causal_mask(5)
+CAUSAL = causal_mask(5)
 MHA_CASES = {
     # name: (input shapes before the four weights, the model's path, per-head oracle)
     "causal_2d": (
         [(5, DIM)],
         lambda x, *w: transformer.multi_head_attention(
-            _named(w), "a", x, *transformer.project_kv(_named(w), "a", x), HEADS, CAUSAL),
+            _named(w), "a", x, *transformer.project_kv(_named(w), "a", x), HEADS, causal=True),
         lambda x, *w: composite_multi_head_attention(_named(w), x, x, HEADS, CAUSAL),
     ),
     "batched_3d": (
@@ -661,17 +667,17 @@ MHA_CASES = {
     "cached_steps": (
         [(3, 4, DIM)],
         _cached_steps,
-        lambda x, *w: composite_multi_head_attention(_named(w), x, x, HEADS, nn.causal_mask(4)),
+        lambda x, *w: composite_multi_head_attention(_named(w), x, x, HEADS, causal_mask(4)),
     ),
 }
 
 ATTENTION_CASES = {
-    # name: (q, k, v shapes, mask)
-    "causal_2d": ([(5, DIM), (5, DIM), (5, DIM)], CAUSAL),
-    "batched_mask_2d": ([(3, 5, DIM), (3, 5, DIM), (3, 5, DIM)], CAUSAL),
-    "cross": ([(3, 2, DIM), (3, 6, DIM), (3, 6, 12)], None),
+    # name: (q, k, v shapes, causal); the composite takes CAUSAL for causal=True
+    "causal_2d": ([(5, DIM), (5, DIM), (5, DIM)], True),
+    "batched_mask_2d": ([(3, 5, DIM), (3, 5, DIM), (3, 5, DIM)], True),
+    "cross": ([(3, 2, DIM), (3, 6, DIM), (3, 6, 12)], False),
     # One query per row, as each sampling step of the decoder asks.
-    "single_query": ([(3, 1, DIM), (3, 6, DIM), (3, 6, 12)], None),
+    "single_query": ([(3, 1, DIM), (3, 6, DIM), (3, 6, 12)], False),
 }
 
 
@@ -680,10 +686,18 @@ ATTENTION_CASES = {
 @pytest.mark.parametrize("seed", [0, 1])
 def test_attention_matches_the_per_head_composite(case, heads, seed):
     rng = np.random.default_rng(seed)
-    shapes, mask = ATTENTION_CASES[case]
+    shapes, causal = ATTENTION_CASES[case]
     inputs = [rng.normal(size=s) for s in shapes]
-    _assert_matches(lambda q, k, v: nn.attention(q, k, v, mask, heads),
-                    lambda q, k, v: composite_heads(q, k, v, mask, heads), inputs, rng)
+    _assert_matches(lambda q, k, v: nn.attention(q, k, v, heads, causal),
+                    lambda q, k, v: composite_heads(q, k, v, CAUSAL if causal else None, heads),
+                    inputs, rng)
+
+
+@pytest.mark.parametrize("tk", [4, 6])
+def test_causal_attention_needs_as_many_keys_as_queries(tk):
+    q, k, v = (nn.constant(np.ones(s)) for s in ((2, 5, DIM), (2, tk, DIM), (2, tk, DIM)))
+    with pytest.raises(nn.ShapeMismatch, match="causal=True"):
+        nn.attention(q, k, v, HEADS, causal=True)
 
 
 @pytest.mark.parametrize("case", sorted(MHA_CASES))
@@ -710,17 +724,17 @@ def test_multi_head_attention_has_no_per_head_nodes():
     assert not {"softmax", "transpose", "narrow", "concat"} & set(ops)
 
 
-@pytest.mark.parametrize("mask", [None, CAUSAL], ids=["cross", "causal"])
-def test_attention_keeps_no_softmax_weights(mask):
+@pytest.mark.parametrize("causal", [False, True], ids=["cross", "causal"])
+def test_attention_keeps_no_softmax_weights(causal):
     # The backward rebuilds the weights from q, k and one log-sum-exp per
     # query row, so the node's closure holds no array as large as one set of
     # weights, heads * tq * tk entries, in any layout. q, k, v and the output
     # are kept smaller than that here, so only a kept score array can trip it.
     rng = np.random.default_rng(11)
-    tk = 6 if mask is None else 5
+    tk = 5 if causal else 6
     q, k, v = (nn.Tensor(rng.normal(size=s), requires_grad=True)
                for s in ((2, 5, DIM), (2, tk, DIM), (2, tk, DIM)))
-    out = nn.attention(q, k, v, mask, HEADS)
+    out = nn.attention(q, k, v, HEADS, causal)
     held = [c.cell_contents for c in out._backprop.__closure__]
     arrays = [x for x in held if isinstance(x, np.ndarray)]
     arrays += [t.data for t in held if isinstance(t, nn.Tensor)]
@@ -734,7 +748,7 @@ def test_attention_gives_masked_keys_exactly_nothing():
     # only row 0 sends exactly zero gradient to the rows of k and v after it.
     rng = np.random.default_rng(12)
     q, k, v = (nn.Tensor(rng.normal(size=(2, 5, DIM)), requires_grad=True) for _ in range(3))
-    out = nn.attention(q, k, v, nn.causal_mask(5), HEADS)
+    out = nn.attention(q, k, v, HEADS, causal=True)
     probe = np.zeros(out.shape)
     probe[:, 0] = rng.normal(size=(2, DIM))
     nn.backward(nn.sum_all(nn.mul(out, nn.constant(probe))))
