@@ -1,8 +1,8 @@
 """Command-line front door: generate traces, run the pipeline, inspect reports.
 
 Override precedence: CLI flag beats config-file value beats built-in default;
-the PRB_ORACLE_OUT environment variable is the output-directory fallback when
-neither flag nor file names one.
+the PRB_ORACLE_OUT environment variable, unless empty, is the output-directory
+fallback when neither flag nor file names one.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-trace", help="write a synthetic trace CSV")
     gen.add_argument("--config", help="experiment config JSON (its trace block is used)")
     gen.add_argument("--seed", type=int, help="override the trace seed")
-    gen.add_argument("--out", help="output CSV path (default trace.csv)")
+    gen.add_argument("--out", default="trace.csv", help="output CSV path (default trace.csv)")
 
     run = sub.add_parser("run", help="run the pipeline and emit the report files")
     run.add_argument("--config", help=f"experiment config JSON (default: bundled {DEFAULT_CONFIG_NAME})")
@@ -94,11 +94,14 @@ def _resolve_run_config(args) -> ExperimentConfig:
         except ValueError:
             raise PipelineError(f"bad percentile list {args.percentiles!r}") from None
         config = replace(config, percentiles=levels)
-    out = args.out or doc.get("output_dir") or os.environ.get("PRB_ORACLE_OUT") or "out"
-    return replace(config, output_dir=out)
+    # An empty --out or output_dir is an error, not a fall-through to the next source.
+    out = doc.get("output_dir", os.environ.get("PRB_ORACLE_OUT") or "out")
+    return replace(config, output_dir=args.out if args.out is not None else out)
 
 
 def _cmd_gen_trace(args) -> int:
+    if not args.out:
+        raise PipelineError("--out must name a file, got an empty path")
     doc = _load_raw_config(args.config)
     config = ExperimentConfig.from_dict(doc)
     if isinstance(config.trace, str):
@@ -107,7 +110,7 @@ def _cmd_gen_trace(args) -> int:
     if args.seed is not None:
         trace_cfg = replace(trace_cfg, seed=args.seed)
     series = generate_synthetic(trace_cfg, config.max_prb)
-    out = Path(args.out or "trace.csv")
+    out = Path(args.out)
     save_csv(series, out)
     print(f"wrote {len(series)} hours to {out}")
     return 0

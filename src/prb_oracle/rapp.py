@@ -15,14 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .decision import ceil_clamp
-from .forecasters import (
-    MODEL_KEYS,
-    MODEL_KINDS,
-    PROBABILISTIC_KINDS,
-    ForecasterConfig,
-    fit,
-    predict,
-)
+from .forecasters import (MODEL_KEYS, MODEL_KINDS, PROBABILISTIC_KINDS, ForecasterConfig,
+                          TrainedModel, fit, predict)
 from .metrics import coverage, crps, normalized_deviation, point_errors, quantile_loss, provisioning
 from .power import PowerParams, power_saving
 from .traces import (DEFAULT_MAX_PRB, PrbSeries, TraceConfig, check_capacity, generate_synthetic,
@@ -62,6 +56,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise PipelineError(f"seed must be >= 0, got {self.seed}")
+        if not self.output_dir:
+            raise PipelineError("output_dir must not be empty")
         for key in ("max_prb", "context_len", "horizon"):
             if (value := getattr(self, key)) < 1:
                 raise PipelineError(f"{key} must be >= 1, got {value}")
@@ -89,21 +85,10 @@ class ExperimentConfig:
         })
 
     def to_dict(self) -> dict:
-        if isinstance(self.trace, TraceConfig):
-            trace = {"kind": "synthetic", **vars(self.trace)}
-        else:
-            trace = {"kind": "csv", "path": str(self.trace)}
-        return {
-            "trace": trace,
-            "max_prb": self.max_prb,
-            "train_fraction": self.train_fraction,
-            "percentiles": list(self.percentiles),
-            "context_len": self.context_len,
-            "horizon": self.horizon,
-            "models": {k: m.settings() for k, m in self.models.items()},
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-        }
+        trace = ({"kind": "synthetic", **vars(self.trace)} if isinstance(self.trace, TraceConfig)
+                 else {"kind": "csv", "path": str(self.trace)})
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "trace": trace,
+                "models": {k: m.settings() for k, m in self.models.items()}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -139,10 +124,7 @@ class ExperimentConfig:
             if not models:
                 raise PipelineError("models block names no model")
             kwargs["models"] = models
-        for key in ("max_prb", "train_fraction", "percentiles", "context_len", "horizon",
-                    "output_dir", "seed"):
-            if key in doc:
-                kwargs[key] = doc.pop(key)
+        kwargs.update({f.name: doc.pop(f.name) for f in fields(cls) if f.name in doc})
         if doc:
             raise PipelineError(f"unknown config keys {sorted(doc)}")
         return cls(**kwargs)
@@ -196,24 +178,11 @@ def _check_types(prefix: str, block: dict, cls) -> None:
             raise PipelineError(f"{prefix}{key} must be {_type_name(default)}, got {value!r}")
 
 
-def _obtain_trace(config: ExperimentConfig) -> PrbSeries:
-    if isinstance(config.trace, TraceConfig):
-        return generate_synthetic(config.trace, config.max_prb)
-    return load_csv(config.trace, config.max_prb)
-
-
-def run_pipeline(config: ExperimentConfig) -> dict:
-    """Run the full experiment; deterministic per config.seed.
-
-    Fits every configured model on the chronological train split, rolls
-    non-overlapping horizon-length windows across the test split (each
-    conditioned on the preceding context hours), allocates PRBs at every
-    configured percentile, and scores provisioning and power saving.
-
-    Returns the report document that `emit_report` writes as report.json,
-    with numpy arrays and float percentile keys still in place.
-    """
-    series = _obtain_trace(config)
+def _checked_split(config: ExperimentConfig) -> tuple[PrbSeries, PrbSeries, np.ndarray]:
+    """The trace, its train split and the scored test hours, once every
+    check that must pass before the first fit has passed."""
+    load = generate_synthetic if isinstance(config.trace, TraceConfig) else load_csv
+    series = load(config.trace, config.max_prb)
     train, test = split(series, config.train_fraction)
     ctx_len, horizon = config.context_len, config.horizon
     for name, segment, fix in (("test", test, "lower"), ("train", train, "raise")):
@@ -231,84 +200,102 @@ def run_pipeline(config: ExperimentConfig) -> dict:
                 f"models.{kind}.batch_size {model_cfg.batch_size} exceeds the "
                 f"{train_windows} windows of the {len(train)}-hour train split"
             )
-    n_windows = len(test) // horizon
-    n_train = len(train)
-    truth = test.values[: n_windows * horizon].copy()
+    truth = test.values[: len(test) // horizon * horizon].copy()
     zero = np.flatnonzero(truth == 0.0)
     if zero.size:
-        idx = n_train + int(zero[0])
+        idx = len(train) + int(zero[0])
         raise PipelineError(
             f"test hour {idx} ({series.timestamp(idx).isoformat()}) has zero PRB load, "
             "which makes MAPE undefined"
         )
+    return series, train, truth
 
-    trained = {kind: fit(model_cfg, train) for kind, model_cfg in config.models.items()}
 
-    results = {kind: [] for kind in trained}
-    for k in range(n_windows):
-        t0 = n_train + k * horizon
-        ctx = series.values[t0 - ctx_len : t0]
-        start = series.timestamp(t0)
-        for kind, model in trained.items():
-            rng = np.random.default_rng([config.seed, MODEL_SEED_OFFSETS[kind], k])
-            results[kind].append(predict(model, ctx, start=start, rng=rng, origin=t0))
+def _forecast(model: TrainedModel, series: PrbSeries, t0: int, t1: int, seed: int) -> np.ndarray:
+    """The model's paths over the windows from hour `t0` to `t1`, side by side:
+    (num_samples, t1 - t0). Each window draws from its own stream."""
+    cfg = model.config
+    paths = []
+    for k, t in enumerate(range(t0, t1, cfg.horizon)):
+        rng = np.random.default_rng([seed, MODEL_SEED_OFFSETS[cfg.kind], k])
+        paths.append(predict(model, series.values[t - cfg.context_len : t],
+                             start=series.timestamp(t), rng=rng).samples)
+    return np.hstack(paths)
 
-    power = PowerParams(max_prb=config.max_prb)
+
+def _score(config: ExperimentConfig, model: TrainedModel, pooled: np.ndarray,
+           truth: np.ndarray) -> tuple[dict, dict]:
+    """The model's report entry and its `last_window` entry, from its pooled paths."""
     ps = config.percentiles
+    power = PowerParams(max_prb=config.max_prb)
+    # The hourly table shows the last test window: slices of the pooled arrays.
+    sl = slice(len(truth) - config.horizon, len(truth))
+    levels = sorted({BAND_LOW, 0.5, BAND_HIGH, *ps})
+    # Every quantile in one pass over the pooled paths.
+    quantiles = dict(zip(levels, np.quantile(pooled, levels, axis=0)))
+    median = quantiles[0.5]
+    mse, mae, mape = point_errors(truth, median)
+    qpred = {p: quantiles[p] for p in ps}
+    alloc = {p: ceil_clamp(qpred[p], config.max_prb) for p in ps}
+    over_under = {p: provisioning(truth, alloc[p]) for p in ps}
+    saving = {p: power_saving(alloc[p], power) for p in ps}  # (hourly, mean)
+    last = {
+        "median": median[sl],
+        "band_low": quantiles[BAND_LOW][sl],
+        "band_high": quantiles[BAND_HIGH][sl],
+        "alloc": {p: alloc[p][sl] for p in ps},
+        "saving": {p: saving[p][0][sl] for p in ps},
+    }
+    if model.config.kind not in PROBABILISTIC_KINDS:
+        last["point"] = pooled[0, sl]  # a point model's one path
+    entry = {
+        "metrics": {
+            "mse": mse,
+            "mae": mae,
+            "mape_percent": mape,
+            "nd": normalized_deviation(truth, median),
+            "crps": crps(pooled, truth),
+            "quantile_loss": {p: quantile_loss(truth, qpred[p], p) for p in ps},
+            "coverage": {p: coverage(truth, qpred[p]) for p in ps},
+            "over_percent": {p: over_under[p][0] for p in ps},
+            "under_percent": {p: over_under[p][1] for p in ps},
+        },
+        "power_saving_percent": {p: saving[p][1] for p in ps},
+        "median_pooled": median,
+        "quantiles_pooled": qpred,
+        "allocations": alloc,
+        "final_train_loss": model.final_train_loss,
+        "loss_curve": model.loss_curve,
+    }
+    return entry, last
+
+
+def run_pipeline(config: ExperimentConfig) -> dict:
+    """Run the full experiment; deterministic per config.seed.
+
+    Builds or loads the trace and checks it. Then each configured model in
+    turn is fitted on the chronological train split, forecasts every
+    non-overlapping horizon-length window of the test split (each conditioned
+    on the preceding context hours), and is scored: PRBs allocated at every
+    configured percentile, provisioning and power saving. Only its report
+    entries outlive it into the next model's fit.
+
+    Returns the report document that `emit_report` writes as report.json,
+    with numpy arrays and float percentile keys still in place.
+    """
+    series, train, truth = _checked_split(config)
+    models, last_models = {}, {}
+    for kind, model_cfg in config.models.items():
+        model = fit(model_cfg, train)
+        pooled = _forecast(model, series, len(train), len(train) + len(truth), config.seed)
+        models[kind], last_models[kind] = _score(config, model, pooled, truth)
+        del model, pooled
+
+    ps, horizon = config.percentiles, config.horizon
     # Ground-truth baseline: provision exactly the demand, rounded up.
     true_alloc = ceil_clamp(truth, config.max_prb)
-    true_hourly, true_saving = power_saving(true_alloc, power)
-
-    # The hourly table shows the last test window: slices of the pooled arrays.
-    sl = slice((n_windows - 1) * horizon, n_windows * horizon)
-    last = {
-        "t0_index": n_train + (n_windows - 1) * horizon,
-        "truth": truth[sl],
-        "true_alloc": true_alloc[sl],
-        "true_saving": true_hourly[sl],
-        "models": {},
-    }
-
-    levels = sorted({BAND_LOW, 0.5, BAND_HIGH, *ps})
-    models = {}
-    for kind, window_results in results.items():
-        # Every quantile in one pass over the pooled (num_samples, n_windows*horizon) paths.
-        pooled = np.hstack([r.samples for r in window_results])
-        quantiles = dict(zip(levels, np.quantile(pooled, levels, axis=0)))
-        median = quantiles[0.5]
-        mse, mae, mape = point_errors(truth, median)
-        qpred = {p: quantiles[p] for p in ps}
-        alloc = {p: ceil_clamp(qpred[p], config.max_prb) for p in ps}
-        over_under = {p: provisioning(truth, alloc[p]) for p in ps}
-        saving = {p: power_saving(alloc[p], power) for p in ps}  # (hourly, mean)
-        last["models"][kind] = {
-            "median": median[sl],
-            "band_low": quantiles[BAND_LOW][sl],
-            "band_high": quantiles[BAND_HIGH][sl],
-            "alloc": {p: alloc[p][sl] for p in ps},
-            "saving": {p: saving[p][0][sl] for p in ps},
-        }
-        if window_results[-1].point is not None:
-            last["models"][kind]["point"] = window_results[-1].point
-        models[kind] = {
-            "metrics": {
-                "mse": mse,
-                "mae": mae,
-                "mape_percent": mape,
-                "nd": normalized_deviation(truth, median),
-                "crps": crps(pooled, truth),
-                "quantile_loss": {p: quantile_loss(truth, qpred[p], p) for p in ps},
-                "coverage": {p: coverage(truth, qpred[p]) for p in ps},
-                "over_percent": {p: over_under[p][0] for p in ps},
-                "under_percent": {p: over_under[p][1] for p in ps},
-            },
-            "power_saving_percent": {p: saving[p][1] for p in ps},
-            "median_pooled": median,
-            "quantiles_pooled": qpred,
-            "allocations": alloc,
-            "final_train_loss": trained[kind].final_train_loss,
-            "loss_curve": trained[kind].loss_curve,
-        }
+    true_hourly, true_saving = power_saving(true_alloc, PowerParams(max_prb=config.max_prb))
+    sl = slice(len(truth) - horizon, len(truth))
 
     lstm_baseline = {}
     if "lstm" in models:
@@ -326,7 +313,7 @@ def run_pipeline(config: ExperimentConfig) -> dict:
         "config": {k: v for k, v in config.to_dict().items() if k != "output_dir"},
         "percentiles": list(ps),
         "horizon": horizon,
-        "n_windows": n_windows,
+        "n_windows": len(truth) // horizon,
         "max_prb": config.max_prb,
         "truth_pooled": truth,
         "baselines": {
@@ -334,7 +321,13 @@ def run_pipeline(config: ExperimentConfig) -> dict:
             "lstm": lstm_baseline,
         },
         "models": models,
-        "last_window": last,
+        "last_window": {
+            "t0_index": len(train) + sl.start,
+            "truth": truth[sl],
+            "true_alloc": true_alloc[sl],
+            "true_saving": true_hourly[sl],
+            "models": last_models,
+        },
     }
 
 

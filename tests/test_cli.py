@@ -6,7 +6,7 @@ from argparse import Namespace
 
 import pytest
 
-from prb_oracle import rapp
+from prb_oracle import cli, rapp
 from prb_oracle.cli import (
     _resolve_run_config,
     default_config_path,
@@ -374,6 +374,39 @@ def test_env_var_is_output_dir_fallback(tmp_path, monkeypatch):
     # flag still wins over the environment
     cfg = _resolve_run_config(_run_args(config=str(bare), out="from_flag"))
     assert cfg.output_dir == "from_flag"
+
+
+def test_an_empty_env_var_counts_as_unset(tmp_path, monkeypatch):
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(TINY_CONFIG))
+    monkeypatch.setenv("PRB_ORACLE_OUT", "")
+    assert _resolve_run_config(_run_args(config=str(bare))).output_dir == "out"
+
+
+@pytest.mark.parametrize("env", [None, "from_env"])
+@pytest.mark.parametrize("flags, doc", [(["--out", ""], {}), ([], {"output_dir": ""}),
+                                        (["--out", ""], {"output_dir": "from_file"})])
+def test_an_empty_output_path_is_an_error_line_not_a_fallback(tmp_path, capsys, monkeypatch,
+                                                              env, flags, doc):
+    # An unset shell variable in `--out "$OUT"` must not land a report in ./out.
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("PRB_ORACLE_OUT", raising=False)
+    else:
+        monkeypatch.setenv("PRB_ORACLE_OUT", env)
+    monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise
+    (tmp_path / "cfg.json").write_text(json.dumps({**TINY_CONFIG, **doc}))
+    assert dispatch(["run", "--config", "cfg.json", *flags]) == 1
+    assert capsys.readouterr().err == "error: output_dir must not be empty\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_gen_trace_rejects_an_empty_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "generate_synthetic", None)  # building a trace would raise
+    assert dispatch(["gen-trace", "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: --out must name a file, got an empty path\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_percentiles_flag_sets_the_report_columns(tmp_path, tiny_config_file):

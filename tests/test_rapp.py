@@ -3,13 +3,14 @@
 import csv
 import json
 import re
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 
 from prb_oracle import rapp
-from prb_oracle.forecasters import MODEL_KEYS, MODEL_KINDS, ForecasterConfig
+from prb_oracle.forecasters import (MODEL_KEYS, MODEL_KINDS, PROBABILISTIC_KINDS, ForecasterConfig,
+                                    fit, predict)
 from prb_oracle.metrics import point_errors
 from prb_oracle.power import PowerParams, power_saving
 from prb_oracle.rapp import (
@@ -105,6 +106,27 @@ def test_config_dict_round_trip():
     cfg = small_config()
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def test_config_dict_lists_every_field_and_a_new_field_needs_no_other_edit():
+    cfg = small_config(output_dir="elsewhere")
+    assert set(cfg.to_dict()) == {f.name for f in fields(ExperimentConfig)}
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @dataclass(frozen=True)
+    class Wider(ExperimentConfig):
+        extra: int = 1
+
+    assert Wider.from_dict({"extra": 5}).to_dict()["extra"] == 5
+    with pytest.raises(PipelineError, match=re.escape("unknown config keys ['extra']")):
+        ExperimentConfig.from_dict({"extra": 5})
+
+
+def test_config_rejects_an_empty_output_dir():
+    with pytest.raises(PipelineError, match="^output_dir must not be empty$"):
+        ExperimentConfig(output_dir="")
+    with pytest.raises(PipelineError, match="^output_dir must not be empty$"):
+        ExperimentConfig.from_dict({"output_dir": ""})
 
 
 def test_config_csv_trace_round_trip():
@@ -239,9 +261,54 @@ def test_last_window_slice_matches_pooled(small_report):
     sl = slice((rep["n_windows"] - 1) * rep["horizon"], rep["n_windows"] * rep["horizon"])
     assert np.array_equal(last["truth"], rep["truth_pooled"][sl])
     for kind, m in rep["models"].items():
-        assert np.array_equal(last["models"][kind]["median"], m["median_pooled"][sl])
+        entry = last["models"][kind]
+        assert np.array_equal(entry["median"], m["median_pooled"][sl])
         for p in PCTS:
-            assert np.array_equal(last["models"][kind]["alloc"][p], m["allocations"][p][sl])
+            assert np.array_equal(entry["alloc"][p], m["allocations"][p][sl])
+        # Only a point model carries its one path, which is its median.
+        assert ("point" in entry) == (kind not in PROBABILISTIC_KINDS), kind
+        if "point" in entry:
+            assert np.array_equal(entry["point"], m["median_pooled"][sl])
+    # A one-path probabilistic model is still not a point model.
+    one_path = small_config(models={"sff": ForecasterConfig(kind="sff", epochs=1, num_samples=1)})
+    assert "point" not in run_pipeline(one_path)["last_window"]["models"]["sff"]
+
+
+def test_each_model_is_fitted_forecast_and_scored_before_the_next_fit(monkeypatch):
+    calls = []
+
+    def traced_fit(config, train):
+        calls.append(("fit", config.kind))
+        return fit(config, train)
+
+    def traced_predict(model, context, **kwargs):
+        calls.append(("predict", model.config.kind))
+        return predict(model, context, **kwargs)
+
+    monkeypatch.setattr(rapp, "fit", traced_fit)
+    monkeypatch.setattr(rapp, "predict", traced_predict)
+    models = {kind: ForecasterConfig(kind=kind, epochs=1) for kind in ("lstm", "sff")}
+    rep = run_pipeline(small_config(models=models))
+    n = rep["n_windows"]
+    assert n >= 2
+    assert calls == [("fit", "lstm"), *[("predict", "lstm")] * n,
+                     ("fit", "sff"), *[("predict", "sff")] * n]
+
+
+def _assert_same(a, b, where="entry"):
+    if isinstance(a, dict):
+        assert list(a) == list(b), where
+        for key in a:
+            _assert_same(a[key], b[key], f"{where}.{key}")
+    else:
+        assert np.array_equal(a, b), where
+
+
+def test_a_model_scores_the_same_alone_as_beside_other_models(small_report):
+    alone = run_pipeline(small_config(models={"lstm": small_config().models["lstm"]}))
+    _assert_same(alone["models"]["lstm"], small_report["models"]["lstm"])
+    _assert_same(alone["last_window"]["models"]["lstm"],
+                 small_report["last_window"]["models"]["lstm"])
 
 
 def test_pipeline_deterministic():
