@@ -26,8 +26,8 @@ target = np.random.default_rng(2).normal(size=(5, 1))
 
 
 def forward():
-    h = nn.softplus(nn.affine(nn.constant(inputs), params["w0"], params["b0"]))
-    out = nn.affine(h, params["w1"], params["b1"])
+    h = nn.softplus(nn.matmul(nn.constant(inputs), params["w0"], params["b0"]))
+    out = nn.matmul(h, params["w1"], params["b1"])
     sq = nn.square(nn.sub(out, nn.constant(target)))
     return nn.scale(nn.sum_all(sq), 1.0 / sq.data.size)
 

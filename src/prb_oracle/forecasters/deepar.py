@@ -54,7 +54,7 @@ def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:
     inp = np.concatenate([prev[..., None], cov], axis=2)
     hidden, _ = _layers(params, inp, _zero_state(config, len(inp)))
     horizon = nn.narrow(hidden, 1, config.context_len - 1, config.horizon)
-    raw = nn.affine(horizon, params["w_head"], params["b_head"])
+    raw = nn.matmul(horizon, params["w_head"], params["b_head"])
     return nn.scale(gaussian_nll_graph(raw, tgt_scaled), 1.0 / len(tgt_scaled))
 
 
@@ -73,7 +73,7 @@ def step(params, config, inp: np.ndarray, state):
     """Raw heads (B, m, 2) for the m new positions of inp (B, m, 3), and the
     state (B, 1, 2n) per layer after them."""
     hidden, state = _layers(params, inp, state)
-    return nn.affine(hidden, params["w_head"], params["b_head"]), state
+    return nn.matmul(hidden, params["w_head"], params["b_head"]), state
 
 
 def paths(params, config, ctx_scaled, feats, rng) -> np.ndarray:

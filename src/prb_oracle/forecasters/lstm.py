@@ -24,7 +24,7 @@ def _forward(params, config, ctx_scaled: np.ndarray) -> nn.Tensor:
     hc = np.zeros((len(ctx_scaled), 1, 2 * config.rnn_cells))
     x = nn.constant(ctx_scaled[:, :, None])
     h, _ = lstm_cell(x, hc, params["wx0"], params["wh0"], params["bg0"])
-    return nn.affine(nn.narrow(h, 1, config.context_len - 1, 1), params["w_head"], params["b_head"])
+    return nn.matmul(nn.narrow(h, 1, config.context_len - 1, 1), params["w_head"], params["b_head"])
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:

@@ -27,7 +27,7 @@ def _forward(params: ParameterSet, config, ctx_scaled: np.ndarray) -> nn.Tensor:
     h = nn.constant(ctx_scaled)
     n_layers = len(config.hidden) + 1
     for i in range(n_layers):
-        h = nn.affine(h, params[f"w{i}"], params[f"b{i}"])
+        h = nn.matmul(h, params[f"w{i}"], params[f"b{i}"])
         if i < n_layers - 1:
             h = nn.relu(h)
     return nn.reshape(h, (len(ctx_scaled), config.horizon, 3))

@@ -89,8 +89,8 @@ def multi_head_attention(params, prefix, x_q, k, v, heads, causal=False) -> nn.T
 
 
 def _feed_forward(params, prefix, x) -> nn.Tensor:
-    inner = nn.relu(nn.affine(x, params[f"{prefix}_ff1"], params[f"{prefix}_ff1_b"]))
-    return nn.affine(inner, params[f"{prefix}_ff2"], params[f"{prefix}_ff2_b"])
+    inner = nn.relu(nn.matmul(x, params[f"{prefix}_ff1"], params[f"{prefix}_ff1_b"]))
+    return nn.matmul(inner, params[f"{prefix}_ff2"], params[f"{prefix}_ff2_b"])
 
 
 def _sublayer(params, ln_prefix, x, out) -> nn.Tensor:
@@ -99,7 +99,7 @@ def _sublayer(params, ln_prefix, x, out) -> nn.Tensor:
 
 def _embed(params, config, side: str, inp: np.ndarray, positions: np.ndarray) -> nn.Tensor:
     """Embed inputs (B, t, 3); `positions` is the (t, d) table all B sequences share."""
-    x = nn.affine(nn.constant(inp), params[f"{side}_embed"], params[f"{side}_embed_b"])
+    x = nn.matmul(nn.constant(inp), params[f"{side}_embed"], params[f"{side}_embed_b"])
     # sqrt(d) embedding gain keeps the value signal from drowning in the
     # positional table.
     x = nn.scale(x, math.sqrt(config.model_dim))
@@ -148,7 +148,7 @@ def step(params, config, inp: np.ndarray, state):
                               cross_k, cross_v, config.heads)
     y = _sublayer(params, "dec_ln2", y, nn.reshape(a2, y.shape))
     y = _sublayer(params, "dec_ln3", y, _feed_forward(params, "dec", y))
-    return nn.affine(y, params["head"], params["head_b"]), ((cross_k, cross_v), (k.data, v.data))
+    return nn.matmul(y, params["head"], params["head_b"]), ((cross_k, cross_v), (k.data, v.data))
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:

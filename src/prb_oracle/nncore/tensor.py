@@ -80,44 +80,34 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(x: Tensor, w: Tensor) -> Tensor:
-    """x (..., k) @ w (k, m): one right operand shared by every leading row of x."""
-    if not (x.data.ndim >= 2 and w.data.ndim == 2 and x.shape[-1] == w.shape[0]):
-        raise _shape_error("matmul", x.shape, w.shape)
-    out_data = x.data @ w.data
+def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x (..., k) @ w (k, m), plus the bias row b (1, m) on every row when given.
 
-    def backprop(g):
-        # An operand that needs no gradient (an input row, a constant) gets no product.
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        if w.requires_grad:
-            _accumulate(w, x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
-
-    return _node(out_data, "matmul", (x, w), backprop)
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x (..., k) @ w (k, m) plus the bias row b (1, m) on every row, as one node.
-
-    The leading axes are flattened to rows: on them, the expressions of
-    `add(matmul(x, w), b)`, so values and gradients are bit for bit the pair's.
+    The leading axes of x are flattened to rows, and one (rows, k) @ (k, m)
+    product serves them all: values and gradients on (B, t, k) are those on
+    its B·t rows bit for bit. The rows are a view of x where its layout allows
+    and a copy, kept for the backward, where it does not.
     """
     if not (x.data.ndim >= 2 and w.data.ndim == 2 and x.shape[-1] == w.shape[0]
-            and b.shape == (1, w.shape[1])):
-        raise _shape_error("affine", x.shape, w.shape, b.shape)
+            and (b is None or b.shape == (1, w.shape[1]))):
+        raise _shape_error("matmul", *(t.shape for t in (x, w, b) if t is not None))
     rows = x.data.reshape(-1, w.shape[0])
     out_data = rows @ w.data
-    out_data += b.data
+    if b is not None:
+        out_data += b.data
 
     def backprop(g):
         g = g.reshape(-1, w.shape[1])
-        if x.requires_grad:  # not an input row
+        # An operand that needs no gradient (an input row, a constant) gets no product.
+        if x.requires_grad:
             _accumulate(x, (g @ w.data.T).reshape(x.shape))
         if w.requires_grad:
             _accumulate(w, rows.T @ g)
-        _accumulate(b, g.sum(axis=0, keepdims=True))
+        if b is not None:
+            _accumulate(b, g.sum(axis=0, keepdims=True))
 
-    return _node(out_data.reshape(x.shape[:-1] + b.shape[1:]), "affine", (x, w, b), backprop)
+    parents = (x, w) if b is None else (x, w, b)
+    return _node(out_data.reshape(*x.shape[:-1], w.shape[1]), "matmul", parents, backprop)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -82,7 +82,7 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
     return [
         ("matmul", lambda t: nn.matmul(t[0], t[1]), [mat(3, 4), mat(4, 2)]),
         ("add", lambda t: nn.add(t[0], t[1]), [a34.copy(), b34.copy()]),
-        ("affine", lambda t: nn.affine(t[0], t[1], t[2]), [mat(3, 4), mat(4, 2), mat(1, 2)]),
+        ("matmul_bias", lambda t: nn.matmul(t[0], t[1], t[2]), [mat(3, 4), mat(4, 2), mat(1, 2)]),
         ("sub", lambda t: nn.sub(t[0], t[1]), [a34.copy(), b34.copy()]),
         ("mul", lambda t: nn.mul(t[0], t[1]), [a34.copy(), b34.copy()]),
         ("div", lambda t: nn.div(t[0], t[1]), [mat(3, 4), mat(3, 4, signed=False)]),
@@ -107,7 +107,8 @@ def primitive_cases() -> list[tuple[str, callable, list[np.ndarray]]]:
           mat(1, 16, low=0.1, high=0.5)]),
         ("lgamma", lambda t: nn.lgamma(t[0]), [mat(3, 4, low=0.6, high=9.0, signed=False)]),
         # Leading batch axis (the batched Monte Carlo decoder's shapes).
-        ("affine_batched", lambda t: nn.affine(t[0], t[1], t[2]), [mat(2, 3, 4), mat(4, 2), mat(1, 2)]),
+        ("matmul_bias_batched", lambda t: nn.matmul(t[0], t[1], t[2]),
+         [mat(2, 3, 4), mat(4, 2), mat(1, 2)]),
         ("layer_norm_batched", lambda t: nn.layer_norm(t[0], t[1], t[2]),
          [mat(2, 3, 4), mat(1, 4), mat(1, 4)]),
         ("matmul_batched_shared", lambda t: nn.matmul(t[0], t[1]), [mat(2, 3, 4), mat(4, 2)]),

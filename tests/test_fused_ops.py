@@ -170,9 +170,10 @@ def composite_log_gamma(z):
     return nn.add_const(nn.add(nn.sub(lead, t), nn.log(series)), 0.5 * math.log(2.0 * math.pi))
 
 
-def composite_affine(x, w, b):
-    """The old bias layer: `add(matmul(x, w), b)` with the bias-row add."""
-    return bias_row_add(nn.matmul(x, w), b)
+def composite_biased_matmul(x, w, b):
+    """The old bias layer of 2-D x: the entry product, then the bias-row add.
+    Built without `nn.matmul`, the op it checks."""
+    return bias_row_add(entry_matmul(x, w), b)
 
 
 def _value_and_grads(op, inputs, probe):
@@ -198,13 +199,13 @@ def _inputs(kind, rng):
     if kind == "layer_norm":
         return [rng.normal(loc=2.0, scale=3.0, size=(7, 8)), rng.normal(size=(1, 8)),
                 rng.normal(size=(1, 8))]
-    if kind == "affine":
+    if kind == "matmul":
         return [rng.normal(size=(7, 5)), rng.normal(size=(5, 4)), rng.normal(size=(1, 4))]
     return [rng.uniform(0.5, 40.0, size=(6, 3))]
 
 
 CASES = {
-    "affine": (nn.affine, composite_affine),
+    "matmul": (nn.matmul, composite_biased_matmul),
     "lstm_cell": (fused_lstm_cell, h_columns(cell_chain(composite_lstm_cell))),
     "layer_norm": (nn.layer_norm, composite_layer_norm),
     "lgamma": (nn.lgamma, composite_log_gamma),
@@ -241,13 +242,13 @@ def test_fused_op_shape_errors():
         nn.layer_norm(ones(2, 3), ones(1, 4), ones(1, 3))
     with pytest.raises(nn.ShapeMismatch, match="layer_norm"):
         nn.layer_norm(ones(4), ones(1, 4), ones(1, 4))
-    with pytest.raises(nn.ShapeMismatch, match="affine"):
-        nn.affine(ones(2, 3), ones(3, 4), ones(1, 3))
-    with pytest.raises(nn.ShapeMismatch, match="affine"):
-        nn.affine(ones(3), ones(3, 4), ones(1, 4))
-    with pytest.raises(nn.ShapeMismatch, match="affine"):
-        nn.affine(ones(2, 2, 3), ones(4, 4), ones(1, 4))
-    # add takes equal shapes only: a bias row goes through affine.
+    with pytest.raises(nn.ShapeMismatch, match="matmul"):
+        nn.matmul(ones(2, 3), ones(3, 4), ones(1, 3))
+    with pytest.raises(nn.ShapeMismatch, match="matmul"):
+        nn.matmul(ones(3), ones(3, 4), ones(1, 4))
+    with pytest.raises(nn.ShapeMismatch, match="matmul"):
+        nn.matmul(ones(2, 2, 3), ones(4, 4), ones(1, 4))
+    # add takes equal shapes only: a bias row goes through matmul's b.
     with pytest.raises(nn.ShapeMismatch, match="add"):
         nn.add(ones(2, 4), ones(1, 4))
 
@@ -385,7 +386,7 @@ def two_call_deepar_loss(params, cfg, ctx, tgt, feats):
         _, state = layers(warm, state)
     prev = np.concatenate([ctx[:, -1:], tgt[:, :-1]], axis=1)
     hidden, _ = layers(np.concatenate([prev[..., None], feats["tgt"]], axis=2), state)
-    raw = nn.affine(hidden, params["w_head"], params["b_head"])
+    raw = nn.matmul(hidden, params["w_head"], params["b_head"])
     return nn.scale(gaussian_nll_graph(raw, tgt), 1.0 / len(tgt))
 
 
@@ -411,13 +412,14 @@ def test_deepar_one_pass_loss_is_its_warm_up_then_horizon_calls(context_len):
 @pytest.mark.parametrize("rows", [1, 7])
 @pytest.mark.parametrize("x_needs_grad", [True, False])
 def test_affine_is_its_composite_bit_for_bit(rows, x_needs_grad):
-    # The models swapped add(matmul(x, w), b) for affine with no change in any
-    # number, so values and gradients must be equal, not merely close.
+    # An affine layer, matmul with its bias row, is one node for the product
+    # and the bias-row add: its values and gradients must be the pair's, equal
+    # and not merely close.
     rng = np.random.default_rng(rows)
     x, w, b = rng.normal(size=(rows, 5)), rng.normal(size=(5, 4)), rng.normal(size=(1, 4))
     probe = nn.constant(rng.normal(size=(rows, 4)))
     results = []
-    for op in (composite_affine, nn.affine):
+    for op in (composite_biased_matmul, nn.matmul):
         leaves = [nn.Tensor(x, requires_grad=x_needs_grad), nn.Tensor(w, requires_grad=True),
                   nn.Tensor(b, requires_grad=True)]
         out = op(*leaves)
@@ -427,20 +429,31 @@ def test_affine_is_its_composite_bit_for_bit(rows, x_needs_grad):
         assert (got is None and want is None) or np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("shape", [(8, 24, 32), (100, 1, 32)])
-@pytest.mark.parametrize("op", ["affine", "layer_norm"])
+# The op each layer runs and the shapes of its inputs after x: matmul with and
+# without its bias row, and layer_norm.
+ROW_OPS = {
+    "matmul": (nn.matmul, [(32, 3)]),
+    "affine": (nn.matmul, [(32, 3), (1, 3)]),
+    "layer_norm": (nn.layer_norm, [(1, 32)] * 2),
+}
+
+
+@pytest.mark.parametrize("shape", [(8, 24, 32), (100, 1, 32), (1, 100, 32)])
+@pytest.mark.parametrize("op", sorted(ROW_OPS))
 def test_leading_axes_are_the_flattened_rows_bit_for_bit(op, shape):
-    # The models keep (B, t, d) batches through affine and layer_norm (the
-    # transformer's training and sampling shapes): the op on them is the op on
-    # their B·t rows, in values and in input gradients.
+    # The models keep (B, t, d) batches through matmul and layer_norm (the
+    # transformer's training shape, its sampling shape, and one long
+    # sequence): the op on them is the op on their B·t rows, in values and in
+    # input gradients.
+    fn, rest_shapes = ROW_OPS[op]
     rng = np.random.default_rng(shape[0])
     x = rng.normal(loc=1.0, scale=2.0, size=shape)
-    rest = [rng.normal(size=s) for s in {"affine": [(32, 3), (1, 3)], "layer_norm": [(1, 32)] * 2}[op]]
-    probe = rng.normal(size=(*shape[:-1], rest[1].shape[1]))
+    rest = [rng.normal(size=s) for s in rest_shapes]
+    probe = rng.normal(size=(*shape[:-1], rest[0].shape[1]))
     results = []
     for x_shape in (shape, (shape[0] * shape[1], 32)):
         leaves = [nn.Tensor(a, requires_grad=True) for a in (x.reshape(x_shape), *rest)]
-        out = getattr(nn, op)(*leaves)
+        out = fn(*leaves)
         nn.backward(nn.sum_all(nn.mul(nn.softplus(out), nn.constant(probe.reshape(out.shape)))))
         results.append([out.data.ravel()] + [leaf.grad.ravel() for leaf in leaves])
     assert all(np.array_equal(got, want) for got, want in zip(*results))
@@ -558,7 +571,7 @@ def test_a_default_lstm_step_keeps_a_small_tape():
 
 
 def test_a_default_transformer_step_keeps_a_lean_tape():
-    # affine keeps one output per bias layer and attention keeps no softmax
+    # matmul keeps one output per bias layer and attention keeps no softmax
     # weights, so the forward of one default.json training step keeps about
     # 3.9 MB alive for its backward (the add(matmul) pairs and stored weights
     # kept 5.9 MB at batch 8).

@@ -106,8 +106,8 @@ def test_forward_and_backward_stay_finite():
     rng = np.random.default_rng(7)
     params = init_params([6, 8, 1], seed=11)
     x = nn.constant(rng.normal(size=(4, 6)))
-    h = nn.softplus(nn.affine(x, params["w0"], params["b0"]))
-    loss = nn.sum_all(nn.square(nn.affine(h, params["w1"], params["b1"])))
+    h = nn.softplus(nn.matmul(x, params["w0"], params["b0"]))
+    loss = nn.sum_all(nn.square(nn.matmul(h, params["w1"], params["b1"])))
     grads = backward(loss, params)
     assert np.isfinite(loss.item())
     for g in grads.values():
@@ -156,8 +156,8 @@ def test_backward_two_layer_net_matches_finite_differences():
     y = rng.normal(size=(2, 3))
 
     def forward():
-        h = nn.softplus(nn.affine(nn.constant(x), params["w0"], params["b0"]))
-        out = nn.affine(h, params["w1"], params["b1"])
+        h = nn.softplus(nn.matmul(nn.constant(x), params["w0"], params["b0"]))
+        out = nn.matmul(h, params["w1"], params["b1"])
         return nn.sum_all(nn.square(nn.sub(out, nn.constant(y))))
 
     grads = backward(forward(), params)
@@ -203,8 +203,8 @@ def test_backward_leaves_a_constant_operand_without_a_gradient():
 # ---------------------------------------------------------------------------
 
 def _two_layer_loss(params, x):
-    h = nn.softplus(nn.affine(nn.constant(x), params["w0"], params["b0"]))
-    return nn.sum_all(nn.square(nn.affine(h, params["w1"], params["b1"])))
+    h = nn.softplus(nn.matmul(nn.constant(x), params["w0"], params["b0"]))
+    return nn.sum_all(nn.square(nn.matmul(h, params["w1"], params["b1"])))
 
 
 def _taped_nodes(loss):
@@ -222,7 +222,7 @@ def test_tape_is_empty_after_backward():
     params = init_params([3, 4, 2], seed=1)
     loss = _two_layer_loss(params, np.ones((2, 3)))
     nodes = _taped_nodes(loss)
-    assert [node.op for node in nodes] == ["affine", "softplus", "affine", "square", "sum_all"]
+    assert [node.op for node in nodes] == ["matmul", "softplus", "matmul", "square", "sum_all"]
     backward(loss, params)
     for node in nodes:  # consumed: nothing left to run or to keep alive
         assert node._parents is None and node._backprop is None and node.grad is None
@@ -248,7 +248,7 @@ def test_a_second_loss_on_shared_parameters_keeps_its_graph():
     x = np.random.default_rng(1).normal(size=(2, 3))
 
     def loss(scale):
-        return nn.sum_all(nn.square(nn.affine(nn.constant(scale * x), params["w0"], params["b0"])))
+        return nn.sum_all(nn.square(nn.matmul(nn.constant(scale * x), params["w0"], params["b0"])))
 
     want_first, want_second = backward(loss(1.0), params), backward(loss(2.0), params)
     first, second = loss(1.0), loss(2.0)  # both graphs alive at once
