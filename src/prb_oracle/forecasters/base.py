@@ -136,21 +136,23 @@ def _model_module(kind: str):
 
 # deepar and transformer are autoregressive. Each supplies its network as
 # `start(params, config, ctx_scaled (B, C), cov_ctx (B, C, 2)) -> state`, the state
-# of B contexts (deepar: each layer's last `lstm_cell` [h | c], (B·num_samples, 1, 2n)), and
+# of B contexts (deepar: each layer's last `lstm_cell` [h | c], (B·num_samples, 1, 2n);
+# transformer: the encoder's cross keys and values, and no self-attention cache yet), and
 # `step(params, config, inp (B, m, 3), state) -> (raw heads (B, m, n), state)`.
 def ancestral_paths(params, config, ctx_scaled, feats, rng, project) -> np.ndarray:
     """Ancestral roll-outs of one context (1, C), all num_samples paths as rows of
     one batch: each one-position `step` is followed by one draw per path from
-    `project` of its raw heads, the path's next input."""
+    `project` of its raw heads, the path's next input. One (S, 1, 3) input
+    array serves every step: the previous draws, then the hour's calendar row."""
     mod = _model_module(config.kind)
-    n = config.num_samples
     state = mod.start(params, config, ctx_scaled, feats["ctx"])
-    out = np.empty((n, config.horizon))
-    prev = np.full(n, ctx_scaled[0, -1])
+    out = np.empty((config.num_samples, config.horizon))
+    inp = np.empty((config.num_samples, 1, 3))
+    inp[:, 0, 0] = ctx_scaled[0, -1]
     for t in range(config.horizon):
-        inp = np.column_stack([prev, np.broadcast_to(feats["tgt"][0, t], (n, 2))])
-        raw, state = mod.step(params, config, inp[:, None], state)
-        prev = out[:, t] = sample(project(raw.data[:, 0]), rng, 1)[0]
+        inp[:, 0, 1:] = feats["tgt"][0, t]
+        raw, state = mod.step(params, config, inp, state)
+        inp[:, 0, 0] = out[:, t] = sample(project(raw.data[:, 0]), rng, 1)[0]
     return out
 
 

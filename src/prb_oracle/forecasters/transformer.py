@@ -5,8 +5,8 @@ The encoder ingests the embedded context; the decoder applies masked
 self-attention, attention over the encoder output, and a position-wise
 feed-forward layer. `start` encodes the context and `step` decodes new
 positions; `loss` trains with one causally masked `step` over the horizon,
-`base.ancestral_paths` samples one `step` per position with the
-self-attention keys and values cached per sample.
+`base.ancestral_paths` samples one `step` per position, each writing its
+self-attention keys and values into a (samples, horizon, d) cache in place.
 """
 
 from __future__ import annotations
@@ -124,23 +124,30 @@ def step(params, config, inp: np.ndarray, state):
     """Raw heads (B, m, 3) for the m new positions of inp (B, m, 3), and the
     state with the cache extended by them.
 
-    The cache holds the self-attention keys and values of the earlier decoder
-    positions as plain (B, t, d) arrays: sampling extends it and takes no gradient.
-    Each new position attends to the cached ones and the new ones up to itself:
-    m = 1 over the cache in sampling, or m > 1 causally with no cache, as `loss`
-    calls it. In the cross-attention the B·m positions are grouped by context:
-    each of the n_ctx encoded contexts is attended to by its B·m / n_ctx positions,
-    (B, m) in training and all (1, S) sample positions of the one context in sampling.
+    The cache is the decoder's self-attention keys and values, two plain
+    (B, horizon, d) arrays that a step without a cache allocates, and the count
+    of positions filled. Each step writes its m positions into the arrays in
+    place, so the state it returns shares them with the state it was given:
+    step from a cached state once. Each new position attends to the filled
+    positions and the new ones up to itself: in sampling, m = 1 over a view of
+    the filled prefix; in `loss`, m > 1 causally over its own taped keys and
+    values, with nothing filled. In the cross-attention the B·m positions are
+    grouped by context: each of the n_ctx encoded contexts is attended to by
+    its B·m / n_ctx positions, (B, m) in training and all (1, S) sample
+    positions of the one context in sampling.
     """
     (cross_k, cross_v), cache = state
     batch, m, _ = inp.shape
     d = config.model_dim
-    first = config.context_len + (0 if cache is None else cache[0].shape[1])
+    keys, values, filled = cache or (np.empty((batch, config.horizon, d)),
+                                     np.empty((batch, config.horizon, d)), 0)
+    first = config.context_len + filled
     y = _embed(params, config, "dec", inp, positional_encoding(first + m, d, first))
     k, v = project_kv(params, "dec_self", y)
-    if cache is not None:
-        k = nn.constant(np.concatenate([cache[0], k.data], axis=1))
-        v = nn.constant(np.concatenate([cache[1], v.data], axis=1))
+    keys[:, filled:filled + m] = k.data
+    values[:, filled:filled + m] = v.data
+    if filled:
+        k, v = nn.constant(keys[:, :filled + m]), nn.constant(values[:, :filled + m])
     a = multi_head_attention(params, "dec_self", y, k, v, config.heads, causal=m > 1)
     y = _sublayer(params, "dec_ln1", y, a)
     n_ctx = cross_k.shape[0]
@@ -148,7 +155,8 @@ def step(params, config, inp: np.ndarray, state):
                               cross_k, cross_v, config.heads)
     y = _sublayer(params, "dec_ln2", y, nn.reshape(a2, y.shape))
     y = _sublayer(params, "dec_ln3", y, _feed_forward(params, "dec", y))
-    return nn.matmul(y, params["head"], params["head_b"]), ((cross_k, cross_v), (k.data, v.data))
+    return (nn.matmul(y, params["head"], params["head_b"]),
+            ((cross_k, cross_v), (keys, values, filled + m)))
 
 
 def loss(params, config, ctx_scaled, tgt_scaled, feats) -> nn.Tensor:

@@ -87,10 +87,14 @@ class TraceConfig:
 
 
 def check_capacity(config: TraceConfig, max_prb: int) -> None:
-    """The mean daily peak, base_load + daily_amplitude, must fit in max_prb."""
+    """The mean daily peak, base_load + daily_amplitude, must fit in max_prb, and
+    the floor must lie below it: a clip to [floor, max_prb] with floor >= max_prb
+    makes every hour max_prb."""
     peak = config.base_load + config.daily_amplitude
     if peak > max_prb:
         raise TraceError(f"trace.base_load + trace.daily_amplitude = {peak} exceeds max_prb {max_prb}")
+    if config.floor >= max_prb:
+        raise TraceError(f"trace.floor must be below max_prb {max_prb}, got {config.floor}")
 
 
 def generate_synthetic(config: TraceConfig, max_prb: int = DEFAULT_MAX_PRB) -> PrbSeries:

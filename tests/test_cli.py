@@ -214,6 +214,8 @@ def test_a_config_that_is_not_a_json_object_is_an_error_line(tmp_path, capsys, c
     ({"context_len": 0}, "context_len must be >= 1, got 0"),
     ({"horizon": 0}, "horizon must be >= 1, got 0"),
     ({"horizon": 2.5}, "horizon must be an integer, got 2.5"),
+    ({"trace": {"floor": 200}}, "trace.floor must be below max_prb 160, got 200"),
+    ({"trace": {"floor": 160.0}}, "trace.floor must be below max_prb 160, got 160.0"),
 ])
 def test_bad_config_block_is_an_error_line(tmp_path, capsys, monkeypatch, doc, message):
     monkeypatch.setattr(rapp, "generate_synthetic", None)  # building a trace would raise

@@ -24,10 +24,11 @@ import pytest
 from conftest import exported_ops, max_rel_err
 from prb_oracle import nncore as nn
 from prb_oracle.cli import default_config_path
-from prb_oracle.forecasters import ForecasterConfig, deepar, lstm, sff, transformer
+from prb_oracle.forecasters import ForecasterConfig, deepar, fit, lstm, predict, sff, transformer
 from prb_oracle.likelihoods import gaussian_nll_graph
 from prb_oracle.nncore import AdamState, adam_step, tensor
 from prb_oracle.rapp import ExperimentConfig
+from prb_oracle.traces import TraceConfig, generate_synthetic
 from prb_oracle.nncore.tensor import _LANCZOS_COEFFS, _LANCZOS_G
 
 TOL = 1e-12
@@ -570,6 +571,24 @@ def test_a_default_lstm_step_keeps_a_small_tape():
     assert peak < 1.2e6, f"peak {peak / 1e6:.2f} MB"
 
 
+def test_a_default_transformer_predict_keeps_a_small_footprint():
+    # The sampling steps write their keys and values into one (100, 24, 32)
+    # pair of buffers: one predict at default.json shapes peaks near 1.6 MB.
+    # When each step concatenated the cache with its new position, every step
+    # copied all earlier positions, and a predict peaked near 2.8 MB.
+    default = ExperimentConfig.from_dict(json.loads(default_config_path().read_text()))
+    cfg = replace(default.models["transformer"], epochs=0)
+    series = generate_synthetic(TraceConfig(weeks=1))
+    model = fit(cfg, series)
+    tracemalloc.start()
+    try:
+        predict(model, series.values[-cfg.context_len:])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0e6, f"peak {peak / 1e6:.2f} MB"
+
+
 def test_a_default_transformer_step_keeps_a_lean_tape():
     # matmul keeps one output per bias layer and attention keeps no softmax
     # weights, so the forward of one default.json training step keeps about
@@ -792,5 +811,31 @@ def test_step_batches_sequences_and_chains_positions(kind):
     assert np.max(np.abs(whole.data - np.stack(singles))) <= 1e-12
     assert np.max(np.abs(np.concatenate(steps, axis=1) - whole.data)) <= 1e-12
     if kind == "transformer":
-        # The sampling cache is plain keys and values, no graph nodes.
-        assert all(isinstance(a, np.ndarray) and a.shape == (3, 4, DIM) for a in state[1])
+        # The sampling cache is plain (rows, horizon, d) keys and values, no
+        # graph nodes, and the count of positions filled.
+        keys, values, filled = state[1]
+        assert all(isinstance(a, np.ndarray) and a.shape == (3, 4, DIM) for a in (keys, values))
+        assert filled == 4
+
+
+def test_sampling_steps_fill_one_key_value_cache_in_place():
+    # Each sampling step writes its position's keys and values into the
+    # buffers the first step allocated, so no step copies the earlier ones;
+    # after H steps the buffers hold the keys and values of the whole
+    # teacher-forced decoder input, bit for bit.
+    cfg = ForecasterConfig(kind="transformer", context_len=4, horizon=5, num_samples=3,
+                           model_dim=DIM, ff_scale=2, heads=HEADS, blocks=1)
+    params = transformer.build(cfg)
+    inp = np.random.default_rng(7).uniform(0.0, 1.0, (3, 5, 3))
+    ctx, cov = np.linspace(0.8, 1.2, 4)[None], np.random.default_rng(8).uniform(0.0, 1.0, (1, 4, 2))
+    state = transformer.start(params, cfg, ctx, cov)
+    buffers = None
+    for t in range(5):
+        _, state = transformer.step(params, cfg, inp[:, t:t + 1], state)
+        keys, values, filled = state[1]
+        assert filled == t + 1
+        buffers = buffers or (keys, values)
+        assert np.shares_memory(keys, buffers[0]) and np.shares_memory(values, buffers[1])
+    y = transformer._embed(params, cfg, "dec", inp, transformer.positional_encoding(9, DIM, 4))
+    k, v = transformer.project_kv(params, "dec_self", y)
+    assert np.array_equal(keys, k.data) and np.array_equal(values, v.data)
